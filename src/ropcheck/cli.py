@@ -21,7 +21,6 @@ import dataclasses
 import json
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import charax, hardcases, testers
 from .decomp import brute_force_is_rop, trivariate_is_rop
@@ -189,35 +188,12 @@ def cmd_gen(args) -> int:
 
 # ---- experiment ----
 
-def _sweep_worker(job):
-    p, n, seed, count = job
-    ctx = FieldCtx(p)
-    P = hardcases.q_n(n, ctx)
-    rng = random.Random(seed)
-    good = 0
-    for _ in range(count):
-        a = tuple(rng.randrange(p) for _ in range(n))
-        if charax.is_locally_rop(P, a)[0]:
-            good += 1
-    return good
-
-
 def cmd_experiment_qn_fraction(args) -> int:
     ns = [int(tok) for tok in str(args.n).split(",")]
-    rows = []
-    for n in ns:
-        ctx = FieldCtx(args.p)
-        P = hardcases.q_n(n, ctx)
-        if args.threads > 1 and args.p ** n > hardcases.EXHAUSTIVE_LIMIT:
-            chunks = _split_count(args.samples, args.threads)
-            jobs = [(args.p, n, args.seed + t, c) for t, c in enumerate(chunks) if c]
-            with ProcessPoolExecutor(max_workers=args.threads) as pool:
-                good = sum(pool.map(_sweep_worker, jobs))
-            frac = good / args.samples
-            stderr = (frac * (1 - frac) / args.samples) ** 0.5
-            rows.append(hardcases.SweepRow(args.p, n, args.samples, frac, stderr))
-        else:
-            rows.append(hardcases.local_rop_fraction(P, args.samples, args.seed))
+    ctx = FieldCtx(args.p)
+    rows = [hardcases.local_rop_fraction(hardcases.q_n(n, ctx), args.samples,
+                                         args.seed, args.threads)
+            for n in ns]
     if args.json:
         print(json.dumps([dataclasses.asdict(row) for row in rows], sort_keys=True))
     else:
@@ -280,13 +256,7 @@ def cmd_experiment_trivariate_enum(args) -> int:
             raise ScaleGuardExceeded(
                 f"{total_space} coefficient vectors exceed the exhaustive "
                 f"limit {hardcases.EXHAUSTIVE_LIMIT}; pass --samples")
-        if args.threads > 1:
-            bounds = _split_range(total_space, args.threads)
-            jobs = [(p, lo, hi) for lo, hi in bounds if lo < hi]
-            with ProcessPoolExecutor(max_workers=args.threads) as pool:
-                bad = sum(pool.map(_enum_worker, jobs))
-        else:
-            bad = _enum_worker((p, 0, total_space))
+        bad = hardcases.range_sum(_enum_worker, (p,), total_space, args.threads)
         cases = total_space
     else:
         rng = random.Random(args.seed)
@@ -299,21 +269,6 @@ def cmd_experiment_trivariate_enum(args) -> int:
     payload = {"cases": cases, "disagreements": bad}
     _emit(args, payload, [f"{cases} cases, {bad} disagreements"])
     return EXIT_YES if bad == 0 else EXIT_NO
-
-
-def _split_count(total: int, parts: int):
-    base, extra = divmod(total, parts)
-    return [base + (1 if t < extra else 0) for t in range(parts)]
-
-
-def _split_range(total: int, parts: int):
-    sizes = _split_count(total, parts)
-    bounds = []
-    lo = 0
-    for s in sizes:
-        bounds.append((lo, lo + s))
-        lo += s
-    return bounds
 
 
 # ---- parser ----

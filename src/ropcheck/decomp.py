@@ -35,7 +35,10 @@ from .errors import (
 from .ff import Felt
 from .mpoly import MPoly
 
-_SCAN_CAP = 1 << 16
+# The exact witness test's probe point pair, drawn once from a fixed seed so
+# that no call seeds or consumes a random stream: slot k of the x-point reads
+# entry k, slot k of the y-point entry n + k, cyclically, reduced mod p.
+_PROBE = tuple(map(random.Random(0).getrandbits, [64] * 64))
 
 
 def _require_multilinear(P: MPoly):
@@ -51,39 +54,29 @@ def commutator(P: MPoly, i: int, j: int) -> MPoly:
     return P * P.partial2(i, j) - P.partial(i) * P.partial(j)
 
 
-def find_nonzero_point(P: MPoly, rng: random.Random | None = None) -> Tuple[int, ...]:
-    """A full-arity point where P is nonzero.
+def _unit_point(P: MPoly, slots) -> Tuple[int, ...]:
+    """0/1 point: 1 on the slots-part of a monomial of P with the fewest such
+    slots, 0 on every other slot.  P must be multilinear and nonzero."""
+    slots = frozenset(slots)
+    part = min((tuple(v for v, _ in mono if v in slots) for mono in P.terms), key=len)
+    point = [0] * P.arity
+    for v in part:
+        point[v] = 1
+    return tuple(point)
 
-    Deterministic scan first: the {0,1} grid over the support always contains
-    such a point for a nonzero multilinear polynomial, and the 3-value grid
-    covers low-degree non-multilinear inputs; a seeded random fallback guards
-    the capped scans.  Raises on the zero polynomial.
+
+def find_nonzero_point(P: MPoly) -> Tuple[int, ...]:
+    """A full-arity point where the multilinear P is nonzero.
+
+    The variables of a least-degree monomial m are set to 1 and every other
+    slot to 0.  A monomial survives that point only if its variables all lie
+    in m; no other monomial of P does, since none has lower degree, so P
+    takes the value of m's coefficient there.  Raises on the zero polynomial.
     """
+    _require_multilinear(P)
     if P.is_zero():
         raise InvalidParams("the zero polynomial has no nonzero point")
-    base = [0] * P.arity
-    vs = sorted(P.variables())
-    if not vs:
-        return tuple(base)
-    p = P.ctx.p
-    for radix in (2, 3):
-        m = min(p, radix)
-        if m ** len(vs) > _SCAN_CAP:
-            break
-        for combo in itertools.product(range(m), repeat=len(vs)):
-            for v, x in zip(vs, combo):
-                base[v] = x
-            if P.eval_raw(base):
-                return tuple(base)
-        if m >= p:
-            break
-    rng = rng if rng is not None else random.Random(0)
-    for _ in range(4096):
-        for v in vs:
-            base[v] = rng.randrange(p)
-        if P.eval_raw(base):
-            return tuple(base)
-    raise InvalidParams("could not locate a nonzero point")
+    return _unit_point(P, range(P.arity))
 
 
 @dataclass(frozen=True)
@@ -98,7 +91,7 @@ class DecompResult:
     degenerate: bool
 
 
-def decompose(P: MPoly, i: int, j: int, rng: random.Random | None = None) -> DecompResult:
+def decompose(P: MPoly, i: int, j: int) -> DecompResult:
     """Exact split test for the pair (i, j).
 
     P is decomposable iff D(P) = c * dd_ij(P) for the unique candidate
@@ -116,7 +109,7 @@ def decompose(P: MPoly, i: int, j: int, rng: random.Random | None = None) -> Dec
     if S.is_zero():
         return DecompResult(False, None, True)
     D = commutator(P, i, j)
-    w = find_nonzero_point(S, rng)
+    w = find_nonzero_point(S)
     ctx = P.ctx
     c = D.eval_raw(w) * ctx.inv_raw(S.eval_raw(w)) % ctx.p
     if (D - S.scale(c)).is_zero():
@@ -165,16 +158,26 @@ def witness_is_zero(P: MPoly, i: int, j: int,
                     shared: FrozenSet[int] | Sequence[int] = frozenset(),
                     mode: str = "exact", rng: random.Random | None = None,
                     reps: int = 40) -> bool:
-    """Decide W(P) == 0 for the pair (i, j) and a shared index set.
+    """Decide W(P) == 0 for the pair (i, j) and a shared index set J.
 
-    exact mode: with no shared indices this reduces to 'dd_ij(P) == 0 or the
-    pair decomposes'.  A nonempty shared set J is eliminated by restricting
-    each J slot to 4 grid values (enough since shared slots have degree at
-    most 3 in W) and recursing; fields smaller than 5 fall back to
-    materializing the witness.
+    Write P = A*x_i*x_j + B*x_i + C*x_j + E; then S = dd_ij(P) = A and
+    D = AE - BC, neither involving x_i or x_j, and
+    W(x, y) = D(x) * S(y) - S(x) * D(y) with y_k = x_k for k in J.
 
-    fast mode: evaluates W at `reps` random points; one-sided (False answers
-    are proofs, True answers can err with probability <= (deg/|V|)**reps).
+    exact mode: W is first evaluated at one fixed pseudo-random glued
+    point pair (never drawn from rng); a nonzero value proves W != 0.
+    Otherwise, with U the unglued slots, let mu be the U-part of a monomial
+    of S with the fewest variables, and u0 the point with mu's slots 1 and
+    the rest of U 0.  Only monomials whose U-part is mu survive u0, so s = S|U<-u0 is a
+    nonzero polynomial in the J slots.  W == 0 exactly when
+    D * s - S * (D|U<-u0) == 0: setting y_U = u0 in W gives that
+    difference, and conversely it makes s * W vanish, and the ring has no
+    zero divisors.  With J empty this is decompose's test.  The identity
+    holds over every field.
+
+    fast mode: evaluates W at `reps` random point pairs drawn from rng;
+    one-sided (False answers are proofs, True answers can err with
+    probability <= (deg/|V|)**reps).
     """
     shared = frozenset(shared)
     if i == j:
@@ -187,53 +190,44 @@ def witness_is_zero(P: MPoly, i: int, j: int,
         if not 0 <= k < n:
             raise IndexOverlap(f"shared index {k} outside arity {n}")
 
-    if mode == "fast":
-        return _witness_sz(P, i, j, shared, rng, reps)
-    if mode != "exact":
+    if mode == "fast" and reps < 1:
+        raise InvalidParams(f"need at least one repetition, got {reps}")
+    if mode not in ("exact", "fast"):
         raise InvalidParams(f"mode must be 'exact' or 'fast', got {mode!r}")
 
-    S = P.partial2(i, j)
+    Pi, Pj = P.partial(i), P.partial(j)
+    S = Pi.partial(j)
     if S.is_zero():
         return True
-    if not shared:
-        return decompose(P, i, j).decomposable
-    if P.ctx.p >= 5:
-        order = sorted(shared)
-        point = [0] * n
-        for combo in itertools.product(range(4), repeat=len(order)):
-            for k, x in zip(order, combo):
-                point[k] = x
-            Q = P.restrict_many(order, point)
-            SQ = Q.partial2(i, j)
-            if SQ.is_zero():
-                continue
-            if not decompose(Q, i, j).decomposable:
+    p = P.ctx.p
+    if mode == "fast":
+        rng = rng if rng is not None else random.Random(0)
+        for _ in range(reps):
+            x = [rng.randrange(p) for _ in range(n)]
+            y = [rng.randrange(p) for _ in range(n)]
+            for k in shared:
+                y[k] = x[k]
+            if _witness_at(P, Pi, Pj, S, x, y):
                 return False
         return True
-    return decomp_witness(P, i, j, shared).value.is_zero()
+    x = [_PROBE[k % len(_PROBE)] % p for k in range(n)]
+    y = [x[k] if k in shared else _PROBE[(n + k) % len(_PROBE)] % p for k in range(n)]
+    if _witness_at(P, Pi, Pj, S, x, y):
+        return False
+    D = P * S - Pi * Pj
+    unglued = [k for k in range(n) if k not in shared and k not in (i, j)]
+    u0 = _unit_point(S, unglued)
+    return (D * S.restrict_many(unglued, u0)
+            - S * D.restrict_many(unglued, u0)).is_zero()
 
 
-def _witness_sz(P: MPoly, i: int, j: int, shared: FrozenSet[int],
-                rng: random.Random | None, reps: int) -> bool:
-    if reps < 1:
-        raise InvalidParams(f"need at least one repetition, got {reps}")
-    rng = rng if rng is not None else random.Random(0)
-    ctx = P.ctx
-    p = ctx.p
-    n = P.arity
-    D = commutator(P, i, j)
-    S = P.partial2(i, j)
-    if S.is_zero():
-        return True
-    for _ in range(reps):
-        x = [rng.randrange(p) for _ in range(n)]
-        y = [rng.randrange(p) for _ in range(n)]
-        for k in shared:
-            y[k] = x[k]
-        v = (D.eval_raw(x) * S.eval_raw(y) - S.eval_raw(x) * D.eval_raw(y)) % p
-        if v:
-            return False
-    return True
+def _witness_at(P: MPoly, Pi: MPoly, Pj: MPoly, S: MPoly, x, y) -> int:
+    """W(x, y) from the first partials Pi, Pj and the mixed second partial S;
+    D is evaluated pointwise as P * S - Pi * Pj, never built."""
+    sx, sy = S.eval_raw(x), S.eval_raw(y)
+    dx = P.eval_raw(x) * sx - Pi.eval_raw(x) * Pj.eval_raw(x)
+    dy = P.eval_raw(y) * sy - Pi.eval_raw(y) * Pj.eval_raw(y)
+    return (dx * sy - sx * dy) % P.ctx.p
 
 
 # ---- gate graph ----
@@ -328,8 +322,7 @@ def additive_split(P: MPoly, part) -> Tuple[MPoly, MPoly]:
     return P1, P2
 
 
-def multiplicative_split(P: MPoly, i: int, j: int,
-                         rng: random.Random | None = None) -> Tuple[MPoly, MPoly, Felt]:
+def multiplicative_split(P: MPoly, i: int, j: int) -> Tuple[MPoly, MPoly, Felt]:
     """Exact factors: P = h * g + c with x_i in h only and x_j in g only.
 
     g collects exactly the irreducible factor of P - c containing x_j
@@ -337,7 +330,7 @@ def multiplicative_split(P: MPoly, i: int, j: int,
     normalized so its leading (graded-lex) coefficient is 1.  The
     reconstruction h * g + c == P is verified before returning.
     """
-    res = decompose(P, i, j, rng)
+    res = decompose(P, i, j)
     if not res.decomposable:
         raise NotDecomposable(f"pair ({i}, {j}) does not split this polynomial")
     ctx = P.ctx
@@ -350,7 +343,7 @@ def multiplicative_split(P: MPoly, i: int, j: int,
         if k != j and not commutator(Pp, k, j).is_zero():
             right.add(k)
     left = sorted(Pp.variables() - right)
-    w = find_nonzero_point(Pp, rng)
+    w = find_nonzero_point(Pp)
     s = Pp.eval_raw(w)
     h_raw = Pp.restrict_many(sorted(right), w)   # h * g(w)
     g_raw = Pp.restrict_many(left, w)            # h(w) * g

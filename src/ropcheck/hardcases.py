@@ -10,8 +10,8 @@ restriction is read-once.
 
 from __future__ import annotations
 
-import itertools
 import math
+import os
 import random
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -66,33 +66,78 @@ class SweepRow:
                 f"{self.good_fraction:.6f},{self.stderr:.6f}")
 
 
-def local_rop_fraction(P: MPoly, samples: int, rng) -> SweepRow:
+def range_sum(fn, head: tuple, total: int, threads: int) -> int:
+    """Sum of fn(head + (lo, hi)) over contiguous ranges covering [0, total).
+
+    One range per worker process; the worker count is clamped to
+    min(threads, cpu count, total), and one worker runs in this process.
+    """
+    workers = max(1, min(threads, os.cpu_count() or 1, total))
+    base, extra = divmod(total, workers)
+    jobs = []
+    lo = 0
+    for t in range(workers):
+        hi = lo + base + (1 if t < extra else 0)
+        jobs.append(head + (lo, hi))
+        lo = hi
+    if workers == 1:
+        return fn(jobs[0])
+    # imported here so that importing the package does not load the
+    # process-pool machinery, which most callers never use; spawned workers
+    # do not inherit the state of this process, threads included
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        return sum(pool.map(fn, jobs))
+
+
+def _local_rop_count(job) -> int:
+    """How many of the assignments k in [lo, hi) are locally read-once.
+
+    Exhaustive sweeps take assignment k to be k's base-p digits; sampled
+    sweeps draw it from its own stream, seeded by (seed, k).
+    """
+    P, seed, exhaustive, lo, hi = job
+    p, n = P.ctx.p, P.arity
+    good = 0
+    for k in range(lo, hi):
+        if exhaustive:
+            a = tuple(k // p ** t % p for t in range(n))
+        else:
+            rng = random.Random(f"{seed}/{k}")
+            a = tuple(rng.randrange(p) for _ in range(n))
+        if is_locally_rop(P, a)[0]:
+            good += 1
+    return good
+
+
+def local_rop_fraction(P: MPoly, samples: int, seed,
+                       threads: int = 1) -> SweepRow:
     """Fraction of assignments at which every trivariate restriction is
     read-once; exhaustive when the whole domain fits the desk-scale limit,
     Monte-Carlo with a binomial standard error otherwise.
+
+    Each assignment depends only on (seed, its index), so the result is the
+    same for every worker count `threads`.  A random.Random seed is
+    replaced by one integer drawn from it.
     """
+    if isinstance(seed, random.Random):
+        seed = seed.getrandbits(64)
     n = P.arity
     if n < 4:
         raise TooFewVariables(f"locality sweeps need arity >= 4, got {n}")
     p = P.ctx.p
-    if p ** n <= EXHAUSTIVE_LIMIT:
-        total = p ** n
-        good = 0
-        for a in itertools.product(range(p), repeat=n):
-            if is_locally_rop(P, a)[0]:
-                good += 1
-        return SweepRow(p, n, total, good / total, 0.0)
-    if samples < 1:
+    exhaustive = p ** n <= EXHAUSTIVE_LIMIT
+    if exhaustive:
+        samples = p ** n
+    elif samples < 1:
         raise InvalidParams(f"need at least one sample, got {samples}")
-    rng = rng if isinstance(rng, random.Random) else random.Random(rng)
-    good = 0
-    for _ in range(samples):
-        a = tuple(rng.randrange(p) for _ in range(n))
-        if is_locally_rop(P, a)[0]:
-            good += 1
+    good = range_sum(_local_rop_count, (P, seed, exhaustive), samples, threads)
     frac = good / samples
-    stderr = math.sqrt(frac * (1.0 - frac) / samples)
-    return SweepRow(p, n, samples, frac, stderr)
+    if exhaustive:
+        return SweepRow(p, n, samples, frac, 0.0)
+    return SweepRow(p, n, samples, frac, math.sqrt(frac * (1.0 - frac) / samples))
 
 
 # ---- Boolean counterparts ----

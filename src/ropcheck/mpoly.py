@@ -19,10 +19,7 @@ from __future__ import annotations
 import random
 from typing import Dict, FrozenSet, Iterable, Mapping, Sequence, Tuple
 
-try:
-    import numpy as _np
-except ImportError:  # numpy only accelerates; every path has a pure fallback
-    _np = None
+import numpy as np
 
 from .errors import (
     ArityMismatch,
@@ -214,17 +211,17 @@ class MPoly:
         """Evaluate at many raw-residue points at once."""
         if not points:
             return []
-        if _np is not None and self.ctx.p < _NUMPY_P_LIMIT and len(points) >= 8:
+        if self.ctx.p < _NUMPY_P_LIMIT and len(points) >= 8:
             return self._eval_batch_np(points)
         return [self.eval_raw(pt) for pt in points]
 
     def _eval_batch_np(self, points) -> list[int]:
         p = self.ctx.p
-        arr = _np.asarray(points, dtype=_np.int64) % p
-        acc = _np.zeros(arr.shape[0], dtype=_np.int64)
+        arr = np.asarray(points, dtype=np.int64) % p
+        acc = np.zeros(arr.shape[0], dtype=np.int64)
         pow_cache: Dict[Tuple[int, int], object] = {}
         for mono, c in self.terms.items():
-            t = _np.full(arr.shape[0], c, dtype=_np.int64)
+            t = np.full(arr.shape[0], c, dtype=np.int64)
             for v, e in mono:
                 key = (v, e)
                 col = pow_cache.get(key)
@@ -722,16 +719,15 @@ def interpolate_grid(ctx: FieldCtx, axes: Sequence[Sequence[int]],
         tensor = [[[lookup((u, v, w)) for w in ax[2]] for v in ax[1]] for u in ax[0]]
 
     mats = [_basis_matrix(ctx, a) for a in ax]
-    use_np = (_np is not None and p < _NUMPY_P_LIMIT
-              and max(dims) * (p - 1) * (p - 1) < 2**62)
+    use_np = p < _NUMPY_P_LIMIT and max(dims) * (p - 1) * (p - 1) < 2**62
     if use_np:
-        C = _np.asarray(tensor, dtype=_np.int64)
+        C = np.asarray(tensor, dtype=np.int64)
         for axis in range(k):
-            M = _np.asarray(mats[axis], dtype=_np.int64)
-            C = _np.tensordot(M, C, axes=([1], [axis])) % p
+            M = np.asarray(mats[axis], dtype=np.int64)
+            C = np.tensordot(M, C, axes=([1], [axis])) % p
         # each tensordot moves the transformed axis to the front, so after k
         # steps the axes are reversed
-        C = _np.transpose(C)
+        C = np.transpose(C)
         coeff_at = lambda idx: int(C[idx])
     else:
         C = tensor

@@ -18,10 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import FrozenSet, Sequence, Tuple, Union
 
-try:
-    import numpy as _np
-except ImportError:
-    _np = None
+import numpy as np
 
 from .errors import (
     ArityMismatch,
@@ -64,29 +61,30 @@ class Rof:
     def __init__(self, ctx: FieldCtx, arity: int, root: Node):
         self.ctx = ctx
         self.arity = arity
-        self.root = root
         seen = set()
-        self._validate(root, seen)
+        self.root = self._reduce(root, seen)
         self._vars = frozenset(seen)
 
-    def _validate(self, node: Node, seen: set):
+    def _reduce(self, node: Node, seen: set) -> Node:
+        """Validate a subtree; return it with leaf and constant values mod p."""
+        p = self.ctx.p
         if isinstance(node, Leaf):
             if not 0 <= node.var < self.arity:
                 raise ArityMismatch(f"leaf variable {node.var} outside arity {self.arity}")
             if node.var in seen:
                 raise ReadOnceViolation(f"variable x{node.var + 1} labels two leaves")
-            if node.alpha % self.ctx.p == 0:
+            if node.alpha % p == 0:
                 raise InvalidParams(f"leaf on x{node.var + 1} has zero slope")
             seen.add(node.var)
-        elif isinstance(node, Const):
-            pass
-        elif isinstance(node, Gate):
+            return Leaf(node.var, node.alpha % p, node.beta % p)
+        if isinstance(node, Const):
+            return Const(node.value % p)
+        if isinstance(node, Gate):
             if node.op not in ("+", "*"):
                 raise InvalidParams(f"unknown gate {node.op!r}")
-            self._validate(node.left, seen)
-            self._validate(node.right, seen)
-        else:
-            raise InvalidParams(f"unknown node {node!r}")
+            return Gate(node.op, self._reduce(node.left, seen),
+                        self._reduce(node.right, seen))
+        raise InvalidParams(f"unknown node {node!r}")
 
     def variables(self) -> FrozenSet[int]:
         return self._vars
@@ -98,7 +96,7 @@ class Rof:
             if isinstance(node, Leaf):
                 return (node.alpha * vals[node.var] + node.beta) % p
             if isinstance(node, Const):
-                return node.value % p
+                return node.value
             l, r = go(node.left), go(node.right)
             return (l + r) % p if node.op == "+" else l * r % p
 
@@ -115,15 +113,15 @@ class Rof:
         if not points:
             return []
         p = self.ctx.p
-        if _np is None or p >= _NUMPY_P_LIMIT or len(points) < 8:
+        if p >= _NUMPY_P_LIMIT or len(points) < 8:
             return [self.eval_raw(pt) for pt in points]
-        arr = _np.asarray(points, dtype=_np.int64) % p
+        arr = np.asarray(points, dtype=np.int64) % p
 
         def go(node):
             if isinstance(node, Leaf):
                 return (node.alpha * arr[:, node.var] + node.beta) % p
             if isinstance(node, Const):
-                return _np.full(arr.shape[0], node.value % p, dtype=_np.int64)
+                return np.full(arr.shape[0], node.value, dtype=np.int64)
             l, r = go(node.left), go(node.right)
             return (l + r) % p if node.op == "+" else l * r % p
 
@@ -148,9 +146,9 @@ class Rof:
     def serialize(self) -> str:
         def go(node):
             if isinstance(node, Leaf):
-                return f"(leaf {node.var + 1} {node.alpha % self.ctx.p} {node.beta % self.ctx.p})"
+                return f"(leaf {node.var + 1} {node.alpha} {node.beta})"
             if isinstance(node, Const):
-                return f"(const {node.value % self.ctx.p})"
+                return f"(const {node.value})"
             return f"({node.op} {go(node.left)} {go(node.right)})"
 
         return go(self.root)
@@ -204,9 +202,9 @@ class Rof:
                 var, alpha, beta = number(), number(), number()
                 if not 1 <= var <= n:
                     raise ParseError(f"leaf variable x{var} outside x1..x{n}")
-                node: Node = Leaf(var - 1, alpha % p, beta % p)
+                node: Node = Leaf(var - 1, alpha, beta)
             elif head == "const":
-                node = Const(number() % p)
+                node = Const(number())
             elif head in ("+", "*"):
                 node = Gate(head, expr(), expr())
             else:

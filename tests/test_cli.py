@@ -173,6 +173,17 @@ def test_experiment_qn_fraction_multi_n(capsys):
     assert lines[2].startswith("2,5,32,1.000000")
 
 
+def test_experiment_qn_fraction_independent_of_threads(capsys):
+    outs = []
+    for threads in ("1", "2"):
+        code, out, _ = run(capsys, "experiment", "qn-fraction", "--p", "5", "--n", "10",
+                           "--samples", "40", "--threads", threads)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert outs[0].splitlines()[1].startswith("5,10,40,")
+
+
 def test_experiment_tau_multilinear(tmp_path, capsys):
     path = tmp_path / "f.txt"
     main(["gen", "rof", "--p", "1009", "--n", "5", "--seed", "4", "--out", str(path)])

@@ -37,6 +37,7 @@ from ropcheck.rof import random_rof
 
 GF101 = FieldCtx(101)
 GF5 = FieldCtx(5)
+GF3 = FieldCtx(3)
 GF2 = FieldCtx(2)
 
 E2 = parse_terms(GF101, 3, "x1*x2 + x2*x3 + x1*x3")
@@ -58,12 +59,22 @@ def test_commutator_errors():
 
 
 def test_find_nonzero_point():
-    P = parse_terms(GF5, 2, "x1^2 + 4*x1")
+    P = parse_terms(GF5, 3, "x1*x2*x3 + 4*x2 + 3*x3")
     w = find_nonzero_point(P)
     assert P.eval_raw(w) != 0
     assert find_nonzero_point(parse_terms(GF2, 2, "x1*x2")) == (1, 1)
     with pytest.raises(InvalidParams):
         find_nonzero_point(MPoly.zero(GF5, 2))
+    with pytest.raises(NotMultilinear):
+        find_nonzero_point(parse_terms(GF5, 2, "x1^2 + 4*x1"))
+
+
+def test_find_nonzero_point_single_nonzero_point():
+    # x1*...*x20 over GF(2) is nonzero at the all-ones point only.
+    P = parse_terms(GF2, 20, "*".join(f"x{t}" for t in range(1, 21)))
+    assert find_nonzero_point(P) == (1,) * 20
+    r = decompose(P, 0, 1)
+    assert r.decomposable and not r.degenerate and int(r.c) == 0
 
 
 def test_decompose_with_constant():
@@ -146,29 +157,38 @@ def test_witness_restriction_identity():
         assert left == right
 
 
+def _witness_cases(ctx, n, rng):
+    """(P, i, j, J) for q_n, read-once expansions and random multilinear
+    polynomials of arity n, one random pair each, every glue set J."""
+    polys = [q_n(n, ctx), random_rof(ctx, n, rng).expand(),
+             random_rof(ctx, n, rng).expand(), random_multilinear(ctx, n, rng)]
+    for P in polys:
+        i, j = rng.sample(range(n), 2)
+        rest = [t for t in range(n) if t not in (i, j)]
+        for size in range(len(rest) + 1):
+            for J in itertools.combinations(rest, size):
+                yield P, i, j, frozenset(J)
+
+
 def test_witness_is_zero_matches_materialized():
     rng = random.Random(67)
-    for _ in range(60):
-        n = rng.randint(2, 5)
-        P = random_multilinear(GF101, n, rng)
-        pool = [t for t in range(n)]
-        i, j = random.Random(rng.random()).sample(pool, 2)
-        rest = [t for t in pool if t not in (i, j)]
-        shared = frozenset(random.Random(rng.random()).sample(rest, min(len(rest), rng.randint(0, 2))))
-        want = decomp_witness(P, i, j, shared).value.is_zero()
-        assert witness_is_zero(P, i, j, shared) == want
-        assert witness_is_zero(P, i, j, shared, mode="fast", rng=random.Random(5)) == want
+    for ctx in (GF3, GF5, GF101):
+        for n in range(3, 7):
+            for P, i, j, J in _witness_cases(ctx, n, rng):
+                want = decomp_witness(P, i, j, J).value.is_zero()
+                assert witness_is_zero(P, i, j, J) == want
+                fast = witness_is_zero(P, i, j, J, mode="fast", rng=random.Random(5))
+                assert fast or not want            # a False is always a proof
+                if ctx is GF101:
+                    assert fast == want
 
 
 def test_witness_is_zero_small_field_path():
     rng = random.Random(3)
-    for _ in range(40):
-        P = random_multilinear(GF2, 4, rng)
-        if not P.variables() >= {0, 1}:
-            continue
-        shared = frozenset({2})
-        want = decomp_witness(P, 0, 1, shared).value.is_zero()
-        assert witness_is_zero(P, 0, 1, shared) == want
+    for n in range(3, 7):
+        for P, i, j, J in _witness_cases(GF2, n, rng):
+            want = decomp_witness(P, i, j, J).value.is_zero()
+            assert witness_is_zero(P, i, j, J) == want
 
 
 def test_witness_examples():

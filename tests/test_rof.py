@@ -106,6 +106,17 @@ def test_serialize_known_shape():
     assert G.serialize() == "(const 9)"
 
 
+def test_unreduced_leaf_values_batch_evaluate():
+    # Leaf and constant values are reduced mod p at construction, so the
+    # int64 batch path cannot overflow on them.
+    F = Rof(GF101, 2, Gate("+", Leaf(0, 10**20, -3), Const(10**30)))
+    pts = [(t, 0) for t in range(8)]
+    assert F.eval_batch(pts) == [F.eval_raw(pt) for pt in pts]
+    assert F.serialize() == f"(+ (leaf 1 {10**20 % 101} 98) (const {10**30 % 101}))"
+    G = Rof(GF101, 1, Leaf(0, 10**20, 0))
+    assert G.eval_batch([(t,) for t in range(8)]) == [10**20 * t % 101 for t in range(8)]
+
+
 def test_parse_errors():
     for body in ("(leaf 0 1 0)", "(leaf 1 1)", "(+ (leaf 1 1 0))",
                  "(? (leaf 1 1 0) (leaf 2 1 0))", "(leaf 1 1 0", "()",
