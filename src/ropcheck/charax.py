@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Tuple
 
-from .decomp import commutator, trivariate_is_rop, witness_is_zero
+from .decomp import _commutator, trivariate_is_rop, witness_is_zero
 from .errors import ArityMismatch, FieldTooSmall, NotMultilinear, TooManyVariables
 from .mpoly import MPoly
 
@@ -101,7 +101,17 @@ def certificate_multiplicands(P: MPoly, local: bool = False,
 
 
 class GoodnessChecker:
-    """Reusable certifier: precomputes partials, witnesses, and zero tags once."""
+    """Reusable certifier: zero tags and partials once, then one check per
+    assignment.
+
+    No witness polynomial is precomputed.  check restricts first: for a
+    witness multiplicand glued on J it sets R = P|J<-a, builds S_R = dd_ij(R)
+    and D_R = D(R) on that small polynomial, and tests
+    S_R * D(a) - D_R * S(a) == 0, with S(a) and D(a) = P(a)*S(a) -
+    d_iP(a)*d_jP(a) taken from point values computed once per assignment.
+    Restriction at J commutes with the partials in i, j and with products, so
+    this is the restriction of D(x)*S(y) - S(x)*D(y) at x = a, y_J = a_J.
+    """
 
     def __init__(self, P: MPoly, local: bool = False, zero_mode: str = "exact",
                  rng: random.Random | None = None, reps: int = 40):
@@ -111,18 +121,10 @@ class GoodnessChecker:
         self.P = P
         self.local = local
         self.multiplicands = certificate_multiplicands(P, local, zero_mode, rng, reps)
-        self._first = {t: P.partial(t) for t in range(P.arity)}
-        self._second = {}
-        self._comm = {}
-        for m in self.multiplicands:
-            if m.kind == SECOND_PARTIAL and not m.identically_zero:
-                i, j = m.index
-                self._second[(i, j)] = P.partial2(i, j)
-            elif m.kind == WITNESS and not m.identically_zero:
-                i, j = m.index
-                if (i, j) not in self._comm:
-                    self._comm[(i, j)] = commutator(P, i, j)
-                    self._second.setdefault((i, j), P.partial2(i, j))
+        self._first = [P.partial(t) for t in range(P.arity)]
+        # a live witness implies a live second partial of its pair
+        self._second = {m.index: P.partial2(*m.index) for m in self.multiplicands
+                        if m.kind == SECOND_PARTIAL and not m.identically_zero}
 
     def check(self, assignment) -> GoodnessReport:
         P = self.P
@@ -130,6 +132,13 @@ class GoodnessChecker:
             raise ArityMismatch(
                 f"assignment length {len(assignment)} != arity {P.arity}")
         a = tuple(P.ctx.coerce(v) for v in assignment)
+        p = P.ctx.p
+        pa = P.eval_raw(a)
+        first = [d.eval_raw(a) for d in self._first]
+        second = {ij: S.eval_raw(a) for ij, S in self._second.items()}
+        # full certificate: the three pairs of a triple share one glue set;
+        # local certificate: every pair avoiding m shares the set {m}
+        restricted = {}
         violations = []
         skipped = 0
         for m in self.multiplicands:
@@ -137,18 +146,19 @@ class GoodnessChecker:
                 skipped += 1
                 continue
             if m.kind == FIRST_PARTIAL:
-                if self._first[m.index[0]].eval_raw(a) == 0:
+                if first[m.index[0]] == 0:
                     violations.append((m, "evaluates to 0 at the assignment"))
             elif m.kind == SECOND_PARTIAL:
-                if self._second[m.index].eval_raw(a) == 0:
+                if second[m.index] == 0:
                     violations.append((m, "evaluates to 0 at the assignment"))
             else:
                 i, j = m.index
-                D = self._comm[(i, j)]
-                S = self._second[(i, j)]
-                shared = sorted(m.shared)
-                T = (S.restrict_many(shared, a).scale(D.eval_raw(a))
-                     - D.restrict_many(shared, a).scale(S.eval_raw(a)))
+                s = second[(i, j)]
+                d = (pa * s - first[i] * first[j]) % p
+                R = restricted.get(m.shared)
+                if R is None:
+                    R = restricted[m.shared] = P.restrict_many(m.shared, a)
+                T = R.partial2(i, j).scale(d) - _commutator(R, i, j).scale(s)
                 if T.is_zero():
                     violations.append(
                         (m, "vanishes identically in the free variables"))

@@ -4,7 +4,10 @@ The central objects:
 
 * the pair commutator D(P) = P * dd_ij(P) - d_i(P) * d_j(P), whose being a
   constant multiple of the mixed second partial dd_ij(P) characterizes
-  splitting P as h*g + c with x_i and x_j on opposite sides;
+  splitting P as h*g + c with x_i and x_j on opposite sides.  It is built as
+  D = AE - BC from P = A*x_i*x_j + B*x_i + C*x_j + E, which needs about a
+  quarter of the monomial products of the defining form and never forms the
+  terms of that form that always cancel;
 * the decomposition witness W(P): a polynomial in two copies of the
   variables (x-block slots 0..n-1, y-block slots n..2n-1) that vanishes
   identically exactly when dd_ij(P) is zero or P splits for some constant.
@@ -47,11 +50,36 @@ def _require_multilinear(P: MPoly):
 
 
 def commutator(P: MPoly, i: int, j: int) -> MPoly:
-    """P * dd_ij(P) - d_i(P) * d_j(P); the pair commutator of slots i and j."""
+    """P * dd_ij(P) - d_i(P) * d_j(P); the pair commutator of slots i and j.
+
+    Built as AE - BC, where P = A*x_i*x_j + B*x_i + C*x_j + E: A = dd_ij(P),
+    E = P|x_i=x_j=0, B = d_i(P)|x_j=0 and C = d_j(P)|x_i=0.  Expanding
+    P*A - (A*x_j + B)(A*x_i + C) leaves exactly AE - BC, over every field.
+    """
     if i == j:
         raise SameVariable(f"need two distinct variables, got {i} twice")
     _require_multilinear(P)
-    return P * P.partial2(i, j) - P.partial(i) * P.partial(j)
+    return _commutator(P, i, j)
+
+
+def _commutator(P: MPoly, i: int, j: int) -> MPoly:
+    """commutator without validation: i != j and P multilinear in both."""
+    # one pass over the terms: part k collects the cofactors of the monomials
+    # holding x_i (k & 1) and x_j (k & 2), so the parts are E, B, C, A
+    parts = ({}, {}, {}, {})
+    for mono, c in P.terms.items():
+        k = 0
+        rest = []
+        for t in mono:
+            if t[0] == i:
+                k += 1
+            elif t[0] == j:
+                k += 2
+            else:
+                rest.append(t)
+        parts[k][tuple(rest)] = c
+    E, B, C, A = (MPoly(P.ctx, P.arity, d, _canonical=True) for d in parts)
+    return A * E - B * C
 
 
 def _unit_point(P: MPoly, slots) -> Tuple[int, ...]:
@@ -214,7 +242,7 @@ def witness_is_zero(P: MPoly, i: int, j: int,
     y = [x[k] if k in shared else _PROBE[(n + k) % len(_PROBE)] % p for k in range(n)]
     if _witness_at(P, Pi, Pj, S, x, y):
         return False
-    D = P * S - Pi * Pj
+    D = _commutator(P, i, j)
     unglued = [k for k in range(n) if k not in shared and k not in (i, j)]
     u0 = _unit_point(S, unglued)
     return (D * S.restrict_many(unglued, u0)

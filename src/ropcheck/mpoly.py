@@ -73,9 +73,13 @@ def _mono_degree(m: Mono) -> int:
 
 
 class MPoly:
-    """Immutable sparse polynomial over a prime field."""
+    """Immutable sparse polynomial over a prime field.
 
-    __slots__ = ("ctx", "arity", "terms")
+    First partials are memoized per slot on the polynomial, so every caller
+    that asks for d_i(P) of one P shares a single computation.
+    """
+
+    __slots__ = ("ctx", "arity", "terms", "_partials")
 
     def __init__(self, ctx: FieldCtx, arity: int, terms: Mapping[Mono, int] | None = None,
                  *, _canonical: bool = False):
@@ -83,6 +87,7 @@ class MPoly:
             raise OutOfRange(f"arity must be nonnegative, got {arity}")
         self.ctx = ctx
         self.arity = arity
+        self._partials = None
         if terms is None:
             self.terms: Dict[Mono, int] = {}
         elif _canonical:
@@ -303,8 +308,15 @@ class MPoly:
     def partial(self, i: int) -> "MPoly":
         """Discrete partial in slot i: P|x_i=1 - P|x_i=0, requires deg_i <= 1.
 
-        For a multilinear slot this equals the formal derivative.
+        For a multilinear slot this equals the formal derivative.  The result
+        is memoized per slot; a raising call stores nothing.
         """
+        memo = self._partials
+        if memo is None:
+            memo = self._partials = {}
+        hit = memo.get(i)
+        if hit is not None:
+            return hit
         self._check_slot(i)
         out: Dict[Mono, int] = {}
         for mono, c in self.terms.items():
@@ -317,7 +329,8 @@ class MPoly:
                     break
                 if v > i:
                     break
-        return MPoly(self.ctx, self.arity, out, _canonical=True)
+        memo[i] = MPoly(self.ctx, self.arity, out, _canonical=True)
+        return memo[i]
 
     def partial2(self, i: int, j: int) -> "MPoly":
         """Mixed second partial, i != j."""

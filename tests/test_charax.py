@@ -10,6 +10,7 @@ from ropcheck.charax import (
     READ_MANY,
     ROP,
     GoodnessChecker,
+    GoodnessReport,
     certificate_multiplicands,
     characterize,
     is_good_assignment,
@@ -102,6 +103,51 @@ def test_goodness_local_mode_runs():
     assert len(full) == len(loc)
     rep = GoodnessChecker(P, local=True).check((2, 3, 4, 5))
     assert isinstance(rep.good, bool)
+
+
+def _reference_report(P, multiplicands, a):
+    """The goodness report from the full commutator D = P*S - d_iP*d_jP:
+    D and S are built over every variable, then restricted at the glue set."""
+    a = tuple(v % P.ctx.p for v in a)
+    violations = []
+    skipped = 0
+    full = {}
+    for m in multiplicands:
+        if m.identically_zero:
+            skipped += 1
+            continue
+        if m.kind != "witness":
+            d = P.partial(*m.index) if m.kind == "first_partial" else P.partial2(*m.index)
+            if d.eval_raw(a) == 0:
+                violations.append((m, "evaluates to 0 at the assignment"))
+            continue
+        i, j = m.index
+        if m.index not in full:
+            S = P.partial2(i, j)
+            full[m.index] = (P * S - P.partial(i) * P.partial(j), S)
+        D, S = full[m.index]
+        J = sorted(m.shared)
+        T = (S.restrict_many(J, a).scale(D.eval_raw(a))
+             - D.restrict_many(J, a).scale(S.eval_raw(a)))
+        if T.is_zero():
+            violations.append((m, "vanishes identically in the free variables"))
+    return GoodnessReport(not violations, violations, skipped)
+
+
+@pytest.mark.parametrize("p", [3, 5, 101])
+def test_goodness_check_matches_full_commutator_reference(p):
+    ctx = FieldCtx(p)
+    rng = random.Random(p)
+    for n in range(3, 7):
+        polys = [q_n(n, ctx), random_rof(ctx, n, rng).expand(),
+                 random_rof(ctx, n, rng).expand(), random_multilinear(ctx, n, rng)]
+        for P, local in itertools.product(polys, (False, True)):
+            checker = GoodnessChecker(P, local=local)
+            for t in range(6):
+                a = [rng.randrange(p) for _ in range(n)]
+                for k in rng.sample(range(n), t // 2):
+                    a[k] = 0
+                assert checker.check(a) == _reference_report(P, checker.multiplicands, a)
 
 
 def test_is_locally_rop_small_arity():

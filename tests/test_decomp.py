@@ -48,6 +48,15 @@ def test_commutator_known_values():
     assert commutator(P, 0, 1) == parse_terms(GF101, 3, "x3")
     assert commutator(E2, 0, 1) == parse_terms(GF101, 3, "100*x3^2")
     assert commutator(P, 0, 1) == commutator(P, 1, 0)
+    # against the defining product form, on random multilinear inputs
+    rng = random.Random(29)
+    for ctx in (GF2, GF3, GF5, GF101):
+        for n in range(2, 7):
+            for _ in range(2):
+                Q = random_multilinear(ctx, n, rng)
+                for i, j in itertools.permutations(range(n), 2):
+                    ref = Q * Q.partial2(i, j) - Q.partial(i) * Q.partial(j)
+                    assert commutator(Q, i, j) == ref
 
 
 def test_commutator_errors():

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from ropcheck.errors import (
+    ArityMismatch,
     DuplicateNode,
     EmptySampleSet,
     IncompleteGrid,
@@ -183,6 +184,32 @@ def test_partial_requires_multilinearity_in_that_variable():
     assert P.partial(1) == MPoly.constant(GF101, 2, 1)
     with pytest.raises(SameVariable):
         P.partial2(1, 1)
+
+
+def test_partial_memo_repeats_and_never_caches_errors():
+    rng = random.Random(43)
+    P = random_multilinear(GF101, 4, rng)
+    for i in range(4):
+        first = P.partial(i)
+        assert P.partial(i) == first
+        assert P.partial(i) == P.restrict(i, 1) - P.restrict(i, 0)
+        # a fresh copy with no memo computes the same partial
+        assert MPoly(GF101, 4, P.terms).partial(i) == first
+    # the memo of one polynomial does not leak into another
+    Q = P + MPoly.variable(GF101, 4, 0)
+    assert Q.partial(0) == P.partial(0) + MPoly.constant(GF101, 4, 1)
+    assert P.partial2(0, 1) == P.partial(0).partial(1) == P.partial2(1, 0)
+
+    R = parse_terms(GF101, 3, "x1^2*x2 + x3")
+    for _ in range(3):
+        with pytest.raises(NotMultilinearInVar):
+            R.partial(0)
+    assert R.partial(2) == MPoly.constant(GF101, 3, 1)
+    with pytest.raises(NotMultilinearInVar):
+        R.partial(0)
+    for bad in (3, -1, 3):
+        with pytest.raises(ArityMismatch):
+            R.partial(bad)
 
 
 def test_restrict_keeps_arity():
