@@ -189,7 +189,11 @@ def cmd_gen(args) -> int:
 # ---- experiment ----
 
 def cmd_experiment_qn_fraction(args) -> int:
-    ns = [int(tok) for tok in str(args.n).split(",")]
+    try:
+        ns = [int(tok) for tok in str(args.n).split(",")]
+    except ValueError:
+        raise ParseError(f"--n must be an integer or a comma list of them, "
+                         f"got {args.n!r}") from None
     ctx = FieldCtx(args.p)
     rows = [hardcases.local_rop_fraction(hardcases.q_n(n, ctx), args.samples,
                                          args.seed, args.threads)

@@ -187,17 +187,3 @@ class Felt:
     def __repr__(self):
         return f"{self.value} (mod {self.ctx.p})"
 
-
-def ctx_new(p: int) -> FieldCtx:
-    """Validate p and build a field context."""
-    return FieldCtx(p)
-
-
-def inv(a: Felt) -> Felt:
-    """Multiplicative inverse; raises DivisionByZero on 0."""
-    return Felt(a.ctx.inv_raw(a.value), a.ctx)
-
-
-def sample(ctx: FieldCtx, rng: random.Random) -> Felt:
-    """Uniform field element from an injected PRNG stream."""
-    return ctx.sample(rng)

@@ -16,6 +16,7 @@ lexicographic order, highest first.
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Dict, FrozenSet, Iterable, Mapping, Sequence, Tuple
 
@@ -38,7 +39,7 @@ from .ff import Felt, FieldCtx
 
 Mono = Tuple[Tuple[int, int], ...]
 
-# numpy int64 products stay exact while p**2 * grid_axis < 2**63
+# eval_batch's int64 products stay exact below this modulus
 _NUMPY_P_LIMIT = 2**30
 
 
@@ -244,28 +245,9 @@ class MPoly:
     def restrict(self, i: int, value) -> "MPoly":
         """Substitute value into slot i; arity is preserved."""
         self._check_slot(i)
-        a = self.ctx.coerce(value)
-        p = self.ctx.p
-        out: Dict[Mono, int] = {}
-        for mono, c in self.terms.items():
-            for k, (v, e) in enumerate(mono):
-                if v == i:
-                    c = c * pow(a, e, p) % p
-                    mono = mono[:k] + mono[k + 1:]
-                    break
-                if v > i:
-                    break
-            if c:
-                c0 = out.get(mono)
-                if c0 is None:
-                    out[mono] = c
-                else:
-                    c = (c0 + c) % p
-                    if c:
-                        out[mono] = c
-                    else:
-                        del out[mono]
-        return MPoly(self.ctx, self.arity, out, _canonical=True)
+        point = [0] * self.arity
+        point[i] = value
+        return self.restrict_many((i,), point)
 
     def restrict_many(self, indices: Iterable[int], assignment) -> "MPoly":
         """Substitute assignment[i] into every slot i in indices.
@@ -514,40 +496,6 @@ class MPoly:
         return True
 
 
-# ---- module-level aliases for the core operations ----
-
-def evaluate(P: MPoly, assignment) -> Felt:
-    return P.evaluate(assignment)
-
-
-def restrict(P: MPoly, i: int, value) -> MPoly:
-    return P.restrict(i, value)
-
-
-def restrict_many(P: MPoly, indices, assignment) -> MPoly:
-    return P.restrict_many(indices, assignment)
-
-
-def partial(P: MPoly, i: int) -> MPoly:
-    return P.partial(i)
-
-
-def partial2(P: MPoly, i: int, j: int) -> MPoly:
-    return P.partial2(i, j)
-
-
-def variables(P: MPoly) -> FrozenSet[int]:
-    return P.variables()
-
-
-def is_zero(P: MPoly) -> bool:
-    return P.is_zero()
-
-
-def sz_test(P: MPoly, sample_set, r: int, rng: random.Random) -> bool:
-    return P.sz_test(sample_set, r, rng)
-
-
 # ---- parsing ----
 
 def _parse_term(ctx: FieldCtx, arity: int, term: str) -> Tuple[Mono, int]:
@@ -655,8 +603,6 @@ def parse_poly_file(text: str) -> MPoly:
         ctx = FieldCtx(p)
     except (OutOfRange, NotPrime) as exc:
         raise ParseError(f"bad modulus in header: {exc}") from exc
-    if n < 0:
-        raise ParseError(f"bad arity in header: {n}")
     body = " ".join(lines[1:])
     if not body.strip():
         raise ParseError("missing polynomial body")
@@ -703,6 +649,8 @@ def interpolate_grid(ctx: FieldCtx, axes: Sequence[Sequence[int]],
 
     axes[t] lists the distinct node values for slot t; samples maps each
     grid point (one coordinate per axis, raw residues or Felt) to a value.
+    The result is the unique polynomial of degree below len(axes[t]) in
+    each slot t that matches every sample.
     """
     if not 1 <= len(axes) <= 3:
         raise InvalidParams(f"grid interpolation supports 1..3 axes, got {len(axes)}")
@@ -715,94 +663,31 @@ def interpolate_grid(ctx: FieldCtx, axes: Sequence[Sequence[int]],
         if len(set(vals)) != len(vals):
             raise DuplicateNode(f"axis nodes must be distinct: {pts}")
         ax.append(vals)
-
-    def lookup(point):
+    values = []
+    for point in itertools.product(*ax):
         v = samples.get(point)
         if v is None:
             raise IncompleteGrid(f"missing sample at {point}")
-        return ctx.coerce(v)
+        values.append(ctx.coerce(v))
 
     dims = [len(a) for a in ax]
-    k = len(ax)
-    if k == 1:
-        tensor = [lookup((u,)) for u in ax[0]]
-    elif k == 2:
-        tensor = [[lookup((u, v)) for v in ax[1]] for u in ax[0]]
-    else:
-        tensor = [[[lookup((u, v, w)) for w in ax[2]] for v in ax[1]] for u in ax[0]]
-
-    mats = [_basis_matrix(ctx, a) for a in ax]
-    use_np = p < _NUMPY_P_LIMIT and max(dims) * (p - 1) * (p - 1) < 2**62
-    if use_np:
-        C = np.asarray(tensor, dtype=np.int64)
-        for axis in range(k):
-            M = np.asarray(mats[axis], dtype=np.int64)
-            C = np.tensordot(M, C, axes=([1], [axis])) % p
-        # each tensordot moves the transformed axis to the front, so after k
-        # steps the axes are reversed
-        C = np.transpose(C)
-        coeff_at = lambda idx: int(C[idx])
-    else:
-        C = tensor
-        for axis in range(k):
-            C = _apply_axis_py(mats[axis], C, axis, k, p)
-
-        def coeff_at(idx):
-            v = C
-            for t in idx:
-                v = v[t]
-            return v
-
+    # A contraction sums max(dims) products of two residues; int64 holds that
+    # sum exactly below 2**62, and object arrays of Python ints hold it always.
+    dtype = np.int64 if max(dims) * (p - 1) * (p - 1) < 2**62 else object
+    C = np.array(values, dtype=dtype).reshape(dims)
+    for axis, nodes in enumerate(ax):
+        M = np.array(_basis_matrix(ctx, nodes), dtype=dtype)
+        C = np.tensordot(M, C, axes=([1], [axis])) % p
+    # each tensordot moves the transformed axis to the front, so after all
+    # steps the axes are reversed
+    C = np.transpose(C)
+    # np.nonzero lists indices in row-major order, which fixes the term order
+    nonzero = np.nonzero(C)
     terms: Dict[Mono, int] = {}
-    for idx in _ndindex(dims):
-        c = coeff_at(idx)
-        if c:
-            mono = tuple((t, e) for t, e in enumerate(idx) if e)
-            terms[mono] = c
-    return MPoly(ctx, k, terms, _canonical=True)
-
-
-def _ndindex(dims):
-    out = [()]
-    for d in dims:
-        out = [idx + (t,) for idx in out for t in range(d)]
-    return out
-
-
-def _apply_axis_py(M, tensor, axis, k, p):
-    m = len(M)
-    if k == 1:
-        return [sum(M[t][u] * tensor[u] for u in range(len(tensor))) % p
-                for t in range(m)]
-    if k == 2:
-        if axis == 0:
-            rows = len(tensor)
-            return [[sum(M[t][u] * tensor[u][v] for u in range(rows)) % p
-                     for v in range(len(tensor[0]))] for t in range(m)]
-        cols = len(tensor[0])
-        return [[sum(M[t][v] * tensor[u][v] for v in range(cols)) % p
-                 for t in range(m)] for u in range(len(tensor))]
-    d0, d1, d2 = len(tensor), len(tensor[0]), len(tensor[0][0])
-    if axis == 0:
-        return [[[sum(M[t][u] * tensor[u][v][w] for u in range(d0)) % p
-                  for w in range(d2)] for v in range(d1)] for t in range(m)]
-    if axis == 1:
-        return [[[sum(M[t][v] * tensor[u][v][w] for v in range(d1)) % p
-                  for w in range(d2)] for t in range(m)] for u in range(d0)]
-    return [[[sum(M[t][w] * tensor[u][v][w] for w in range(d2)) % p
-              for t in range(m)] for v in range(d1)] for u in range(d0)]
-
-
-def interpolate_trivariate(ctx: FieldCtx, samples: Mapping[tuple, int],
-                           axes: Sequence[Sequence[int]]) -> MPoly:
-    """Tensor-product Lagrange interpolation on a full 3-axis grid.
-
-    Returns the unique arity-3 polynomial with per-axis degree below the
-    axis size that matches every sample.
-    """
-    if len(axes) != 3:
-        raise InvalidParams(f"need exactly 3 axes, got {len(axes)}")
-    return interpolate_grid(ctx, axes, samples)
+    exponents = zip(*(column.tolist() for column in nonzero))
+    for idx, c in zip(exponents, C[nonzero].tolist()):
+        terms[tuple((t, e) for t, e in enumerate(idx) if e)] = c
+    return MPoly(ctx, len(ax), terms, _canonical=True)
 
 
 def random_multilinear(ctx: FieldCtx, n: int, rng: random.Random,

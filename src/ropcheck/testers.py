@@ -29,6 +29,7 @@ from .errors import (
     DegreeTooSmall,
     FieldTooSmall,
     InvalidParams,
+    TooFewVariables,
 )
 from .mpoly import interpolate_grid
 from .rof import Oracle
@@ -82,6 +83,13 @@ def _rng_and_seed(rng) -> Tuple[random.Random, Optional[int]]:
     return rng, None
 
 
+def _require_coordinates(oracle: Oracle, n: int):
+    if n != oracle.arity:
+        raise ArityMismatch(f"n={n} but the oracle has arity {oracle.arity}")
+    if n < 1:
+        raise TooFewVariables(f"the testers need at least one coordinate, got n={n}")
+
+
 def _subsets(n: int):
     """3-subsets in lex order; below 3 coordinates, one grid over all of them.
 
@@ -119,6 +127,16 @@ def _grid_check(oracle: Oracle, base, I, axes, store):
     return None
 
 
+def _scan_subsets(oracle: Oracle, n: int, base, axes_of, store, seed) -> TestReport:
+    """Grid-check every subset I on axes_of(I); NO at the first failing one."""
+    start = oracle.query_count
+    for I in _subsets(n):
+        kind = _grid_check(oracle, base, I, axes_of(I), store)
+        if kind is not None:
+            return TestReport(NO, I, kind, oracle.query_count - start, seed, 1)
+    return TestReport(YES, None, None, oracle.query_count - start, seed, 1)
+
+
 def read_once_test(oracle: Oracle, n: int, d: int, epsilon: float = 0.25,
                    rng=0, cache: bool = True) -> TestReport:
     """One-sided black-box read-once test for degree-at-most-d oracles.
@@ -127,8 +145,7 @@ def read_once_test(oracle: Oracle, n: int, d: int, epsilon: float = 0.25,
     rejection guarantee need p >= max(1.5 n^4, d) / epsilon (see
     recommended_field_size).  Queries: C(n,3) * (d+1)^3 with caching off.
     """
-    if n != oracle.arity:
-        raise ArityMismatch(f"n={n} but the oracle has arity {oracle.arity}")
+    _require_coordinates(oracle, n)
     if d < 1:
         raise DegreeTooSmall(f"degree bound must be >= 1, got {d}")
     p = oracle.ctx.p
@@ -137,15 +154,10 @@ def read_once_test(oracle: Oracle, n: int, d: int, epsilon: float = 0.25,
     if not 0 < epsilon < 1:
         raise InvalidParams(f"epsilon must be in (0, 1), got {epsilon}")
     rng, seed = _rng_and_seed(rng)
-    start = oracle.query_count
     base = [rng.randrange(p) for _ in range(n)]
     axis = list(range(d + 1))
-    store: Optional[dict] = {} if cache else None
-    for I in _subsets(n):
-        kind = _grid_check(oracle, base, I, [axis] * len(I), store)
-        if kind is not None:
-            return TestReport(NO, I, kind, oracle.query_count - start, seed, 1)
-    return TestReport(YES, None, None, oracle.query_count - start, seed, 1)
+    return _scan_subsets(oracle, n, base, lambda I: [axis] * len(I),
+                         {} if cache else None, seed)
 
 
 def recommended_field_size(n: int, d: int, epsilon: float) -> float:
@@ -153,40 +165,32 @@ def recommended_field_size(n: int, d: int, epsilon: float) -> float:
     return max(1.5 * n**4, d) / epsilon
 
 
-def _draw_distinct_triples(ctx, n, rng):
-    """Three points of F^n, coordinatewise pairwise distinct, by rejection."""
-    p = ctx.p
-    a, b, c = [], [], []
-    for _ in range(n):
-        x = rng.randrange(p)
+def _distinct_residues(p: int, rng) -> Tuple[int, int, int]:
+    """Three pairwise distinct residues mod p, by rejection."""
+    x = rng.randrange(p)
+    y = rng.randrange(p)
+    while y == x:
         y = rng.randrange(p)
-        while y == x:
-            y = rng.randrange(p)
+    z = rng.randrange(p)
+    while z == x or z == y:
         z = rng.randrange(p)
-        while z == x or z == y:
-            z = rng.randrange(p)
-        a.append(x)
-        b.append(y)
-        c.append(z)
-    return a, b, c
+    return x, y, z
 
 
 def property_test_once(oracle: Oracle, n: int, rng=0) -> TestReport:
-    """One round of the 27-point property test."""
-    if n != oracle.arity:
-        raise ArityMismatch(f"n={n} but the oracle has arity {oracle.arity}")
+    """One round of the 27-point property test.
+
+    Each coordinate gets three distinct values; the first ones form the base
+    point and the three of each coordinate in I form its axis.
+    """
+    _require_coordinates(oracle, n)
     p = oracle.ctx.p
     if p < 3:
         raise FieldTooSmall("aligned triples need p >= 3")
     rng, seed = _rng_and_seed(rng)
-    start = oracle.query_count
-    a, b, c = _draw_distinct_triples(oracle.ctx, n, rng)
-    for I in _subsets(n):
-        axes = [[a[i], b[i], c[i]] for i in I]
-        kind = _grid_check(oracle, a, I, axes, None)
-        if kind is not None:
-            return TestReport(NO, I, kind, oracle.query_count - start, seed, 1)
-    return TestReport(YES, None, None, oracle.query_count - start, seed, 1)
+    triples = [_distinct_residues(p, rng) for _ in range(n)]
+    base = [t[0] for t in triples]
+    return _scan_subsets(oracle, n, base, lambda I: [triples[i] for i in I], None, seed)
 
 
 def property_test(oracle: Oracle, n: int, delta: float, rng=0,
@@ -196,6 +200,7 @@ def property_test(oracle: Oracle, n: int, delta: float, rng=0,
     NO as soon as any round rejects; the repeat count R is recorded in the
     report either way.
     """
+    _require_coordinates(oracle, n)
     if not 0 < delta <= 1:
         raise InvalidParams(f"delta must be in (0, 1], got {delta}")
     if K < 1:
@@ -216,18 +221,13 @@ def draw_aligned_triple(ctx, n: int, rng, coordinate: Optional[int] = None) -> A
     p = ctx.p
     if p < 3:
         raise FieldTooSmall("aligned triples need p >= 3")
+    if n < 1:
+        raise TooFewVariables(f"aligned triples need at least one coordinate, got n={n}")
     base = tuple(rng.randrange(p) for _ in range(n))
     i = rng.randrange(n) if coordinate is None else coordinate
     if not 0 <= i < n:
         raise ArityMismatch(f"coordinate {i} outside arity {n}")
-    x = rng.randrange(p)
-    y = rng.randrange(p)
-    while y == x:
-        y = rng.randrange(p)
-    z = rng.randrange(p)
-    while z == x or z == y:
-        z = rng.randrange(p)
-    return AlignedTriple(base, i, (x, y, z))
+    return AlignedTriple(base, i, _distinct_residues(p, rng))
 
 
 def tau_estimate(oracle: Oracle, n: int, samples: int, rng=0,
@@ -238,8 +238,7 @@ def tau_estimate(oracle: Oracle, n: int, samples: int, rng=0,
     three queried values is nonzero exactly when the interpolant has degree
     2, so the per-sample test is exact.
     """
-    if n != oracle.arity:
-        raise ArityMismatch(f"n={n} but the oracle has arity {oracle.arity}")
+    _require_coordinates(oracle, n)
     if samples < 1:
         raise InvalidParams(f"need at least one sample, got {samples}")
     ctx = oracle.ctx

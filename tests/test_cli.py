@@ -96,6 +96,22 @@ def test_non_multilinear_exit_3(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_nullary_file_exits_3_without_traceback(tmp_path, capsys):
+    path = tmp_path / "c.txt"
+    path.write_text("field p=101 n=0\n7\n")
+    for argv in (["property", str(path)], ["blackbox", str(path)],
+                 ["experiment", "tau", str(path)]):
+        code, _, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert "error:" in err and "Traceback" not in err
+
+
+def test_qn_fraction_bad_arity_list_exit_2(capsys):
+    code, _, err = run(capsys, "experiment", "qn-fraction", "--p", "5", "--n", "4,x")
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_unknown_arguments_exit_2(capsys):
     assert main(["bogus"]) == 2
     assert main(["check"]) == 2

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ropcheck.errors import DivisionByZero, FieldMismatch, NotPrime, OutOfRange
-from ropcheck.ff import MAX_PRIME, Felt, FieldCtx, ctx_new, inv, is_prime, sample
+from ropcheck.ff import MAX_PRIME, Felt, FieldCtx, is_prime
 
 
 def _egcd_inverse(a, p):
@@ -51,7 +51,6 @@ def test_is_prime_large_values():
 def test_ctx_accepts_full_range():
     assert FieldCtx(2).p == 2
     assert FieldCtx(MAX_PRIME).p == MAX_PRIME
-    assert ctx_new(101).p == 101
 
 
 def test_ctx_rejects_bad_moduli():
@@ -74,7 +73,7 @@ def test_felt_reduction_and_repr():
 
 def test_known_inverse():
     ctx = FieldCtx(101)
-    assert int(inv(ctx.felt(2))) == 51
+    assert ctx.inv_raw(2) == 51
     assert int(ctx.felt(2) * ctx.felt(51)) == 1
 
 
@@ -90,7 +89,7 @@ def test_inverses_match_extended_euclid():
 def test_division_by_zero():
     ctx = FieldCtx(101)
     with pytest.raises(DivisionByZero):
-        inv(ctx.felt(0))
+        ctx.inv_raw(0)
     with pytest.raises(DivisionByZero):
         ctx.felt(3) / ctx.felt(0)
 
@@ -159,7 +158,7 @@ def test_sampling_is_roughly_uniform():
 def test_sample_and_elements():
     ctx = FieldCtx(5)
     assert list(ctx.elements()) == [0, 1, 2, 3, 4]
-    got = {int(sample(ctx, random.Random(s))) for s in range(40)}
+    got = {int(ctx.sample(random.Random(s))) for s in range(40)}
     assert got <= set(range(5)) and len(got) == 5
 
 

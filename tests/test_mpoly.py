@@ -20,7 +20,6 @@ from ropcheck.ff import FieldCtx
 from ropcheck.mpoly import (
     MPoly,
     interpolate_grid,
-    interpolate_trivariate,
     parse_header,
     parse_poly_file,
     parse_terms,
@@ -308,11 +307,16 @@ def test_sz_test_behavior():
 
 
 def test_interpolation_round_trip():
+    # (field, fewest nodes per axis, most nodes per axis).  The two large
+    # fields with 4-5 nodes exceed the int64 bound of interpolate_grid, so
+    # they cover its arithmetic on Python ints.
+    fields = [(GF5, 1, 3), (GF101, 1, 3),
+              (FieldCtx(2**30 + 3), 4, 5), (FieldCtx(2**61 - 1), 4, 5)]
     rng = random.Random(71)
-    for _ in range(200):
-        ctx = [GF5, GF101][rng.randrange(2)]
+    for _ in range(400):
+        ctx, lo, hi = fields[rng.randrange(len(fields))]
         k = rng.randint(1, 3)
-        degs = [rng.randint(0, 2) for _ in range(k)]
+        degs = [rng.randint(lo - 1, hi - 1) for _ in range(k)]
         P = MPoly.zero(ctx, k)
         for _ in range(4):
             mono = tuple((v, rng.randint(1, degs[v]))
@@ -322,15 +326,6 @@ def test_interpolation_round_trip():
                 for v in range(k)]
         samples = {pt: P.eval_raw(pt) for pt in itertools.product(*axes)}
         assert interpolate_grid(ctx, axes, samples) == P
-
-
-def test_interpolation_trivariate_wrapper():
-    P = parse_terms(GF101, 3, "x1*x2*x3 + 5*x2 + 1")
-    axes = [(0, 1), (2, 3), (4, 5)]
-    samples = {pt: P.eval_raw(pt) for pt in itertools.product(*axes)}
-    assert interpolate_trivariate(GF101, samples, axes) == P
-    with pytest.raises(InvalidParams):
-        interpolate_trivariate(GF101, {}, [(0, 1)] * 2)
 
 
 def test_interpolation_errors():
@@ -343,6 +338,9 @@ def test_interpolation_errors():
         interpolate_grid(GF101, [(0, 0), (0, 1)], full)
     with pytest.raises(EmptySampleSet):
         interpolate_grid(GF101, [(), (0, 1)], {})
+    for k in (0, 4):
+        with pytest.raises(InvalidParams):
+            interpolate_grid(GF101, [(0, 1)] * k, full)
 
 
 def test_random_multilinear_shape():

@@ -11,6 +11,7 @@ from ropcheck.errors import (
     DegreeTooSmall,
     FieldTooSmall,
     InvalidParams,
+    TooFewVariables,
 )
 from ropcheck.ff import FieldCtx
 from ropcheck.hardcases import q_n
@@ -31,6 +32,7 @@ from ropcheck.testers import (
 
 GF1009 = FieldCtx(1009)
 E2 = parse_terms(GF1009, 3, "x1*x2 + x2*x3 + x1*x3")
+NULLARY = as_oracle(parse_terms(GF1009, 0, "7"))
 
 
 def test_one_sided_on_read_once_formulas():
@@ -104,6 +106,9 @@ def test_parameter_validation():
     small = as_oracle(random_rof(FieldCtx(5), 4, 0))
     with pytest.raises(FieldTooSmall):
         read_once_test(small, 4, 5)
+    for d in (0, 1):
+        with pytest.raises(TooFewVariables):
+            read_once_test(NULLARY, 0, d)
 
 
 def test_recommended_field_size():
@@ -165,6 +170,10 @@ def test_property_parameter_validation():
         property_test(orc, 4, 0.5, K=0)
     with pytest.raises(FieldTooSmall):
         property_test_once(as_oracle(random_rof(FieldCtx(2), 4, 0)), 4)
+    with pytest.raises(TooFewVariables):
+        property_test(NULLARY, 0, 0.5)
+    with pytest.raises(TooFewVariables):
+        property_test_once(NULLARY, 0)
 
 
 def test_aligned_triple_shape():
@@ -179,6 +188,8 @@ def test_aligned_triple_shape():
     assert sorted(trip3.values) == [0, 1, 2]
     with pytest.raises(FieldTooSmall):
         draw_aligned_triple(FieldCtx(2), 2, rng)
+    with pytest.raises(TooFewVariables):
+        draw_aligned_triple(GF1009, 0, rng)
 
 
 def test_tau_zero_on_multilinear():
@@ -209,6 +220,8 @@ def test_tau_validation():
         tau_estimate(orc, 4, 0)
     with pytest.raises(ArityMismatch):
         tau_estimate(orc, 5, 10)
+    with pytest.raises(TooFewVariables):
+        tau_estimate(NULLARY, 0, 10)
 
 
 def test_hard_case_rejection_rate_small_sample():
