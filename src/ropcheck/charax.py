@@ -8,19 +8,21 @@ decomposition-witness term per shared index set (singleton sets for the
 local certificate, sets of size n-3 for the full one).
 
 characterize samples assignments, certifies one good, then reduces the
-global question to trivariate restrictions.  When no good assignment is
-found it answers INDETERMINATE, never a wrong verdict (exact mode).
+global question to trivariate restrictions.  Every zero tag is exact, so
+every verdict is; when no good assignment is found it answers
+INDETERMINATE, never a wrong verdict.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Tuple
 
 from .decomp import _commutator, trivariate_is_rop, witness_is_zero
-from .errors import ArityMismatch, FieldTooSmall, NotMultilinear, TooManyVariables
+from .errors import ArityMismatch, FieldTooSmall, NotMultilinear, guard_scale
 from .mpoly import MPoly
 
 ROP = "ROP"
@@ -30,8 +32,6 @@ INDETERMINATE = "INDETERMINATE"
 FIRST_PARTIAL = "first_partial"
 SECOND_PARTIAL = "second_partial"
 WITNESS = "witness"
-
-_EXACT_TAG_GUARD = 10
 
 
 @dataclass(frozen=True)
@@ -64,22 +64,19 @@ def _require_multilinear(P: MPoly):
         raise NotMultilinear("certification needs a multilinear polynomial")
 
 
-def certificate_multiplicands(P: MPoly, local: bool = False,
-                              zero_mode: str = "exact",
-                              rng: random.Random | None = None,
-                              reps: int = 40) -> List[Multiplicand]:
+def certificate_multiplicands(P: MPoly, local: bool = False) -> List[Multiplicand]:
     """Enumerate every certificate multiplicand with exact zero tags.
 
     local=True glues one shared index per witness term; local=False glues
-    all but one of the remaining indices (the full certificate).  Exact zero
-    tagging is guarded to arity <= 10; pass zero_mode='fast' beyond that.
+    all but one of the remaining indices (the full certificate).  Raises
+    ScaleGuardExceeded when the full certificate would exceed the desk-scale
+    limit, whichever certificate is asked for.
     """
     _require_multilinear(P)
     n = P.arity
-    if zero_mode == "exact" and n > _EXACT_TAG_GUARD:
-        raise TooManyVariables(
-            f"exact witness tags are limited to arity {_EXACT_TAG_GUARD}; "
-            "use zero_mode='fast'")
+    # the full certificate stores C(n,2)*(n-2) witness multiplicands, each
+    # gluing n-3 slots: 1,958,220 glue-set entries at n = 46, 2,140,380 at 47
+    guard_scale(math.comb(n, 2) * (n - 2) * (n - 3), "certificate glue-set entries")
     out: List[Multiplicand] = []
     for t in range(n):
         out.append(Multiplicand(FIRST_PARTIAL, (t,), None, P.partial(t).is_zero()))
@@ -89,13 +86,13 @@ def certificate_multiplicands(P: MPoly, local: bool = False,
     for i, j in itertools.combinations(range(n), 2):
         rest = [k for k in range(n) if k not in (i, j)]
         # the unglued witness vanishing forces every glued one to vanish
-        base_zero = witness_is_zero(P, i, j, frozenset(), zero_mode, rng, reps)
+        base_zero = witness_is_zero(P, i, j, frozenset())
         for m in rest:
             if local:
                 shared = frozenset((m,))
             else:
                 shared = frozenset(k for k in rest if k != m)
-            zero = base_zero or witness_is_zero(P, i, j, shared, zero_mode, rng, reps)
+            zero = base_zero or witness_is_zero(P, i, j, shared)
             out.append(Multiplicand(WITNESS, (i, j), shared, zero))
     return out
 
@@ -113,14 +110,13 @@ class GoodnessChecker:
     this is the restriction of D(x)*S(y) - S(x)*D(y) at x = a, y_J = a_J.
     """
 
-    def __init__(self, P: MPoly, local: bool = False, zero_mode: str = "exact",
-                 rng: random.Random | None = None, reps: int = 40):
+    def __init__(self, P: MPoly, local: bool = False):
         _require_multilinear(P)
         if P.ctx.p < 3:
             raise FieldTooSmall("goodness certification needs p >= 3")
         self.P = P
         self.local = local
-        self.multiplicands = certificate_multiplicands(P, local, zero_mode, rng, reps)
+        self.multiplicands = certificate_multiplicands(P, local)
         self._first = [P.partial(t) for t in range(P.arity)]
         # a live witness implies a live second partial of its pair
         self._second = {m.index: P.partial2(*m.index) for m in self.multiplicands
@@ -165,12 +161,9 @@ class GoodnessChecker:
         return GoodnessReport(not violations, violations, skipped)
 
 
-def is_good_assignment(P: MPoly, a, local: bool = False,
-                       zero_mode: str = "exact",
-                       rng: random.Random | None = None,
-                       reps: int = 40) -> GoodnessReport:
+def is_good_assignment(P: MPoly, a, local: bool = False) -> GoodnessReport:
     """Certify one assignment; build a GoodnessChecker for repeated use."""
-    return GoodnessChecker(P, local, zero_mode, rng, reps).check(a)
+    return GoodnessChecker(P, local).check(a)
 
 
 def is_locally_rop(P: MPoly, a) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
@@ -214,15 +207,14 @@ class CharacterizeReport:
         }
 
 
-def characterize(P: MPoly, rng, max_retries: int = 16,
-                 mode: str = "exact") -> CharacterizeReport:
+def characterize(P: MPoly, rng, max_retries: int = 16) -> CharacterizeReport:
     """Decide read-once-ness through a certified random assignment.
 
     Draws up to max_retries assignments; at the first certified-good one the
-    verdict is exactly the local trivariate check.  Exhausted retries (or an
-    arity beyond the exact-tag guard in exact mode) yield INDETERMINATE.
-    Arity below 3 is answered ROP directly: every multilinear polynomial in
-    at most two variables is read-once.
+    verdict is exactly the local trivariate check.  Exhausted retries yield
+    INDETERMINATE.  Arity below 3 is answered ROP directly: every
+    multilinear polynomial in at most two variables is read-once.  Arity
+    above the certificate's scale guard raises ScaleGuardExceeded.
     """
     _require_multilinear(P)
     seed = rng if isinstance(rng, int) else None
@@ -231,11 +223,7 @@ def characterize(P: MPoly, rng, max_retries: int = 16,
     if n < 3:
         return CharacterizeReport(ROP, None, None, 0, None, seed,
                                   "small arity answered directly")
-    if mode == "exact" and n > _EXACT_TAG_GUARD:
-        return CharacterizeReport(
-            INDETERMINATE, None, None, 0, None, seed,
-            f"exact zero tags need arity <= {_EXACT_TAG_GUARD}")
-    checker = GoodnessChecker(P, local=False, zero_mode=mode, rng=rng)
+    checker = GoodnessChecker(P, local=False)
     p = P.ctx.p
     last = None
     for attempt in range(1, max_retries + 1):

@@ -37,6 +37,7 @@ from .errors import (
     ScaleGuardExceeded,
     TooFewVariables,
     TooManyVariables,
+    guard_scale,
 )
 from .ff import FieldCtx
 from .mpoly import MPoly, parse_poly_file, random_multilinear
@@ -96,8 +97,7 @@ def cmd_check(args) -> int:
     if P.ctx.p < threshold and not args.json:
         print(f"warning: p={P.ctx.p} is below the recommended 1.5*n^3 = "
               f"{threshold:.0f}; good assignments may not exist", file=sys.stderr)
-    report = charax.characterize(P, args.seed, max_retries=args.retries,
-                                 mode=args.mode)
+    report = charax.characterize(P, args.seed, max_retries=args.retries)
     lines = [f"verdict: {report.verdict}", f"attempts: {report.attempts}"]
     if report.assignment is not None:
         lines.append("assignment: " + " ".join(map(str, report.assignment)))
@@ -256,13 +256,12 @@ def cmd_experiment_trivariate_enum(args) -> int:
     ctx = FieldCtx(p)
     total_space = p ** 8
     if args.samples is None:
-        if total_space > hardcases.EXHAUSTIVE_LIMIT:
-            raise ScaleGuardExceeded(
-                f"{total_space} coefficient vectors exceed the exhaustive "
-                f"limit {hardcases.EXHAUSTIVE_LIMIT}; pass --samples")
+        guard_scale(total_space, "coefficient vectors (pass --samples to subsample)")
         bad = hardcases.range_sum(_enum_worker, (p,), total_space, args.threads)
         cases = total_space
     else:
+        if args.samples < 1:
+            raise InvalidParams(f"need at least one sample, got {args.samples}")
         rng = random.Random(args.seed)
         bad = 0
         for _ in range(args.samples):
@@ -300,8 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("file")
     sc.add_argument("--retries", type=int, default=16,
                     help="assignment samples before INDETERMINATE (default 16)")
-    sc.add_argument("--mode", choices=("exact", "fast"), default="exact",
-                    help="zero-test mode for certificate tags (default exact)")
     _common(sc)
 
     sb = subs.add_parser("blackbox", help="one-sided black-box read-once test")

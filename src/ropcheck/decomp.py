@@ -183,17 +183,15 @@ def decomp_witness(P: MPoly, i: int, j: int,
 
 
 def witness_is_zero(P: MPoly, i: int, j: int,
-                    shared: FrozenSet[int] | Sequence[int] = frozenset(),
-                    mode: str = "exact", rng: random.Random | None = None,
-                    reps: int = 40) -> bool:
+                    shared: FrozenSet[int] | Sequence[int] = frozenset()) -> bool:
     """Decide W(P) == 0 for the pair (i, j) and a shared index set J.
 
     Write P = A*x_i*x_j + B*x_i + C*x_j + E; then S = dd_ij(P) = A and
     D = AE - BC, neither involving x_i or x_j, and
     W(x, y) = D(x) * S(y) - S(x) * D(y) with y_k = x_k for k in J.
 
-    exact mode: W is first evaluated at one fixed pseudo-random glued
-    point pair (never drawn from rng); a nonzero value proves W != 0.
+    W is first evaluated at one fixed pseudo-random glued point pair; a
+    nonzero value proves W != 0.
     Otherwise, with U the unglued slots, let mu be the U-part of a monomial
     of S with the fewest variables, and u0 the point with mu's slots 1 and
     the rest of U 0.  Only monomials whose U-part is mu survive u0, so s = S|U<-u0 is a
@@ -202,10 +200,6 @@ def witness_is_zero(P: MPoly, i: int, j: int,
     difference, and conversely it makes s * W vanish, and the ring has no
     zero divisors.  With J empty this is decompose's test.  The identity
     holds over every field.
-
-    fast mode: evaluates W at `reps` random point pairs drawn from rng;
-    one-sided (False answers are proofs, True answers can err with
-    probability <= (deg/|V|)**reps).
     """
     shared = frozenset(shared)
     if i == j:
@@ -218,26 +212,11 @@ def witness_is_zero(P: MPoly, i: int, j: int,
         if not 0 <= k < n:
             raise IndexOverlap(f"shared index {k} outside arity {n}")
 
-    if mode == "fast" and reps < 1:
-        raise InvalidParams(f"need at least one repetition, got {reps}")
-    if mode not in ("exact", "fast"):
-        raise InvalidParams(f"mode must be 'exact' or 'fast', got {mode!r}")
-
     Pi, Pj = P.partial(i), P.partial(j)
     S = Pi.partial(j)
     if S.is_zero():
         return True
     p = P.ctx.p
-    if mode == "fast":
-        rng = rng if rng is not None else random.Random(0)
-        for _ in range(reps):
-            x = [rng.randrange(p) for _ in range(n)]
-            y = [rng.randrange(p) for _ in range(n)]
-            for k in shared:
-                y[k] = x[k]
-            if _witness_at(P, Pi, Pj, S, x, y):
-                return False
-        return True
     x = [_PROBE[k % len(_PROBE)] % p for k in range(n)]
     y = [x[k] if k in shared else _PROBE[(n + k) % len(_PROBE)] % p for k in range(n)]
     if _witness_at(P, Pi, Pj, S, x, y):

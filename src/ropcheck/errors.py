@@ -1,10 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one scale guard.
 
 Every error raised by the library is a subclass of Error, so callers can
 catch the whole family with one clause.  Arithmetic and structural errors
 additionally subclass the builtin they shadow (ValueError, ZeroDivisionError)
 so generic code behaves sensibly.
 """
+
+# desk-scale limit on the number of things one call may store or enumerate
+EXHAUSTIVE_LIMIT = 2_000_000
 
 
 class Error(Exception):
@@ -101,3 +104,9 @@ class InvalidParams(Error, ValueError):
 
 class ScaleGuardExceeded(Error, ValueError):
     pass
+
+
+def guard_scale(count: int, what: str):
+    """Raise ScaleGuardExceeded when count (of `what`) exceeds EXHAUSTIVE_LIMIT."""
+    if count > EXHAUSTIVE_LIMIT:
+        raise ScaleGuardExceeded(f"{count} {what} exceed the limit {EXHAUSTIVE_LIMIT}")

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .charax import is_locally_rop
-from .errors import InvalidParams, TooFewVariables, TooManyVariables
+from .errors import EXHAUSTIVE_LIMIT, InvalidParams, TooFewVariables, TooManyVariables
 from .ff import Felt, FieldCtx
 from .mpoly import MPoly
 
-EXHAUSTIVE_LIMIT = 2_000_000
 SWEEP_CSV_HEADER = "p,n,samples,good_fraction,stderr"
 
 

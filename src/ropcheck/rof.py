@@ -27,6 +27,7 @@ from .errors import (
     OutOfRange,
     ParseError,
     ReadOnceViolation,
+    guard_scale,
 )
 from .ff import Felt, FieldCtx
 from .mpoly import MPoly, _NUMPY_P_LIMIT, parse_header
@@ -128,7 +129,23 @@ class Rof:
         return go(self.root).tolist()
 
     def expand(self) -> MPoly:
-        """Multiply the tree out into its (multilinear) polynomial."""
+        """Multiply the tree out into its (multilinear) polynomial.
+
+        Raises ScaleGuardExceeded, before multiplying anything, when a bound
+        on the term count exceeds the desk-scale limit: a leaf has 1 or 2
+        terms, a constant 0 or 1, a + gate at most the sum of its children's
+        and a * gate exactly their product, since its children share no
+        variable.
+        """
+        def terms(node) -> int:
+            if isinstance(node, Leaf):
+                return 2 if node.beta else 1
+            if isinstance(node, Const):
+                return 1 if node.value else 0
+            l, r = terms(node.left), terms(node.right)
+            return l + r if node.op == "+" else l * r
+
+        guard_scale(terms(self.root), "expansion terms (upper bound)")
         ctx, n = self.ctx, self.arity
 
         def go(node):

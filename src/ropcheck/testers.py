@@ -30,6 +30,7 @@ from .errors import (
     FieldTooSmall,
     InvalidParams,
     TooFewVariables,
+    guard_scale,
 )
 from .mpoly import interpolate_grid
 from .rof import Oracle
@@ -98,7 +99,7 @@ def _subsets(n: int):
     check meaningful there.
     """
     if n >= 3:
-        return list(itertools.combinations(range(n), 3))
+        return itertools.combinations(range(n), 3)
     return [tuple(range(n))]
 
 
@@ -146,6 +147,7 @@ def read_once_test(oracle: Oracle, n: int, d: int, epsilon: float = 0.25,
     recommended_field_size).  Queries: C(n,3) * (d+1)^3 with caching off.
     """
     _require_coordinates(oracle, n)
+    guard_scale(math.comb(n, 3), "3-subsets to scan")
     if d < 1:
         raise DegreeTooSmall(f"degree bound must be >= 1, got {d}")
     p = oracle.ctx.p
@@ -184,6 +186,7 @@ def property_test_once(oracle: Oracle, n: int, rng=0) -> TestReport:
     point and the three of each coordinate in I form its axis.
     """
     _require_coordinates(oracle, n)
+    guard_scale(math.comb(n, 3), "3-subsets to scan")
     p = oracle.ctx.p
     if p < 3:
         raise FieldTooSmall("aligned triples need p >= 3")

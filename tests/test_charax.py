@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from ropcheck import charax
 from ropcheck.charax import (
     INDETERMINATE,
     READ_MANY,
@@ -17,7 +18,7 @@ from ropcheck.charax import (
     is_locally_rop,
 )
 from ropcheck.decomp import brute_force_is_rop, gate_graph
-from ropcheck.errors import ArityMismatch, FieldTooSmall, NotMultilinear, TooManyVariables
+from ropcheck.errors import ArityMismatch, FieldTooSmall, NotMultilinear, ScaleGuardExceeded
 from ropcheck.ff import FieldCtx
 from ropcheck.hardcases import q_n
 from ropcheck.mpoly import MPoly, parse_terms, random_multilinear
@@ -237,8 +238,19 @@ def test_characterize_verdict_is_seed_independent():
 def test_characterize_arity_guard_and_note():
     P = MPoly.constant(GF1009, 11, 1) * parse_terms(GF1009, 11, "x1*x11")
     rep = characterize(P, 0)
-    assert rep.verdict == INDETERMINATE
-    assert "arity" in rep.note
+    assert rep.verdict == ROP and rep.note == ""
+    with pytest.raises(ScaleGuardExceeded):
+        characterize(parse_terms(GF1009, 47, "x1*x47"), 0)
+
+
+def test_characterize_exact_at_arity_11_and_12():
+    # labels without a decider: q_n is read-many for n >= 3, and the
+    # expansion of a read-once formula is read-once
+    assert characterize(q_n(11, GF1009), 1).verdict == READ_MANY
+    for n, seed in ((11, 5), (12, 5)):
+        F = random_rof(GF1009, n, seed)
+        assert F.variables() == frozenset(range(n))
+        assert characterize(F.expand(), 1).verdict == ROP
 
 
 def test_characterize_requires_multilinear():
@@ -271,7 +283,18 @@ def test_certified_assignment_preserves_gate_graph_under_restriction():
             assert restricted == G.without_vertex(k)
 
 
-def test_exact_guard_in_certificates():
-    P = parse_terms(GF1009, 11, "x1*x11")
-    with pytest.raises(TooManyVariables):
-        certificate_multiplicands(P)
+def test_exact_guard_in_certificates(monkeypatch):
+    # C(n,2)*(n-2)*(n-3) glue-set entries: 1,958,220 at n = 46 pass the
+    # 2,000,000 limit, 2,140,380 at n = 47 do not, for either certificate
+    class Tagged(Exception):
+        pass
+
+    def tag(*args):
+        raise Tagged
+
+    monkeypatch.setattr(charax, "witness_is_zero", tag)
+    with pytest.raises(Tagged):
+        certificate_multiplicands(parse_terms(GF1009, 46, "x1*x46"))
+    for local in (False, True):
+        with pytest.raises(ScaleGuardExceeded):
+            certificate_multiplicands(parse_terms(GF1009, 47, "x1*x47"), local)

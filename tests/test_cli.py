@@ -3,7 +3,7 @@
 import json
 
 from ropcheck.cli import main
-from ropcheck.mpoly import parse_poly_file
+from ropcheck.mpoly import MPoly, parse_poly_file
 
 
 def run(capsys, *argv):
@@ -220,3 +220,46 @@ def test_experiment_trivariate_enum_scale_guard(capsys):
     code, _, err = run(capsys, "experiment", "trivariate-enum", "--p", "11")
     assert code == 2
     assert "error:" in err
+
+
+def test_experiment_trivariate_enum_rejects_bad_sample_count(capsys):
+    for samples in ("0", "-1"):
+        code, out, err = run(capsys, "experiment", "trivariate-enum", "--p", "5",
+                             "--samples", samples)
+        assert code == 2 and out == ""
+        assert "at least one sample" in err
+
+
+def test_check_has_no_mode_option(capsys):
+    code, _, err = run(capsys, "check", "q4.txt", "--mode", "fast")
+    assert code == 2
+    assert "--mode" in err
+
+
+def test_huge_arity_files_exit_2(tmp_path, capsys):
+    huge = tmp_path / "huge.txt"
+    huge.write_text("field p=101 n=100000\nx1*x2\n")
+    wide = tmp_path / "wide.txt"
+    wide.write_text("field p=1009 n=47\nx1*x47 + 1\n")
+    for cmd, path in (("check", huge), ("blackbox", huge), ("property", huge),
+                      ("check", wide)):
+        code, _, err = run(capsys, cmd, str(path))
+        assert code == 2, (cmd, path.name)
+        assert "exceed the limit" in err
+
+
+def test_check_refuses_formula_expansion_over_limit(tmp_path, capsys, monkeypatch):
+    # 21 factors (x_i + 1) expand to 2^21 = 2,097,152 terms; the guard must
+    # refuse before any product is formed
+    def no_products(*args):
+        raise AssertionError("expand ran past the scale guard")
+
+    monkeypatch.setattr(MPoly, "__mul__", no_products)
+    body = "(leaf 1 1 1)"
+    for v in range(2, 22):
+        body = f"(* {body} (leaf {v} 1 1))"
+    path = tmp_path / "wide.rof"
+    path.write_text(f"field p=1009 n=21\n{body}\n")
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert "2097152 expansion terms" in err

@@ -186,10 +186,6 @@ def test_witness_is_zero_matches_materialized():
             for P, i, j, J in _witness_cases(ctx, n, rng):
                 want = decomp_witness(P, i, j, J).value.is_zero()
                 assert witness_is_zero(P, i, j, J) == want
-                fast = witness_is_zero(P, i, j, J, mode="fast", rng=random.Random(5))
-                assert fast or not want            # a False is always a proof
-                if ctx is GF101:
-                    assert fast == want
 
 
 def test_witness_is_zero_small_field_path():

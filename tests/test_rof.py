@@ -4,12 +4,14 @@ import random
 
 import pytest
 
+from ropcheck import errors
 from ropcheck.decomp import brute_force_is_rop
 from ropcheck.errors import (
     ArityMismatch,
     InvalidParams,
     ParseError,
     ReadOnceViolation,
+    ScaleGuardExceeded,
 )
 from ropcheck.ff import FieldCtx
 from ropcheck.mpoly import parse_terms
@@ -22,6 +24,18 @@ def _example():
     # ((x1 + 1) * (x2 + 1)) + x3
     prod = Gate("*", Leaf(0, 1, 1), Leaf(1, 1, 1))
     return Rof(GF101, 3, Gate("+", prod, Leaf(2, 1, 0)))
+
+
+def test_expand_scale_guard_counts_terms(monkeypatch):
+    # bounds: a leaf 1 or 2 terms, a constant 0 or 1, + the sum, * the product
+    monkeypatch.setattr(errors, "EXHAUSTIVE_LIMIT", 8)
+    cube = Gate("*", Gate("*", Leaf(0, 1, 1), Leaf(1, 1, 1)), Leaf(2, 1, 1))
+    for root in (Gate("*", cube, Leaf(3, 1, 0)), Gate("+", cube, Const(0))):
+        assert len(Rof(GF101, 4, root).expand().terms) == 8
+    # the + bound is not tight: cube + 1 still has 8 terms
+    for root in (Gate("*", cube, Leaf(3, 1, 1)), Gate("+", cube, Const(1))):
+        with pytest.raises(ScaleGuardExceeded):
+            Rof(GF101, 4, root).expand()
 
 
 def test_expand_known_formula():

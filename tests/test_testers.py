@@ -11,12 +11,13 @@ from ropcheck.errors import (
     DegreeTooSmall,
     FieldTooSmall,
     InvalidParams,
+    ScaleGuardExceeded,
     TooFewVariables,
 )
 from ropcheck.ff import FieldCtx
 from ropcheck.hardcases import q_n
 from ropcheck.mpoly import parse_terms, random_multilinear
-from ropcheck.rof import as_oracle, corrupt_oracle, random_rof
+from ropcheck.rof import Oracle, as_oracle, corrupt_oracle, random_rof
 from ropcheck.testers import (
     NO,
     NOT_MULTILINEAR,
@@ -109,6 +110,26 @@ def test_parameter_validation():
     for d in (0, 1):
         with pytest.raises(TooFewVariables):
             read_once_test(NULLARY, 0, d)
+
+
+def test_subset_scan_scale_guard():
+    # C(229,3) = 1,975,354 subsets pass the 2,000,000 limit and the scan
+    # reaches its first grid query; C(230,3) = 2,001,460 do not
+    class Queried(Exception):
+        pass
+
+    def refuse(pts):
+        raise Queried
+
+    for n in (229, 230, 100000):
+        orc = Oracle(GF1009, n, refuse, refuse)
+        want = Queried if n == 229 else ScaleGuardExceeded
+        with pytest.raises(want):
+            read_once_test(orc, n, 2)
+        with pytest.raises(want):
+            property_test(orc, n, 0.5)
+    # tau_estimate scans no subsets and takes no guard
+    assert tau_estimate(Oracle(GF1009, 230, lambda pt: 0), 230, 5).fraction == 0.0
 
 
 def test_recommended_field_size():
