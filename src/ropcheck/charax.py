@@ -3,9 +3,9 @@
 A multilinear P is read-once exactly when, at any assignment where every
 nonzero certificate multiplicand survives, all C(n,3) trivariate
 restrictions are read-once.  The certificate multiplicands are: the n first
-partials, the n(n-1)/2 mixed second partials, and per pair (i,j) one
-decomposition-witness term per shared index set (singleton sets for the
-local certificate, sets of size n-3 for the full one).
+partials, the n(n-1)/2 mixed second partials, and per pair (i,j) and per
+remaining index m one decomposition-witness term glued on the n-3 indices
+outside {i, j, m}.
 
 characterize samples assignments, certifies one good, then reduces the
 global question to trivariate restrictions.  Every zero tag is exact, so
@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Tuple
 
 from .decomp import _commutator, trivariate_is_rop, witness_is_zero
-from .errors import ArityMismatch, FieldTooSmall, NotMultilinear, guard_scale
+from .errors import (ArityMismatch, FieldTooSmall, InvalidParams, NotMultilinear,
+                     guard_scale)
 from .mpoly import MPoly
 
 ROP = "ROP"
@@ -64,13 +65,12 @@ def _require_multilinear(P: MPoly):
         raise NotMultilinear("certification needs a multilinear polynomial")
 
 
-def certificate_multiplicands(P: MPoly, local: bool = False) -> List[Multiplicand]:
+def certificate_multiplicands(P: MPoly) -> List[Multiplicand]:
     """Enumerate every certificate multiplicand with exact zero tags.
 
-    local=True glues one shared index per witness term; local=False glues
-    all but one of the remaining indices (the full certificate).  Raises
-    ScaleGuardExceeded when the full certificate would exceed the desk-scale
-    limit, whichever certificate is asked for.
+    Each witness term of a pair glues all but one of the remaining indices.
+    Raises ScaleGuardExceeded when the certificate would exceed the
+    desk-scale limit.
     """
     _require_multilinear(P)
     n = P.arity
@@ -88,10 +88,7 @@ def certificate_multiplicands(P: MPoly, local: bool = False) -> List[Multiplican
         # the unglued witness vanishing forces every glued one to vanish
         base_zero = witness_is_zero(P, i, j, frozenset())
         for m in rest:
-            if local:
-                shared = frozenset((m,))
-            else:
-                shared = frozenset(k for k in rest if k != m)
+            shared = frozenset(k for k in rest if k != m)
             zero = base_zero or witness_is_zero(P, i, j, shared)
             out.append(Multiplicand(WITNESS, (i, j), shared, zero))
     return out
@@ -110,13 +107,12 @@ class GoodnessChecker:
     this is the restriction of D(x)*S(y) - S(x)*D(y) at x = a, y_J = a_J.
     """
 
-    def __init__(self, P: MPoly, local: bool = False):
+    def __init__(self, P: MPoly):
         _require_multilinear(P)
         if P.ctx.p < 3:
             raise FieldTooSmall("goodness certification needs p >= 3")
         self.P = P
-        self.local = local
-        self.multiplicands = certificate_multiplicands(P, local)
+        self.multiplicands = certificate_multiplicands(P)
         self._first = [P.partial(t) for t in range(P.arity)]
         # a live witness implies a live second partial of its pair
         self._second = {m.index: P.partial2(*m.index) for m in self.multiplicands
@@ -132,8 +128,7 @@ class GoodnessChecker:
         pa = P.eval_raw(a)
         first = [d.eval_raw(a) for d in self._first]
         second = {ij: S.eval_raw(a) for ij, S in self._second.items()}
-        # full certificate: the three pairs of a triple share one glue set;
-        # local certificate: every pair avoiding m shares the set {m}
+        # the three pairs of a triple share one glue set
         restricted = {}
         violations = []
         skipped = 0
@@ -161,9 +156,9 @@ class GoodnessChecker:
         return GoodnessReport(not violations, violations, skipped)
 
 
-def is_good_assignment(P: MPoly, a, local: bool = False) -> GoodnessReport:
+def is_good_assignment(P: MPoly, a) -> GoodnessReport:
     """Certify one assignment; build a GoodnessChecker for repeated use."""
-    return GoodnessChecker(P, local).check(a)
+    return GoodnessChecker(P).check(a)
 
 
 def is_locally_rop(P: MPoly, a) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
@@ -214,16 +209,19 @@ def characterize(P: MPoly, rng, max_retries: int = 16) -> CharacterizeReport:
     verdict is exactly the local trivariate check.  Exhausted retries yield
     INDETERMINATE.  Arity below 3 is answered ROP directly: every
     multilinear polynomial in at most two variables is read-once.  Arity
-    above the certificate's scale guard raises ScaleGuardExceeded.
+    above the certificate's scale guard raises ScaleGuardExceeded, and a
+    negative max_retries raises InvalidParams.
     """
     _require_multilinear(P)
+    if max_retries < 0:
+        raise InvalidParams(f"need max_retries >= 0, got {max_retries}")
     seed = rng if isinstance(rng, int) else None
     rng = random.Random(rng) if isinstance(rng, int) else rng
     n = P.arity
     if n < 3:
         return CharacterizeReport(ROP, None, None, 0, None, seed,
                                   "small arity answered directly")
-    checker = GoodnessChecker(P, local=False)
+    checker = GoodnessChecker(P)
     p = P.ctx.p
     last = None
     for attempt in range(1, max_retries + 1):

@@ -252,6 +252,8 @@ def _enum_worker(job):
 
 
 def cmd_experiment_trivariate_enum(args) -> int:
+    if args.threads < 1:
+        raise InvalidParams(f"need threads >= 1, got {args.threads}")
     p = args.p
     ctx = FieldCtx(p)
     total_space = p ** 8

@@ -363,46 +363,6 @@ def multiplicative_split(P: MPoly, i: int, j: int) -> Tuple[MPoly, MPoly, Felt]:
     return h, g, Felt(c, ctx)
 
 
-def restriction_vote_decompose(P: MPoly, i: int, j: int, k: int,
-                               values) -> DecompResult:
-    """Lift splits of three restrictions P|x_k=a to a split of P.
-
-    If all three restrictions split for the pair (i, j) with one common
-    constant c, then P itself splits with that c (verified symbolically
-    before returning).  Any failed or degenerate restriction, or mismatched
-    constants, yields a not-decomposable-by-vote result; that direction is
-    one-sided.
-    """
-    if i == j:
-        raise SameVariable(f"need two distinct variables, got {i} twice")
-    if k in (i, j):
-        raise IndexOverlap(f"vote coordinate {k} overlaps the pair ({i}, {j})")
-    _require_multilinear(P)
-    ctx = P.ctx
-    vals = [ctx.coerce(v) for v in values]
-    if len(vals) != 3:
-        raise InvalidParams(f"need exactly 3 restriction values, got {len(vals)}")
-    if len(set(vals)) != 3:
-        raise InvalidParams(f"restriction values must be distinct mod {ctx.p}")
-    cs = []
-    for a in vals:
-        Q = P.restrict(k, a)
-        try:
-            r = decompose(Q, i, j)
-        except VariableNotPresent:
-            return DecompResult(False, None, False)
-        if not r.decomposable:
-            return DecompResult(False, None, False)
-        cs.append(r.c.value)
-    if cs[0] != cs[1] or cs[0] != cs[2]:
-        return DecompResult(False, None, False)
-    c = cs[0]
-    S = P.partial2(i, j)
-    if S.is_zero() or not (commutator(P, i, j) - S.scale(c)).is_zero():
-        return DecompResult(False, None, False)
-    return DecompResult(True, Felt(c, ctx), False)
-
-
 # ---- read-once deciders ----
 
 def trivariate_is_rop(P: MPoly) -> bool:

@@ -14,42 +14,32 @@ import math
 import os
 import random
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .charax import is_locally_rop
-from .errors import EXHAUSTIVE_LIMIT, InvalidParams, TooFewVariables, TooManyVariables
-from .ff import Felt, FieldCtx
+from .errors import (EXHAUSTIVE_LIMIT, InvalidParams, TooFewVariables, TooManyVariables,
+                     guard_scale)
+from .ff import FieldCtx
 from .mpoly import MPoly
 
 SWEEP_CSV_HEADER = "p,n,samples,good_fraction,stderr"
 
 
 def q_n(n: int, ctx: FieldCtx) -> MPoly:
-    """prod_{i<=n} (x_i - 1) + prod_{i<=n} x_i, fully expanded."""
+    """prod_{i<=n} (x_i - 1) + prod_{i<=n} x_i, fully expanded.
+
+    Its 2^n terms must fit the desk-scale limit, so n <= 20; larger n raises
+    ScaleGuardExceeded before any product is formed.
+    """
     if n < 1:
         raise InvalidParams(f"need n >= 1, got {n}")
+    guard_scale(2 ** n, "terms of q_n")
     shifted = MPoly.constant(ctx, n, 1)
     straight = MPoly.constant(ctx, n, 1)
     for i in range(n):
         shifted = shifted * MPoly.affine(ctx, n, i, 1, -1)
         straight = straight * MPoly.variable(ctx, n, i)
     return shifted + straight
-
-
-def size_wrt(a, values) -> int:
-    """Count of coordinates of a lying in the value set."""
-    pool = set()
-    ctx = None
-    for v in values:
-        if isinstance(v, Felt):
-            ctx = v.ctx
-    for v in a:
-        if isinstance(v, Felt):
-            ctx = v.ctx
-    norm = (lambda v: ctx.coerce(v)) if ctx is not None else (lambda v: v)
-    for v in values:
-        pool.add(norm(v))
-    return sum(1 for v in a if norm(v) in pool)
 
 
 @dataclass(frozen=True)
@@ -70,7 +60,10 @@ def range_sum(fn, head: tuple, total: int, threads: int) -> int:
 
     One range per worker process; the worker count is clamped to
     min(threads, cpu count, total), and one worker runs in this process.
+    threads below 1 raises InvalidParams.
     """
+    if threads < 1:
+        raise InvalidParams(f"need threads >= 1, got {threads}")
     workers = max(1, min(threads, os.cpu_count() or 1, total))
     base, extra = divmod(total, workers)
     jobs = []
@@ -236,33 +229,20 @@ def _split_tables(table, m, mask, op):
     """
     s_bits = [i for i in range(m) if mask >> i & 1]
     t_bits = [i for i in range(m) if not mask >> i & 1]
-    ns, nt = len(s_bits), len(t_bits)
+
+    def project(idx, bits):
+        return sum(1 << t for t, i in enumerate(bits) if idx >> i & 1)
+
+    pairs = [(project(idx, s_bits), project(idx, t_bits)) for idx in range(1 << m)]
     agg = max if op == "and" else min
-    g = [None] * (1 << ns)
-    h = [None] * (1 << nt)
-    for idx in range(1 << m):
-        ia = 0
-        for t, i in enumerate(s_bits):
-            if idx >> i & 1:
-                ia |= 1 << t
-        ib = 0
-        for t, i in enumerate(t_bits):
-            if idx >> i & 1:
-                ib |= 1 << t
-        v = table[idx]
+    g = [None] * (1 << len(s_bits))
+    h = [None] * (1 << len(t_bits))
+    for (ia, ib), v in zip(pairs, table):
         g[ia] = v if g[ia] is None else agg(g[ia], v)
         h[ib] = v if h[ib] is None else agg(h[ib], v)
-    for idx in range(1 << m):
-        ia = 0
-        for t, i in enumerate(s_bits):
-            if idx >> i & 1:
-                ia |= 1 << t
-        ib = 0
-        for t, i in enumerate(t_bits):
-            if idx >> i & 1:
-                ib |= 1 << t
+    for (ia, ib), v in zip(pairs, table):
         combined = (g[ia] & h[ib]) if op == "and" else (g[ia] | h[ib])
-        if combined != table[idx]:
+        if combined != v:
             return None
     return tuple(g), tuple(h)
 

@@ -472,29 +472,6 @@ class MPoly:
     def __repr__(self):
         return f"MPoly(GF({self.ctx.p}), n={self.arity}, {self.serialize_terms()})"
 
-    # ---- randomized identity test ----
-
-    def sz_test(self, sample_set, r: int, rng: random.Random) -> bool:
-        """One-sided probabilistic zero test: True means 'zero at all r points'.
-
-        Each round draws every coordinate independently and uniformly from
-        sample_set; any nonzero evaluation proves the polynomial nonzero, so a
-        False answer is always correct.  The per-round error of a True answer
-        is at most total_degree / len(sample_set).
-        """
-        vals = [self.ctx.coerce(v) for v in sample_set]
-        if not vals:
-            raise EmptySampleSet("sample set must be nonempty")
-        if len(set(vals)) != len(vals):
-            raise DuplicateNode("sample set entries must be distinct")
-        if r < 1:
-            raise InvalidParams(f"need at least one round, got r={r}")
-        for _ in range(r):
-            pt = [vals[rng.randrange(len(vals))] for _ in range(self.arity)]
-            if self.eval_raw(pt):
-                return False
-        return True
-
 
 # ---- parsing ----
 

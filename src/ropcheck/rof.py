@@ -16,7 +16,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
-from typing import FrozenSet, Sequence, Tuple, Union
+from typing import FrozenSet, Sequence, Union
 
 import numpy as np
 
@@ -324,9 +324,7 @@ class Oracle:
 
 def as_oracle(obj) -> Oracle:
     """Wrap a formula or polynomial as a counting oracle."""
-    if isinstance(obj, Rof):
-        return Oracle(obj.ctx, obj.arity, obj.eval_raw, obj.eval_batch)
-    if isinstance(obj, MPoly):
+    if isinstance(obj, (Rof, MPoly)):
         return Oracle(obj.ctx, obj.arity, obj.eval_raw, obj.eval_batch)
     raise InvalidParams(f"cannot build an oracle from {type(obj).__name__}")
 

@@ -18,7 +18,8 @@ from ropcheck.charax import (
     is_locally_rop,
 )
 from ropcheck.decomp import brute_force_is_rop, gate_graph
-from ropcheck.errors import ArityMismatch, FieldTooSmall, NotMultilinear, ScaleGuardExceeded
+from ropcheck.errors import (ArityMismatch, FieldTooSmall, InvalidParams, NotMultilinear,
+                             ScaleGuardExceeded)
 from ropcheck.ff import FieldCtx
 from ropcheck.hardcases import q_n
 from ropcheck.mpoly import MPoly, parse_terms, random_multilinear
@@ -97,15 +98,6 @@ def test_goodness_checker_validation():
         GoodnessChecker(parse_terms(GF101, 2, "x1^2"))
 
 
-def test_goodness_local_mode_runs():
-    P = parse_terms(GF1009, 4, "x1*x2*x3*x4 + x1")
-    full = certificate_multiplicands(P)
-    loc = certificate_multiplicands(P, local=True)
-    assert len(full) == len(loc)
-    rep = GoodnessChecker(P, local=True).check((2, 3, 4, 5))
-    assert isinstance(rep.good, bool)
-
-
 def _reference_report(P, multiplicands, a):
     """The goodness report from the full commutator D = P*S - d_iP*d_jP:
     D and S are built over every variable, then restricted at the glue set."""
@@ -142,8 +134,8 @@ def test_goodness_check_matches_full_commutator_reference(p):
     for n in range(3, 7):
         polys = [q_n(n, ctx), random_rof(ctx, n, rng).expand(),
                  random_rof(ctx, n, rng).expand(), random_multilinear(ctx, n, rng)]
-        for P, local in itertools.product(polys, (False, True)):
-            checker = GoodnessChecker(P, local=local)
+        for P in polys:
+            checker = GoodnessChecker(P)
             for t in range(6):
                 a = [rng.randrange(p) for _ in range(n)]
                 for k in rng.sample(range(n), t // 2):
@@ -258,6 +250,13 @@ def test_characterize_requires_multilinear():
         characterize(parse_terms(GF101, 3, "x1^2 + x2*x3"), 0)
 
 
+def test_characterize_rejects_negative_retries():
+    for n in (2, 4):
+        with pytest.raises(InvalidParams):
+            characterize(q_n(n, GF1009), 0, max_retries=-1)
+    assert characterize(q_n(4, GF1009), 0, max_retries=0).verdict == INDETERMINATE
+
+
 def test_characterize_report_json_shape():
     rep = characterize(q_n(4, GF1009), 5)
     d = rep.to_json_dict()
@@ -285,7 +284,7 @@ def test_certified_assignment_preserves_gate_graph_under_restriction():
 
 def test_exact_guard_in_certificates(monkeypatch):
     # C(n,2)*(n-2)*(n-3) glue-set entries: 1,958,220 at n = 46 pass the
-    # 2,000,000 limit, 2,140,380 at n = 47 do not, for either certificate
+    # 2,000,000 limit, 2,140,380 at n = 47 do not
     class Tagged(Exception):
         pass
 
@@ -295,6 +294,5 @@ def test_exact_guard_in_certificates(monkeypatch):
     monkeypatch.setattr(charax, "witness_is_zero", tag)
     with pytest.raises(Tagged):
         certificate_multiplicands(parse_terms(GF1009, 46, "x1*x46"))
-    for local in (False, True):
-        with pytest.raises(ScaleGuardExceeded):
-            certificate_multiplicands(parse_terms(GF1009, 47, "x1*x47"), local)
+    with pytest.raises(ScaleGuardExceeded):
+        certificate_multiplicands(parse_terms(GF1009, 47, "x1*x47"))

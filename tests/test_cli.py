@@ -78,6 +78,37 @@ def test_check_indeterminate_exit_code(tmp_path, capsys):
     assert "INDETERMINATE" in out
 
 
+def test_check_rejects_negative_retries(tmp_path, capsys):
+    path = tmp_path / "q4.txt"
+    main(["gen", "qn", "--p", "1009", "--n", "4", "--out", str(path)])
+    capsys.readouterr()
+    for retries in ("-1", "-3"):
+        code, out, err = run(capsys, "check", str(path), "--retries", retries)
+        assert code == 2 and out == ""
+        assert "max_retries >= 0" in err
+
+
+def test_gen_qn_over_limit_exit_2(capsys, monkeypatch):
+    def no_products(*args):
+        raise AssertionError("q_n ran past the scale guard")
+
+    monkeypatch.setattr(MPoly, "__mul__", no_products)
+    code, out, err = run(capsys, "gen", "qn", "--n", "21")
+    assert code == 2 and out == ""
+    assert "2097152 terms of q_n" in err
+
+
+def test_experiment_threads_below_one_exit_2(capsys):
+    for threads in ("0", "-1"):
+        for argv in (("qn-fraction", "--p", "5", "--n", "4"),
+                     ("qn-fraction", "--p", "101", "--n", "4", "--samples", "5"),
+                     ("trivariate-enum", "--p", "2"),
+                     ("trivariate-enum", "--p", "5", "--samples", "5")):
+            code, out, err = run(capsys, "experiment", *argv, "--threads", threads)
+            assert code == 2 and out == "", argv
+            assert "threads >= 1" in err
+
+
 def test_malformed_file_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("not a header\n")

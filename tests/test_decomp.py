@@ -16,7 +16,6 @@ from ropcheck.decomp import (
     gate_graph,
     is_additively_separable,
     multiplicative_split,
-    restriction_vote_decompose,
     trivariate_is_rop,
     witness_is_zero,
 )
@@ -301,23 +300,6 @@ def test_multiplicative_split_random_round_trip():
         assert i in hh.variables() and j in gg.variables()
         assert hh.variables().isdisjoint(gg.variables())
         assert hh.variables() | gg.variables() == frozenset(range(n))
-
-
-def test_restriction_vote_positive():
-    # (x1 + x4)(x2 + x3) + 3, voting over x3 restrictions.
-    P = parse_terms(GF101, 4, "x1*x2 + x1*x3 + x4*x2 + x4*x3 + 3")
-    r = restriction_vote_decompose(P, 0, 1, 2, (0, 1, 2))
-    assert r.decomposable and int(r.c) == 3
-
-
-def test_restriction_vote_negative():
-    P = parse_terms(GF101, 3, "x1*x2 + x3")
-    r = restriction_vote_decompose(P, 0, 1, 2, (0, 1, 2))
-    assert not r.decomposable
-    with pytest.raises(IndexOverlap):
-        restriction_vote_decompose(P, 0, 1, 0, (0, 1, 2))
-    with pytest.raises(InvalidParams):
-        restriction_vote_decompose(P, 0, 1, 2, (0, 1, 102))
 
 
 def test_trivariate_examples():

@@ -7,7 +7,8 @@ import pytest
 
 from ropcheck.charax import is_locally_rop
 from ropcheck.decomp import brute_force_is_rop
-from ropcheck.errors import InvalidParams, TooFewVariables, TooManyVariables
+from ropcheck.errors import (InvalidParams, ScaleGuardExceeded, TooFewVariables,
+                             TooManyVariables)
 from ropcheck.ff import FieldCtx
 from ropcheck.hardcases import (
     SWEEP_CSV_HEADER,
@@ -17,7 +18,6 @@ from ropcheck.hardcases import (
     boolean_is_read_once,
     local_rop_fraction,
     q_n,
-    size_wrt,
 )
 from ropcheck.mpoly import MPoly, parse_terms
 from ropcheck.rof import random_rof
@@ -53,16 +53,23 @@ def test_qn_is_multilinear_and_read_many():
     assert brute_force_is_rop(q_n(2, GF101))
 
 
-def test_qn_validation():
+def test_qn_validation(monkeypatch):
     with pytest.raises(InvalidParams):
         q_n(0, GF101)
 
+    # 2^20 terms pass the 2,000,000 limit and reach the first product;
+    # 2^21 are refused before any product is formed
+    class Multiplied(Exception):
+        pass
 
-def test_size_wrt():
-    assert size_wrt((1, 0, 2, 1), (0, 1)) == 3
-    assert size_wrt((), (0, 1)) == 0
-    ctx = GF5
-    assert size_wrt((ctx.felt(6), 3, ctx.felt(0)), (1, 0)) == 2
+    def no_products(*args):
+        raise Multiplied
+
+    monkeypatch.setattr(MPoly, "__mul__", no_products)
+    with pytest.raises(Multiplied):
+        q_n(20, GF101)
+    with pytest.raises(ScaleGuardExceeded):
+        q_n(21, GF101)
 
 
 def test_boolean_size_corollary_sampled():
@@ -74,7 +81,7 @@ def test_boolean_size_corollary_sampled():
     checked = 0
     while checked < 150:
         a = tuple(rng.randrange(7) for _ in range(5))
-        if size_wrt(a, (0, 1)) < 4:
+        if sum(v in (0, 1) for v in a) < 4:
             continue
         assert is_locally_rop(Q5, a)[0]
         checked += 1
@@ -112,6 +119,9 @@ def test_local_fraction_validation():
         local_rop_fraction(q_n(3, GF5), 10, 0)
     with pytest.raises(InvalidParams):
         local_rop_fraction(q_n(4, GF101), 0, 0)
+    for threads in (0, -1):
+        with pytest.raises(InvalidParams):
+            local_rop_fraction(q_n(4, GF5), 0, 0, threads)
 
 
 def test_sweep_row_csv():

@@ -292,20 +292,6 @@ def test_parse_term_errors():
         parse_poly_file("field p=101 n=2\n")
 
 
-def test_sz_test_behavior():
-    rng = random.Random(17)
-    Z = MPoly.zero(GF101, 3)
-    assert Z.sz_test(range(101), 20, rng)
-    P = parse_terms(GF101, 3, "x1*x2*x3")
-    # Nonzero degree-3 polynomial: one of 40 full-field rounds hits a
-    # nonzero point except with probability < (3/101)^40.
-    assert not P.sz_test(range(101), 40, rng)
-    with pytest.raises(EmptySampleSet):
-        P.sz_test([], 5, rng)
-    with pytest.raises(DuplicateNode):
-        P.sz_test([1, 1, 2], 5, rng)
-
-
 def test_interpolation_round_trip():
     # (field, fewest nodes per axis, most nodes per axis).  The two large
     # fields with 4-5 nodes exceed the int64 bound of interpolate_grid, so
