@@ -40,7 +40,7 @@ from .errors import (
     guard_scale,
 )
 from .ff import FieldCtx
-from .mpoly import MPoly, parse_poly_file, random_multilinear
+from .mpoly import MPoly, content_lines, parse_poly_file, random_multilinear
 from .rof import Rof, as_oracle, random_rof
 
 EXIT_YES = 0
@@ -66,8 +66,7 @@ def _read_text(path: str) -> str:
 def _load_instance(path: str):
     """Polynomial or formula, chosen by the shape of the body line."""
     text = _read_text(path)
-    lines = [ln for ln in text.splitlines()
-             if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = content_lines(text)
     if len(lines) < 2:
         raise ParseError(f"{path}: expected a header line and a body")
     if lines[1].lstrip().startswith("("):
@@ -231,46 +230,41 @@ _TRIVARIATE_MONOS = [
 
 def _enum_case(ctx, coeffs) -> bool:
     """True when the fast trivariate test disagrees with brute force."""
-    terms = {m: c for m, c in zip(_TRIVARIATE_MONOS, coeffs) if c}
-    P = MPoly(ctx, 3, terms, _canonical=True)
+    P = MPoly(ctx, 3, dict(zip(_TRIVARIATE_MONOS, coeffs)), _canonical=True)
     return trivariate_is_rop(P) != brute_force_is_rop(P)
 
 
 def _enum_worker(job):
-    p, lo, hi = job
+    """Disagreements among the cases k in [lo, hi).
+
+    With seed None, case k's coefficients are k's base-p digits; otherwise
+    they are drawn from case k's own stream, seeded by (seed, k).
+    """
+    p, seed, lo, hi = job
     ctx = FieldCtx(p)
     bad = 0
-    for idx in range(lo, hi):
-        coeffs = []
-        v = idx
-        for _ in range(8):
-            coeffs.append(v % p)
-            v //= p
+    for k in range(lo, hi):
+        if seed is None:
+            coeffs = [k // p ** t % p for t in range(8)]
+        else:
+            rng = random.Random(f"{seed}/{k}")
+            coeffs = [rng.randrange(p) for _ in range(8)]
         if _enum_case(ctx, coeffs):
             bad += 1
     return bad
 
 
 def cmd_experiment_trivariate_enum(args) -> int:
-    if args.threads < 1:
-        raise InvalidParams(f"need threads >= 1, got {args.threads}")
     p = args.p
-    ctx = FieldCtx(p)
-    total_space = p ** 8
+    FieldCtx(p)  # a bad modulus exits 2 before any worker starts
     if args.samples is None:
-        guard_scale(total_space, "coefficient vectors (pass --samples to subsample)")
-        bad = hardcases.range_sum(_enum_worker, (p,), total_space, args.threads)
-        cases = total_space
+        cases, seed = p ** 8, None
+        guard_scale(cases, "coefficient vectors (pass --samples to subsample)")
+    elif args.samples < 1:
+        raise InvalidParams(f"need at least one sample, got {args.samples}")
     else:
-        if args.samples < 1:
-            raise InvalidParams(f"need at least one sample, got {args.samples}")
-        rng = random.Random(args.seed)
-        bad = 0
-        for _ in range(args.samples):
-            coeffs = [rng.randrange(p) for _ in range(8)]
-            if _enum_case(ctx, coeffs):
-                bad += 1
-        cases = args.samples
+        cases, seed = args.samples, args.seed
+    bad = hardcases.range_sum(_enum_worker, (p, seed), cases, args.threads)
     payload = {"cases": cases, "disagreements": bad}
     _emit(args, payload, [f"{cases} cases, {bad} disagreements"])
     return EXIT_YES if bad == 0 else EXIT_NO

@@ -394,8 +394,7 @@ def _canonical_key(P: MPoly, live: Sequence[int]):
     return (P.ctx.p, tuple(items))
 
 
-def brute_force_is_rop(P: MPoly, *, max_vars: int = 12,
-                       memo: Dict | None = None) -> bool:
+def brute_force_is_rop(P: MPoly, *, max_vars: int = 12) -> bool:
     """Ground-truth read-once decider by recursive exact splitting.
 
     Constants and single variables are read-once.  A disconnected gate graph
@@ -408,8 +407,7 @@ def brute_force_is_rop(P: MPoly, *, max_vars: int = 12,
     if len(P.variables()) > max_vars:
         raise TooManyVariables(
             f"{len(P.variables())} live variables exceeds the guard {max_vars}")
-    if memo is None:
-        memo = {}
+    memo: Dict = {}
 
     def rec(Q: MPoly) -> bool:
         live = sorted(Q.variables())

@@ -112,7 +112,9 @@ def local_rop_fraction(P: MPoly, samples: int, seed,
 
     Each assignment depends only on (seed, its index), so the result is the
     same for every worker count `threads`.  A random.Random seed is
-    replaced by one integer drawn from it.
+    replaced by one integer drawn from it.  A sweep of more triple
+    restrictions (assignments times C(n, 3)) than the desk-scale limit raises
+    ScaleGuardExceeded before any worker starts.
     """
     if isinstance(seed, random.Random):
         seed = seed.getrandbits(64)
@@ -125,6 +127,7 @@ def local_rop_fraction(P: MPoly, samples: int, seed,
         samples = p ** n
     elif samples < 1:
         raise InvalidParams(f"need at least one sample, got {samples}")
+    guard_scale(samples * math.comb(n, 3), "triple restrictions in the sweep")
     good = range_sum(_local_rop_count, (P, seed, exhaustive), samples, threads)
     frac = good / samples
     if exhaustive:

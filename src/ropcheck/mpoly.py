@@ -6,6 +6,11 @@ a tuple of (variable, exponent) pairs, sorted by variable, every exponent
 positive; the empty tuple is the constant monomial.  The representation is
 canonical, so equality of polynomials is equality of dicts.
 
+Zero coefficients are dropped in one place: the constructor.  Every operation
+accumulates its terms into a fresh dict as out[m] = (out.get(m, 0) + c) % p,
+leaving any cancelled term at 0, and hands the dict to the constructor, which
+removes the zeros and keeps the dict as the new polynomial's terms.
+
 Restriction keeps the arity: substituting into slot i just removes i from the
 support, it never renumbers the remaining variables.
 
@@ -39,8 +44,34 @@ from .ff import Felt, FieldCtx
 
 Mono = Tuple[Tuple[int, int], ...]
 
-# eval_batch's int64 products stay exact below this modulus
+# eval_points' int64 products stay exact below this modulus
 _NUMPY_P_LIMIT = 2**30
+
+
+def eval_points(eval_raw, p: int, points: Sequence[Sequence[int]]) -> list[int]:
+    """eval_raw's value at each raw-residue point.
+
+    Below _NUMPY_P_LIMIT, 8 or more points go to eval_raw in one call, as
+    one int64 column per slot; a result that does not depend on the point
+    is broadcast to every point.
+    """
+    if p >= _NUMPY_P_LIMIT or len(points) < 8:
+        return [eval_raw(pt) for pt in points]
+    columns = (np.asarray(points, dtype=np.int64) % p).T
+    return np.broadcast_to(eval_raw(columns), len(points)).tolist()
+
+
+def _pow_mod(x, e: int, p: int):
+    """x**e mod p by repeated squaring, for a residue or an int64 array of
+    them; numpy has no 3-argument pow, and e may be huge."""
+    out = 1
+    while True:
+        if e & 1:
+            out = out * x % p
+        e >>= 1
+        if not e:
+            return out
+        x = x * x % p
 
 
 def _mono_mul(m1: Mono, m2: Mono) -> Mono:
@@ -90,10 +121,8 @@ class MPoly:
         self.arity = arity
         self._partials = None
         if terms is None:
-            self.terms: Dict[Mono, int] = {}
-        elif _canonical:
-            self.terms = dict(terms)
-        else:
+            terms = {}
+        elif not _canonical:
             p = ctx.p
             clean: Dict[Mono, int] = {}
             for mono, coeff in terms.items():
@@ -106,18 +135,14 @@ class MPoly:
                         raise ArityMismatch(f"variable {v} outside arity {arity}")
                     if e <= 0:
                         raise OutOfRange(f"exponent {e} must be positive")
-                c = ctx.coerce(coeff)
-                if c:
-                    c0 = clean.get(mono)
-                    if c0 is None:
-                        clean[mono] = c
-                    else:
-                        c = (c0 + c) % p
-                        if c:
-                            clean[mono] = c
-                        else:
-                            del clean[mono]
-            self.terms = clean
+                clean[mono] = (clean.get(mono, 0) + ctx.coerce(coeff)) % p
+            terms = clean
+        # _canonical callers pass sorted, in-range monomials with reduced
+        # coefficients in a fresh dict, which the polynomial keeps: no MPoly
+        # mutates its terms
+        if 0 in terms.values():
+            terms = {m: c for m, c in terms.items() if c}
+        self.terms: Dict[Mono, int] = terms
 
     # ---- constructors ----
 
@@ -127,8 +152,7 @@ class MPoly:
 
     @classmethod
     def constant(cls, ctx: FieldCtx, arity: int, c) -> "MPoly":
-        c = ctx.coerce(c)
-        return cls(ctx, arity, {(): c} if c else None, _canonical=True)
+        return cls(ctx, arity, {(): ctx.coerce(c)}, _canonical=True)
 
     @classmethod
     def variable(cls, ctx: FieldCtx, arity: int, i: int) -> "MPoly":
@@ -141,13 +165,8 @@ class MPoly:
         """alpha * x_i + beta."""
         if not 0 <= i < arity:
             raise ArityMismatch(f"variable {i} outside arity {arity}")
-        a, b = ctx.coerce(alpha), ctx.coerce(beta)
-        terms: Dict[Mono, int] = {}
-        if a:
-            terms[((i, 1),)] = a
-        if b:
-            terms[()] = b
-        return cls(ctx, arity, terms, _canonical=True)
+        return cls(ctx, arity, {((i, 1),): ctx.coerce(alpha), (): ctx.coerce(beta)},
+                   _canonical=True)
 
     # ---- structure queries ----
 
@@ -198,14 +217,19 @@ class MPoly:
         return tuple(ctx.coerce(v) for v in assignment)
 
     def eval_raw(self, vals: Sequence[int]) -> int:
-        """Evaluate at a tuple of raw residues (no validation)."""
+        """Evaluate at raw residues (no validation).
+
+        vals holds one residue per slot, or one int64 array per slot (see
+        eval_points); every product is of two residues, so below
+        _NUMPY_P_LIMIT no int64 product reaches 2**60.
+        """
         p = self.ctx.p
         acc = 0
         for mono, c in self.terms.items():
             t = c
             for v, e in mono:
                 x = vals[v]
-                t = t * x % p if e == 1 else t * pow(x, e, p) % p
+                t = t * x % p if e == 1 else t * _pow_mod(x, e, p) % p
             acc += t
         return acc % p
 
@@ -215,30 +239,7 @@ class MPoly:
 
     def eval_batch(self, points: Sequence[Sequence[int]]) -> list[int]:
         """Evaluate at many raw-residue points at once."""
-        if not points:
-            return []
-        if self.ctx.p < _NUMPY_P_LIMIT and len(points) >= 8:
-            return self._eval_batch_np(points)
-        return [self.eval_raw(pt) for pt in points]
-
-    def _eval_batch_np(self, points) -> list[int]:
-        p = self.ctx.p
-        arr = np.asarray(points, dtype=np.int64) % p
-        acc = np.zeros(arr.shape[0], dtype=np.int64)
-        pow_cache: Dict[Tuple[int, int], object] = {}
-        for mono, c in self.terms.items():
-            t = np.full(arr.shape[0], c, dtype=np.int64)
-            for v, e in mono:
-                key = (v, e)
-                col = pow_cache.get(key)
-                if col is None:
-                    col = arr[:, v]
-                    for _ in range(e - 1):
-                        col = col * arr[:, v] % p
-                    pow_cache[key] = col
-                t = t * col % p
-            acc = (acc + t) % p
-        return acc.tolist()
+        return eval_points(self.eval_raw, self.ctx.p, points)
 
     # ---- restriction and derivatives ----
 
@@ -276,15 +277,7 @@ class MPoly:
                         break
             if c:
                 mono = tuple(kept)
-                c0 = out.get(mono)
-                if c0 is None:
-                    out[mono] = c
-                else:
-                    c = (c0 + c) % p
-                    if c:
-                        out[mono] = c
-                    else:
-                        del out[mono]
+                out[mono] = (out.get(mono, 0) + c) % p
         return MPoly(self.ctx, self.arity, out, _canonical=True)
 
     def partial(self, i: int) -> "MPoly":
@@ -335,15 +328,7 @@ class MPoly:
         p = self.ctx.p
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            c0 = out.get(mono)
-            if c0 is None:
-                out[mono] = c
-            else:
-                c = (c0 + c) % p
-                if c:
-                    out[mono] = c
-                else:
-                    del out[mono]
+            out[mono] = (out.get(mono, 0) + c) % p
         return MPoly(self.ctx, self.arity, out, _canonical=True)
 
     def __sub__(self, other):
@@ -353,15 +338,7 @@ class MPoly:
         p = self.ctx.p
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            c0 = out.get(mono)
-            if c0 is None:
-                out[mono] = p - c
-            else:
-                c = (c0 - c) % p
-                if c:
-                    out[mono] = c
-                else:
-                    del out[mono]
+            out[mono] = (out.get(mono, 0) - c) % p
         return MPoly(self.ctx, self.arity, out, _canonical=True)
 
     def __neg__(self):
@@ -379,22 +356,11 @@ class MPoly:
         for m1, c1 in self.terms.items():
             for m2, c2 in items2:
                 m = _mono_mul(m1, m2)
-                c = c1 * c2 % p
-                c0 = out.get(m)
-                if c0 is None:
-                    out[m] = c
-                else:
-                    c = (c0 + c) % p
-                    if c:
-                        out[m] = c
-                    else:
-                        del out[m]
+                out[m] = (out.get(m, 0) + c1 * c2) % p
         return MPoly(self.ctx, self.arity, out, _canonical=True)
 
     def scale(self, c) -> "MPoly":
         c = self.ctx.coerce(c)
-        if c == 0:
-            return MPoly.zero(self.ctx, self.arity)
         p = self.ctx.p
         return MPoly(self.ctx, self.arity,
                      {m: v * c % p for m, v in self.terms.items()}, _canonical=True)
@@ -414,15 +380,7 @@ class MPoly:
                     raise ArityMismatch(f"target slot {w} outside arity {new_arity}")
                 acc[w] = acc.get(w, 0) + e
             m = tuple(sorted(acc.items()))
-            c0 = out.get(m)
-            if c0 is None:
-                out[m] = c
-            else:
-                c = (c0 + c) % p
-                if c:
-                    out[m] = c
-                else:
-                    del out[m]
+            out[m] = (out.get(m, 0) + c) % p
         return MPoly(self.ctx, new_arity, out, _canonical=True)
 
     # ---- ordering, comparison, serialization ----
@@ -535,17 +493,7 @@ def parse_terms(ctx: FieldCtx, arity: int, expr: str) -> MPoly:
     p = ctx.p
     for sign, chunk in chunks:
         mono, c = _parse_term(ctx, arity, chunk)
-        c = c * sign % p
-        c0 = acc.get(mono)
-        if c0 is None:
-            if c:
-                acc[mono] = c
-        else:
-            c = (c0 + c) % p
-            if c:
-                acc[mono] = c
-            else:
-                del acc[mono]
+        acc[mono] = (acc.get(mono, 0) + c * sign) % p
     return MPoly(ctx, arity, acc, _canonical=True)
 
 
@@ -570,9 +518,14 @@ def parse_header(line: str) -> Tuple[int, int]:
     return vals["p"], vals["n"]
 
 
+def content_lines(text: str) -> list[str]:
+    """Lines of an instance file that are neither blank nor '#' comments."""
+    return [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+
+
 def parse_poly_file(text: str) -> MPoly:
     """Parse the on-disk polynomial format: header line, then the terms."""
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = content_lines(text)
     if not lines:
         raise ParseError("empty polynomial file")
     p, n = parse_header(lines[0])
@@ -674,7 +627,5 @@ def random_multilinear(ctx: FieldCtx, n: int, rng: random.Random,
         raise OutOfRange(f"arity {n} outside [0, {max_vars}]")
     terms: Dict[Mono, int] = {}
     for mask in range(1 << n):
-        c = rng.randrange(ctx.p)
-        if c:
-            terms[tuple((v, 1) for v in range(n) if mask >> v & 1)] = c
+        terms[tuple((v, 1) for v in range(n) if mask >> v & 1)] = rng.randrange(ctx.p)
     return MPoly(ctx, n, terms, _canonical=True)

@@ -12,13 +12,12 @@ hash so the corrupted function is a fixed object per key.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import random
 from dataclasses import dataclass
 from typing import FrozenSet, Sequence, Union
-
-import numpy as np
 
 from .errors import (
     ArityMismatch,
@@ -30,7 +29,7 @@ from .errors import (
     guard_scale,
 )
 from .ff import Felt, FieldCtx
-from .mpoly import MPoly, _NUMPY_P_LIMIT, parse_header
+from .mpoly import MPoly, content_lines, eval_points, parse_header
 
 Node = Union["Leaf", "Const", "Gate"]
 
@@ -91,6 +90,7 @@ class Rof:
         return self._vars
 
     def eval_raw(self, vals: Sequence[int]) -> int:
+        """Evaluate at raw residues: one per slot, or one int64 array per slot."""
         p = self.ctx.p
 
         def go(node):
@@ -111,22 +111,7 @@ class Rof:
         return Felt(self.eval_raw(vals), self.ctx)
 
     def eval_batch(self, points: Sequence[Sequence[int]]) -> list[int]:
-        if not points:
-            return []
-        p = self.ctx.p
-        if p >= _NUMPY_P_LIMIT or len(points) < 8:
-            return [self.eval_raw(pt) for pt in points]
-        arr = np.asarray(points, dtype=np.int64) % p
-
-        def go(node):
-            if isinstance(node, Leaf):
-                return (node.alpha * arr[:, node.var] + node.beta) % p
-            if isinstance(node, Const):
-                return np.full(arr.shape[0], node.value, dtype=np.int64)
-            l, r = go(node.left), go(node.right)
-            return (l + r) % p if node.op == "+" else l * r % p
-
-        return go(self.root).tolist()
+        return eval_points(self.eval_raw, self.ctx.p, points)
 
     def expand(self) -> MPoly:
         """Multiply the tree out into its (multilinear) polynomial.
@@ -176,8 +161,7 @@ class Rof:
     @classmethod
     def parse(cls, text: str) -> "Rof":
         """Parse the on-disk formula format: header line, then one s-expression."""
-        lines = [ln for ln in text.splitlines()
-                 if ln.strip() and not ln.lstrip().startswith("#")]
+        lines = content_lines(text)
         if not lines:
             raise ParseError("empty formula file")
         p, n = parse_header(lines[0])
@@ -244,6 +228,7 @@ def _as_rng(rng) -> random.Random:
     return random.Random(rng)
 
 
+@functools.lru_cache(maxsize=None)
 def _catalan(k: int) -> int:
     return math.comb(2 * k, k) // (k + 1)
 
@@ -295,19 +280,15 @@ class Oracle:
     __slots__ = ("ctx", "arity", "query_count", "_fn", "_batch")
 
     def __init__(self, ctx: FieldCtx, arity: int, fn, batch=None):
+        """fn answers one point; batch, a list of points (default: fn on each)."""
         self.ctx = ctx
         self.arity = arity
         self.query_count = 0
         self._fn = fn
-        self._batch = batch
+        self._batch = batch if batch is not None else (lambda pts: [fn(pt) for pt in pts])
 
     def query(self, assignment) -> int:
-        if len(assignment) != self.arity:
-            raise ArityMismatch(
-                f"assignment length {len(assignment)} != arity {self.arity}")
-        pt = tuple(self.ctx.coerce(v) for v in assignment)
-        self.query_count += 1
-        return self._fn(pt)
+        return self.query_many((assignment,))[0]
 
     def query_many(self, points: Sequence[Sequence[int]]) -> list[int]:
         pts = []
@@ -317,9 +298,7 @@ class Oracle:
                     f"assignment length {len(a)} != arity {self.arity}")
             pts.append(tuple(self.ctx.coerce(v) for v in a))
         self.query_count += len(pts)
-        if self._batch is not None:
-            return self._batch(pts)
-        return [self._fn(pt) for pt in pts]
+        return self._batch(pts)
 
 
 def as_oracle(obj) -> Oracle:
@@ -353,7 +332,6 @@ def corrupt_oracle(base: Oracle, delta: float, rng) -> Oracle:
         return (v + 1) % p if corrupted(pt) else v
 
     def batch(pts):
-        vals = base._batch(pts) if base._batch is not None else [base._fn(q) for q in pts]
-        return [(v + 1) % p if corrupted(q) else v for q, v in zip(pts, vals)]
+        return [(v + 1) % p if corrupted(q) else v for q, v in zip(pts, base._batch(pts))]
 
     return Oracle(base.ctx, base.arity, fn, batch)

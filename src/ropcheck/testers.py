@@ -196,9 +196,8 @@ def property_test_once(oracle: Oracle, n: int, rng=0) -> TestReport:
     return _scan_subsets(oracle, n, base, lambda I: [triples[i] for i in I], None, seed)
 
 
-def property_test(oracle: Oracle, n: int, delta: float, rng=0,
-                  K: int = 3) -> TestReport:
-    """Repeat property_test_once ceil(K / (delta + n^-4)) times.
+def property_test(oracle: Oracle, n: int, delta: float, rng=0) -> TestReport:
+    """Repeat property_test_once ceil(3 / (delta + n^-4)) times.
 
     NO as soon as any round rejects; the repeat count R is recorded in the
     report either way.
@@ -206,10 +205,8 @@ def property_test(oracle: Oracle, n: int, delta: float, rng=0,
     _require_coordinates(oracle, n)
     if not 0 < delta <= 1:
         raise InvalidParams(f"delta must be in (0, 1], got {delta}")
-    if K < 1:
-        raise InvalidParams(f"K must be >= 1, got {K}")
     rng, seed = _rng_and_seed(rng)
-    R = math.ceil(K / (delta + float(n) ** -4))
+    R = math.ceil(3 / (delta + float(n) ** -4))
     start = oracle.query_count
     for _ in range(R):
         rep = property_test_once(oracle, n, rng)

@@ -48,7 +48,7 @@ def test_acceptance_1_trivariate_equivalence_exhaustive(announce):
     # over GF(5); the pair-witness criterion must match brute force on each.
     t0 = time.time()
     total = 5**8
-    disagreements = _enum_worker((5, 0, total))
+    disagreements = _enum_worker((5, None, 0, total))
     elapsed = time.time() - t0
     ok = disagreements == 0 and elapsed <= 600
     announce(1, ok,

@@ -247,6 +247,23 @@ def test_experiment_trivariate_enum_sampled(capsys):
     assert out.strip() == "300 cases, 0 disagreements"
 
 
+def test_experiment_trivariate_enum_sampled_independent_of_threads(capsys):
+    outs = []
+    for threads in ("1", "2"):
+        code, out, _ = run(capsys, "experiment", "trivariate-enum", "--p", "5",
+                           "--samples", "200", "--threads", threads)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] == "200 cases, 0 disagreements\n"
+
+
+def test_experiment_qn_fraction_work_guard_exit_2(capsys):
+    # 2**16 assignments times C(16, 3) triples: about ten days of work
+    code, out, err = run(capsys, "experiment", "qn-fraction", "--p", "2", "--n", "16")
+    assert code == 2 and out == ""
+    assert "36700160 triple restrictions in the sweep" in err
+
+
 def test_experiment_trivariate_enum_scale_guard(capsys):
     code, _, err = run(capsys, "experiment", "trivariate-enum", "--p", "11")
     assert code == 2

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from ropcheck.charax import is_locally_rop
+from ropcheck import hardcases
 from ropcheck.decomp import brute_force_is_rop
 from ropcheck.errors import (InvalidParams, ScaleGuardExceeded, TooFewVariables,
                              TooManyVariables)
@@ -122,6 +123,19 @@ def test_local_fraction_validation():
     for threads in (0, -1):
         with pytest.raises(InvalidParams):
             local_rop_fraction(q_n(4, GF5), 0, 0, threads)
+
+
+def test_local_fraction_work_guard(monkeypatch):
+    # assignments * C(n, 3) triple restrictions above the desk-scale limit
+    # are refused before any worker starts
+    def no_workers(*args):
+        raise AssertionError("a worker started")
+
+    monkeypatch.setattr(hardcases, "range_sum", no_workers)
+    with pytest.raises(ScaleGuardExceeded, match="triple restrictions"):
+        local_rop_fraction(q_n(16, GF2), 0, 0)      # 65,536 * 560
+    with pytest.raises(ScaleGuardExceeded, match="triple restrictions"):
+        local_rop_fraction(q_n(4, GF101), 500_001, 0)   # 500,001 * 4
 
 
 def test_sweep_row_csv():

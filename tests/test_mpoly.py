@@ -123,10 +123,26 @@ def test_ring_ops_against_reference():
 
 def test_eval_batch_matches_pointwise():
     rng = random.Random(7)
-    for ctx in (GF5, GF101, FieldCtx(2**61 - 1)):
+    big = FieldCtx(1_073_741_789)           # the largest prime below 2**30
+    for ctx in (GF5, GF101, FieldCtx(2**61 - 1), big):
         P = _random_poly(ctx, 4, rng, terms=8)
         pts = [tuple(rng.randrange(ctx.p) for _ in range(4)) for _ in range(50)]
         assert P.eval_batch(pts) == [P.eval_raw(pt) for pt in pts]
+    # the int64 batch path at its largest modulus, on cubes of the largest
+    # residues: every product must stay below 2**63
+    q = big.p - 1
+    P = parse_terms(big, 3, f"{q}*x1^3*x2 + x2^3*x3^3 + {q}*x3^2 + 5")
+    pts = [(q - t, q, t) for t in range(9)]
+    assert P.eval_batch(pts) == [P.eval_raw(pt) for pt in pts]
+    # a huge exponent costs its bit length, not its value
+    P = parse_terms(big, 2, "x1^1000000007 + 3*x2^3")
+    pts = [(q - t, t) for t in range(8)]
+    expected = [(pow(a, 1000000007, big.p) + 3 * b**3) % big.p for a, b in pts]
+    assert P.eval_batch(pts) == expected
+    assert [P.eval_raw(pt) for pt in pts] == expected
+    # polynomials that do not depend on the point still answer every point
+    assert MPoly.constant(GF101, 2, 7).eval_batch([(t, t) for t in range(9)]) == [7] * 9
+    assert MPoly.zero(GF101, 2).eval_batch([(t, 1) for t in range(8)]) == [0] * 8
 
 
 def test_formal_vs_functional_zero_gf2():

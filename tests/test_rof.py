@@ -1,5 +1,6 @@
 """Formula layer: evaluation, expansion, random generation, oracles."""
 
+import math
 import random
 
 import pytest
@@ -15,7 +16,17 @@ from ropcheck.errors import (
 )
 from ropcheck.ff import FieldCtx
 from ropcheck.mpoly import parse_terms
-from ropcheck.rof import Const, Gate, Leaf, Oracle, Rof, as_oracle, corrupt_oracle, random_rof
+from ropcheck.rof import (
+    Const,
+    Gate,
+    Leaf,
+    Oracle,
+    Rof,
+    _catalan,
+    as_oracle,
+    corrupt_oracle,
+    random_rof,
+)
 
 GF101 = FieldCtx(101)
 
@@ -63,10 +74,14 @@ def test_eval_matches_expansion():
 
 def test_eval_batch_matches_eval():
     rng = random.Random(9)
-    for ctx in (GF101, FieldCtx(2**61 - 1)):
+    # 1_073_741_789 is the largest prime below 2**30, the int64 path's limit
+    for ctx in (GF101, FieldCtx(2**61 - 1), FieldCtx(1_073_741_789)):
         F = random_rof(ctx, 6, rng)
         pts = [tuple(rng.randrange(ctx.p) for _ in range(6)) for _ in range(40)]
         assert F.eval_batch(pts) == [F.eval_raw(pt) for pt in pts]
+    # a formula of constants alone still answers every point
+    K = Rof(GF101, 3, Gate("*", Const(3), Gate("+", Const(5), Const(100))))
+    assert K.eval_batch([(t, 0, 1) for t in range(8)]) == [12] * 8
 
 
 def test_read_once_violation():
@@ -92,6 +107,20 @@ def test_expansion_is_multilinear_and_read_once():
         P = F.expand()
         assert P.is_multilinear()
         assert brute_force_is_rop(P)
+
+
+def test_catalan_numbers_are_computed_once(monkeypatch):
+    # the tree-shape sampler asks for the same Catalan numbers over and
+    # over; each is computed once, from one binomial coefficient
+    calls = []
+    comb = math.comb
+    monkeypatch.setattr(math, "comb", lambda a, b: calls.append(1) or comb(a, b))
+    _catalan.cache_clear()
+    try:
+        random_rof(FieldCtx(1009), 300, 1)
+    finally:
+        _catalan.cache_clear()
+    assert 0 < len(calls) <= 300
 
 
 def test_random_rof_determinism_and_vars():

@@ -187,8 +187,6 @@ def test_property_parameter_validation():
         property_test(orc, 4, 0.0)
     with pytest.raises(InvalidParams):
         property_test(orc, 4, 1.5)
-    with pytest.raises(InvalidParams):
-        property_test(orc, 4, 0.5, K=0)
     with pytest.raises(FieldTooSmall):
         property_test_once(as_oracle(random_rof(FieldCtx(2), 4, 0)), 4)
     with pytest.raises(TooFewVariables):
