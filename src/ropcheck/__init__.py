@@ -30,7 +30,7 @@ from .decomp import (
     witness_is_zero,
 )
 from .errors import Error
-from .ff import MAX_PRIME, Felt, FieldCtx, is_prime
+from .ff import MAX_PRIME, FieldCtx, is_prime
 from .hardcases import (
     BoolFn,
     boolean_f,
@@ -53,7 +53,7 @@ from .testers import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoolFn", "CharacterizeReport", "Error", "Felt", "FieldCtx",
+    "BoolFn", "CharacterizeReport", "Error", "FieldCtx",
     "GoodnessChecker", "INDETERMINATE", "MAX_PRIME", "MPoly", "NO", "Oracle",
     "READ_MANY", "ROP", "Rof", "TestReport", "YES",
     "additive_split", "as_oracle", "boolean_f", "boolean_g",

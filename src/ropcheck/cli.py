@@ -63,6 +63,18 @@ def _read_text(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
+def _write_text(path, text: str):
+    """Write text to path, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_instance(path: str):
     """Polynomial or formula, chosen by the shape of the body line."""
     text = _read_text(path)
@@ -177,11 +189,7 @@ def cmd_gen(args) -> int:
         text = random_rof(ctx, args.n, args.seed, args.vars).to_text()
     else:
         text = random_multilinear(ctx, args.n, random.Random(args.seed)).to_text()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.out, text)
     return EXIT_YES
 
 
@@ -201,12 +209,7 @@ def cmd_experiment_qn_fraction(args) -> int:
         print(json.dumps([dataclasses.asdict(row) for row in rows], sort_keys=True))
     else:
         out_lines = [hardcases.SWEEP_CSV_HEADER] + [r.to_csv_row() for r in rows]
-        text = "\n".join(out_lines) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write_text(args.out, "\n".join(out_lines) + "\n")
     return EXIT_YES
 
 

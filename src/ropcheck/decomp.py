@@ -35,7 +35,6 @@ from .errors import (
     TooManyVariables,
     VariableNotPresent,
 )
-from .ff import Felt
 from .mpoly import MPoly
 
 # The exact witness test's probe point pair, drawn once from a fixed seed so
@@ -115,7 +114,7 @@ class DecompResult:
     no constant is defined.
     """
     decomposable: bool
-    c: Optional[Felt]
+    c: Optional[int]
     degenerate: bool
 
 
@@ -141,7 +140,7 @@ def decompose(P: MPoly, i: int, j: int) -> DecompResult:
     ctx = P.ctx
     c = D.eval_raw(w) * ctx.inv_raw(S.eval_raw(w)) % ctx.p
     if (D - S.scale(c)).is_zero():
-        return DecompResult(True, Felt(c, ctx), False)
+        return DecompResult(True, c, False)
     return DecompResult(False, None, False)
 
 
@@ -263,15 +262,6 @@ class GateGraph:
     vertices: FrozenSet[int]
     edges: FrozenSet[Tuple[int, int]]  # each edge stored as (min, max)
 
-    def neighbors(self, v: int) -> FrozenSet[int]:
-        out = set()
-        for a, b in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return frozenset(out)
-
     def components(self) -> List[FrozenSet[int]]:
         """Connected components, sorted by their smallest vertex."""
         uf = _UnionFind(self.vertices)
@@ -329,7 +319,7 @@ def additive_split(P: MPoly, part) -> Tuple[MPoly, MPoly]:
     return P1, P2
 
 
-def multiplicative_split(P: MPoly, i: int, j: int) -> Tuple[MPoly, MPoly, Felt]:
+def multiplicative_split(P: MPoly, i: int, j: int) -> Tuple[MPoly, MPoly, int]:
     """Exact factors: P = h * g + c with x_i in h only and x_j in g only.
 
     g collects exactly the irreducible factor of P - c containing x_j
@@ -341,7 +331,7 @@ def multiplicative_split(P: MPoly, i: int, j: int) -> Tuple[MPoly, MPoly, Felt]:
     if not res.decomposable:
         raise NotDecomposable(f"pair ({i}, {j}) does not split this polynomial")
     ctx = P.ctx
-    c = res.c.value
+    c = res.c
     Pp = P - MPoly.constant(ctx, P.arity, c)
     # variables tied to j: k stays with j iff the pair (k, j) does not split
     # P - c with constant 0, i.e. its commutator is nonzero
@@ -360,7 +350,7 @@ def multiplicative_split(P: MPoly, i: int, j: int) -> Tuple[MPoly, MPoly, Felt]:
     if h * g + MPoly.constant(ctx, P.arity, c) != P:
         raise NotDecomposable(
             f"pair ({i}, {j}) admits no variable-disjoint factorization")
-    return h, g, Felt(c, ctx)
+    return h, g, c
 
 
 # ---- read-once deciders ----

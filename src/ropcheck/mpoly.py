@@ -40,7 +40,7 @@ from .errors import (
     ParseError,
     SameVariable,
 )
-from .ff import Felt, FieldCtx
+from .ff import FieldCtx
 
 Mono = Tuple[Tuple[int, int], ...]
 
@@ -178,18 +178,6 @@ class MPoly:
                 out.add(v)
         return frozenset(out)
 
-    def individual_degree(self, i: int) -> int:
-        self._check_slot(i)
-        best = 0
-        for mono in self.terms:
-            for v, e in mono:
-                if v == i and e > best:
-                    best = e
-        return best
-
-    def total_degree(self) -> int:
-        return max((_mono_degree(m) for m in self.terms), default=0)
-
     def is_multilinear(self) -> bool:
         for mono in self.terms:
             for _, e in mono:
@@ -200,21 +188,11 @@ class MPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_term(self) -> int:
-        return self.terms.get((), 0)
-
     def _check_slot(self, i: int):
         if not 0 <= i < self.arity:
             raise ArityMismatch(f"variable {i} outside arity {self.arity}")
 
     # ---- evaluation ----
-
-    def _coerce_point(self, assignment) -> Tuple[int, ...]:
-        if len(assignment) != self.arity:
-            raise ArityMismatch(
-                f"assignment length {len(assignment)} != arity {self.arity}")
-        ctx = self.ctx
-        return tuple(ctx.coerce(v) for v in assignment)
 
     def eval_raw(self, vals: Sequence[int]) -> int:
         """Evaluate at raw residues (no validation).
@@ -233,9 +211,12 @@ class MPoly:
             acc += t
         return acc % p
 
-    def evaluate(self, assignment) -> Felt:
-        """Evaluate at an assignment (sequence of int or Felt, full arity)."""
-        return Felt(self.eval_raw(self._coerce_point(assignment)), self.ctx)
+    def evaluate(self, assignment) -> int:
+        """Residue at an assignment of int representatives, full arity."""
+        if len(assignment) != self.arity:
+            raise ArityMismatch(
+                f"assignment length {len(assignment)} != arity {self.arity}")
+        return self.eval_raw([self.ctx.coerce(v) for v in assignment])
 
     def eval_batch(self, points: Sequence[Sequence[int]]) -> list[int]:
         """Evaluate at many raw-residue points at once."""
@@ -578,7 +559,7 @@ def interpolate_grid(ctx: FieldCtx, axes: Sequence[Sequence[int]],
     """Interpolate a polynomial of arity len(axes) from a full product grid.
 
     axes[t] lists the distinct node values for slot t; samples maps each
-    grid point (one coordinate per axis, raw residues or Felt) to a value.
+    grid point (one raw residue per axis) to a value.
     The result is the unique polynomial of degree below len(axes[t]) in
     each slot t that matches every sample.
     """

@@ -28,7 +28,7 @@ from .errors import (
     ReadOnceViolation,
     guard_scale,
 )
-from .ff import Felt, FieldCtx
+from .ff import FieldCtx
 from .mpoly import MPoly, content_lines, eval_points, parse_header
 
 Node = Union["Leaf", "Const", "Gate"]
@@ -103,12 +103,11 @@ class Rof:
 
         return go(self.root)
 
-    def eval(self, assignment) -> Felt:
+    def eval(self, assignment) -> int:
         if len(assignment) != self.arity:
             raise ArityMismatch(
                 f"assignment length {len(assignment)} != arity {self.arity}")
-        vals = [self.ctx.coerce(v) for v in assignment]
-        return Felt(self.eval_raw(vals), self.ctx)
+        return self.eval_raw([self.ctx.coerce(v) for v in assignment])
 
     def eval_batch(self, points: Sequence[Sequence[int]]) -> list[int]:
         return eval_points(self.eval_raw, self.ctx.p, points)

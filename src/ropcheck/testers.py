@@ -153,6 +153,7 @@ def read_once_test(oracle: Oracle, n: int, d: int, epsilon: float = 0.25,
     p = oracle.ctx.p
     if p < d + 1:
         raise FieldTooSmall(f"interpolation on {d + 1} nodes needs p >= {d + 1}")
+    guard_scale((d + 1) ** min(n, 3), "grid points per subset")
     if not 0 < epsilon < 1:
         raise InvalidParams(f"epsilon must be in (0, 1), got {epsilon}")
     rng, seed = _rng_and_seed(rng)

@@ -2,6 +2,7 @@
 
 import json
 
+from ropcheck import testers
 from ropcheck.cli import main
 from ropcheck.mpoly import MPoly, parse_poly_file
 
@@ -119,6 +120,15 @@ def test_malformed_file_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_unwritable_out_path_exit_2(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    for argv in (("gen", "qn", "--n", "4"),
+                 ("experiment", "qn-fraction", "--p", "5", "--n", "4")):
+        code, out, err = run(capsys, *argv, "--out", str(missing / "x.txt"))
+        assert code == 2 and out == "", argv
+        assert "error: cannot write" in err and "Traceback" not in err
+
+
 def test_non_multilinear_exit_3(tmp_path, capsys):
     path = tmp_path / "sq.txt"
     path.write_text("field p=101 n=2\nx1^2 + x2\n")
@@ -174,6 +184,21 @@ def test_blackbox_rejects_hard_case(tmp_path, capsys):
             assert doc["failure_kind"] in ("NOT_ROP", "NOT_MULTILINEAR")
             return
     raise AssertionError("no rejection in 5 seeds")
+
+
+def test_blackbox_refuses_oversized_grid(tmp_path, capsys, monkeypatch):
+    # --degree 1000 over GF(1009) passes the field-size check, but its
+    # 1001^3-point grids would not fit in memory
+    def no_grids(*args):
+        raise AssertionError("the scan ran past the grid scale guard")
+
+    monkeypatch.setattr(testers, "_grid_check", no_grids)
+    path = tmp_path / "q5.txt"
+    main(["gen", "qn", "--p", "1009", "--n", "5", "--out", str(path)])
+    capsys.readouterr()
+    code, out, err = run(capsys, "blackbox", str(path), "--degree", "1000")
+    assert code == 2 and out == ""
+    assert "1003003001 grid points per subset" in err and "Traceback" not in err
 
 
 def test_blackbox_repeat_reports_rate(tmp_path, capsys):

@@ -210,7 +210,6 @@ def test_gate_graph_structure():
     G = gate_graph(P)
     assert G.vertices == frozenset({0, 1, 2})
     assert G.edges == frozenset({(0, 1), (1, 2)})
-    assert G.neighbors(1) == frozenset({0, 2})
     assert G.is_connected()
     H = G.without_vertex(1)
     assert H.vertices == frozenset({0, 2})

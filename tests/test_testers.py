@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from ropcheck import errors
 from ropcheck.decomp import brute_force_is_rop
 from ropcheck.errors import (
     ArityMismatch,
@@ -34,6 +35,14 @@ from ropcheck.testers import (
 GF1009 = FieldCtx(1009)
 E2 = parse_terms(GF1009, 3, "x1*x2 + x2*x3 + x1*x3")
 NULLARY = as_oracle(parse_terms(GF1009, 0, "7"))
+
+
+class Queried(Exception):
+    pass
+
+
+def refuse(pts):
+    raise Queried
 
 
 def test_one_sided_on_read_once_formulas():
@@ -115,12 +124,6 @@ def test_parameter_validation():
 def test_subset_scan_scale_guard():
     # C(229,3) = 1,975,354 subsets pass the 2,000,000 limit and the scan
     # reaches its first grid query; C(230,3) = 2,001,460 do not
-    class Queried(Exception):
-        pass
-
-    def refuse(pts):
-        raise Queried
-
     for n in (229, 230, 100000):
         orc = Oracle(GF1009, n, refuse, refuse)
         want = Queried if n == 229 else ScaleGuardExceeded
@@ -130,6 +133,17 @@ def test_subset_scan_scale_guard():
             property_test(orc, n, 0.5)
     # tau_estimate scans no subsets and takes no guard
     assert tau_estimate(Oracle(GF1009, 230, lambda pt: 0), 230, 5).fraction == 0.0
+
+
+def test_grid_scale_guard(monkeypatch):
+    # with the limit at 27, a 3^3 grid reaches its first query and a 4^3
+    # grid is refused before any point is built
+    monkeypatch.setattr(errors, "EXHAUSTIVE_LIMIT", 27)
+    orc = Oracle(GF1009, 3, refuse, refuse)
+    with pytest.raises(Queried):
+        read_once_test(orc, 3, 2)
+    with pytest.raises(ScaleGuardExceeded, match="grid points per subset"):
+        read_once_test(orc, 3, 3)
 
 
 def test_recommended_field_size():
