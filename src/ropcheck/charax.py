@@ -19,7 +19,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .decomp import _commutator, trivariate_is_rop, witness_is_zero
 from .errors import (ArityMismatch, FieldTooSmall, InvalidParams, NotMultilinear,
@@ -161,19 +161,69 @@ def is_good_assignment(P: MPoly, a) -> GoodnessReport:
     return GoodnessChecker(P).check(a)
 
 
+def _shifted_coefficients(P: MPoly, a) -> Dict[int, int]:
+    """The mixed partials d_T P(a) for every |T| <= 3, keyed by T's bit mask.
+
+    They are the coefficients of P(a + u) in u.  A monomial c * x^m adds
+    c * prod(a_v : v in m - T) to d_T P(a) for every T inside m; the product
+    vanishes unless T holds every slot of m where a is 0, so a monomial with
+    more than 3 such slots adds nothing.  Entries that receive nothing are
+    absent, and values are left unreduced.
+    """
+    p = P.ctx.p
+    inv = [pow(v, p - 2, p) if v else 0 for v in a]
+    table: Dict[int, int] = {}
+    for mono, c in P.terms.items():
+        zero_mask = zeros = 0
+        live = []
+        for v, _ in mono:
+            if a[v]:
+                c = c * a[v] % p
+                live.append((1 << v, inv[v]))
+            else:
+                zero_mask |= 1 << v
+                zeros += 1
+        if zeros > 3:
+            continue
+        # grow the subsets T of the monomial that hold its zero slots, one
+        # live slot at a time: taking v into T divides its factor a_v out
+        subsets = [(zero_mask, c, zeros)]
+        for b, w in live:
+            subsets += [(mask | b, val * w % p, size + 1)
+                        for mask, val, size in subsets if size < 3]
+        for mask, val, _ in subsets:
+            table[mask] = table.get(mask, 0) + val
+    return table
+
+
 def is_locally_rop(P: MPoly, a) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
     """All C(n,3) trivariate restrictions at a read-once?
 
-    Subsets are scanned in lexicographic order and the first failing one is
-    returned as the witness.  Fewer than 3 variables: trivially read-once.
+    The restriction to a triple I, written in shifted coordinates
+    x_k = a_k + u_k, is the 8-term polynomial with coefficients
+    {d_S P(a) : S inside I}; one pass over P's terms tabulates them all.  A
+    one-variable affine shift keeps a formula read-once, so each triple gets
+    the verdict of its restriction.  Subsets are scanned in lexicographic
+    order and the first failing one is returned as the witness.  Fewer than
+    3 variables: trivially read-once.
     """
     _require_multilinear(P)
     n = P.arity
     if n < 3:
         return True, None
+    if len(a) != n:
+        raise ArityMismatch(f"assignment length {len(a)} != arity {n}")
+    ctx = P.ctx
+    p = ctx.p
+    table = _shifted_coefficients(P, [ctx.coerce(v) for v in a])
     for I in itertools.combinations(range(n), 3):
-        rest = [k for k in range(n) if k not in I]
-        if not trivariate_is_rop(P.restrict_many(rest, a)):
+        # the 8 subsets S of I, as bit masks and as monomials
+        masks, monos = [0], [()]
+        for v in I:
+            masks += [mask | 1 << v for mask in masks]
+            monos += [mono + ((v, 1),) for mono in monos]
+        terms = {mono: table.get(mask, 0) % p for mono, mask in zip(monos, masks)}
+        if not trivariate_is_rop(MPoly(ctx, n, terms, _canonical=True)):
             return False, I
     return True, None
 

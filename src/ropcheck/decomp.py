@@ -360,7 +360,12 @@ def trivariate_is_rop(P: MPoly) -> bool:
 
     With one or two live variables every multilinear polynomial is
     read-once.  With three, P is read-once iff at least two of the three
-    pair witnesses vanish identically.
+    pair witnesses vanish identically, each decided from the 8 coefficients
+    c[S], S a subset of the live variables.  For a pair (x, y) with third
+    variable z write P = A*x*y + B*x + C*y + E with A, B, C, E affine in z,
+    A = A1*z + A0 and so on; then D = A*E - B*C = D2*z^2 + D1*z + D0, and the
+    witness D(z)*A(z') - A(z)*D(z') vanishes iff A == 0, or D2 == 0 and
+    D1*A0 == D0*A1, that is, D is a constant multiple of A.
     """
     _require_multilinear(P)
     vs = sorted(P.variables())
@@ -368,9 +373,21 @@ def trivariate_is_rop(P: MPoly) -> bool:
         raise TooManyVariables(f"{len(vs)} live variables, trivariate test needs <= 3")
     if len(vs) <= 2:
         return True
+    bit = {v: 1 << t for t, v in enumerate(vs)}
+    c = [0] * 8
+    for mono, coeff in P.terms.items():
+        c[sum(bit[v] for v, _ in mono)] = coeff
+    p = P.ctx.p
     zeros = 0
-    for a, b in itertools.combinations(vs, 2):
-        if witness_is_zero(P, a, b):
+    for x, y, z in ((1, 2, 4), (1, 4, 2), (2, 4, 1)):
+        A1, A0 = c[x | y | z], c[x | y]
+        B1, B0 = c[x | z], c[x]
+        C1, C0 = c[y | z], c[y]
+        E1, E0 = c[z], c[0]
+        D2 = A1 * E1 - B1 * C1
+        D1 = A1 * E0 + A0 * E1 - B1 * C0 - B0 * C1
+        D0 = A0 * E0 - B0 * C0
+        if not (A1 or A0) or (D2 % p == 0 and (D1 * A0 - D0 * A1) % p == 0):
             zeros += 1
     return zeros >= 2
 

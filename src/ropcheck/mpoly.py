@@ -21,7 +21,8 @@ lexicographic order, highest first.
 
 from __future__ import annotations
 
-import itertools
+import functools
+import math
 import random
 from typing import Dict, FrozenSet, Iterable, Mapping, Sequence, Tuple
 
@@ -51,11 +52,14 @@ _NUMPY_P_LIMIT = 2**30
 def eval_points(eval_raw, p: int, points: Sequence[Sequence[int]]) -> list[int]:
     """eval_raw's value at each raw-residue point.
 
+    points is a list of points or an integer array with one row per point.
     Below _NUMPY_P_LIMIT, 8 or more points go to eval_raw in one call, as
     one int64 column per slot; a result that does not depend on the point
     is broadcast to every point.
     """
     if p >= _NUMPY_P_LIMIT or len(points) < 8:
+        if isinstance(points, np.ndarray):
+            points = points.tolist()
         return [eval_raw(pt) for pt in points]
     columns = (np.asarray(points, dtype=np.int64) % p).T
     return np.broadcast_to(eval_raw(columns), len(points)).tolist()
@@ -524,13 +528,17 @@ def parse_poly_file(text: str) -> MPoly:
 
 # ---- interpolation ----
 
-def _basis_matrix(ctx: FieldCtx, xs: Sequence[int]) -> list[list[int]]:
+@functools.lru_cache(maxsize=64)
+def _basis_matrix(p: int, xs: Tuple[int, ...]) -> np.ndarray:
     """M with M[t][k] = coefficient of X^t in the Lagrange basis poly L_k.
 
     Then for values f(xs[k]), coefficient t of the interpolant is
-    sum_k M[t][k] * f(xs[k]).
+    sum_k M[t][k] * f(xs[k]).  A row times a column of residues sums len(xs)
+    products of two residues; int64 holds that sum exactly below 2**62, and
+    above it M is an object array of Python ints.  Memoized per (p, nodes),
+    since the read-once tester interpolates every subset on the same nodes;
+    the returned array is read-only.
     """
-    p = ctx.p
     m = len(xs)
     M = [[0] * m for _ in range(m)]
     for k in range(m):
@@ -548,50 +556,46 @@ def _basis_matrix(ctx: FieldCtx, xs: Sequence[int]) -> list[list[int]]:
         for j in range(m):
             if j != k:
                 denom = denom * (xs[k] - xs[j]) % p
-        dinv = ctx.inv_raw(denom)
+        dinv = pow(denom, p - 2, p)
         for t in range(m):
             M[t][k] = num[t] * dinv % p
-    return M
+    out = np.array(M, dtype=np.int64 if m * (p - 1) * (p - 1) < 2**62 else object)
+    out.flags.writeable = False
+    return out
 
 
 def interpolate_grid(ctx: FieldCtx, axes: Sequence[Sequence[int]],
-                     samples: Mapping[tuple, int]) -> MPoly:
+                     values: Sequence[int]) -> MPoly:
     """Interpolate a polynomial of arity len(axes) from a full product grid.
 
-    axes[t] lists the distinct node values for slot t; samples maps each
-    grid point (one raw residue per axis) to a value.
-    The result is the unique polynomial of degree below len(axes[t]) in
-    each slot t that matches every sample.
+    axes[t] lists the distinct node values for slot t; values holds the
+    sample at every grid point, in itertools.product(*axes) order (a list or
+    an integer array).  The result is the unique polynomial of degree below
+    len(axes[t]) in each slot t that matches every sample.
     """
     if not 1 <= len(axes) <= 3:
         raise InvalidParams(f"grid interpolation supports 1..3 axes, got {len(axes)}")
     p = ctx.p
     ax = []
     for pts in axes:
-        vals = [ctx.coerce(v) for v in pts]
-        if not vals:
+        nodes = tuple(int(v) % p for v in pts)
+        if not nodes:
             raise EmptySampleSet("each axis needs at least one node")
-        if len(set(vals)) != len(vals):
+        if len(set(nodes)) != len(nodes):
             raise DuplicateNode(f"axis nodes must be distinct: {pts}")
-        ax.append(vals)
-    values = []
-    for point in itertools.product(*ax):
-        v = samples.get(point)
-        if v is None:
-            raise IncompleteGrid(f"missing sample at {point}")
-        values.append(ctx.coerce(v))
-
-    dims = [len(a) for a in ax]
-    # A contraction sums max(dims) products of two residues; int64 holds that
-    # sum exactly below 2**62, and object arrays of Python ints hold it always.
-    dtype = np.int64 if max(dims) * (p - 1) * (p - 1) < 2**62 else object
-    C = np.array(values, dtype=dtype).reshape(dims)
-    for axis, nodes in enumerate(ax):
-        M = np.array(_basis_matrix(ctx, nodes), dtype=dtype)
-        C = np.tensordot(M, C, axes=([1], [axis])) % p
-    # each tensordot moves the transformed axis to the front, so after all
-    # steps the axes are reversed
-    C = np.transpose(C)
+        ax.append(nodes)
+    dims = [len(nodes) for nodes in ax]
+    if len(values) != math.prod(dims):
+        raise IncompleteGrid(
+            f"{len(values)} samples for a grid of {math.prod(dims)} points")
+    # np.asarray keeps ints beyond int64 as objects, so the reduction is exact,
+    # and residues below 2**61 fit int64
+    C = (np.asarray(values) % p).astype(np.int64)
+    # transform the leading axis, then rotate it to the back; after one step
+    # per axis the axes are back in order
+    for nodes in ax:
+        C = (_basis_matrix(p, nodes) @ C.reshape(len(nodes), -1) % p).T
+    C = C.reshape(dims)
     # np.nonzero lists indices in row-major order, which fixes the term order
     nonzero = np.nonzero(C)
     terms: Dict[Mono, int] = {}

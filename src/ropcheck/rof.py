@@ -19,6 +19,8 @@ import random
 from dataclasses import dataclass
 from typing import FrozenSet, Sequence, Union
 
+import numpy as np
+
 from .errors import (
     ArityMismatch,
     InvalidParams,
@@ -29,7 +31,7 @@ from .errors import (
     guard_scale,
 )
 from .ff import FieldCtx
-from .mpoly import MPoly, content_lines, eval_points, parse_header
+from .mpoly import _NUMPY_P_LIMIT, MPoly, content_lines, eval_points, parse_header
 
 Node = Union["Leaf", "Const", "Gate"]
 
@@ -273,29 +275,58 @@ def random_rof(ctx: FieldCtx, n: int, rng, vars_used: int | None = None) -> Rof:
     return Rof(ctx, n, build(shape))
 
 
+def _point_tuples(points):
+    """The points as tuples of ints, from a list of tuples or an int array."""
+    if isinstance(points, np.ndarray):
+        return list(map(tuple, points.tolist()))
+    return points
+
+
 class Oracle:
     """Counting black box from assignments to field residues."""
 
     __slots__ = ("ctx", "arity", "query_count", "_fn", "_batch")
 
     def __init__(self, ctx: FieldCtx, arity: int, fn, batch=None):
-        """fn answers one point; batch, a list of points (default: fn on each)."""
+        """fn answers one point, a tuple of residues; batch answers many.
+
+        batch receives a list of such tuples, or below 2**30 possibly an
+        (N, arity) int64 array of residues (default: fn on each point).
+        """
         self.ctx = ctx
         self.arity = arity
         self.query_count = 0
         self._fn = fn
-        self._batch = batch if batch is not None else (lambda pts: [fn(pt) for pt in pts])
+        self._batch = (batch if batch is not None
+                       else (lambda pts: [fn(pt) for pt in _point_tuples(pts)]))
 
     def query(self, assignment) -> int:
         return self.query_many((assignment,))[0]
 
-    def query_many(self, points: Sequence[Sequence[int]]) -> list[int]:
-        pts = []
-        for a in points:
-            if len(a) != self.arity:
+    def query_many(self, points) -> list[int]:
+        """Answer a sequence of points, or an integer array with one row each.
+
+        An array is reduced mod p in one step; above 2**30 its rows become
+        tuples of Python ints, since int64 products of residues overflow
+        there.
+        """
+        p = self.ctx.p
+        if isinstance(points, np.ndarray):
+            if points.ndim != 2 or points.shape[1] != self.arity:
                 raise ArityMismatch(
-                    f"assignment length {len(a)} != arity {self.arity}")
-            pts.append(tuple(self.ctx.coerce(v) for v in a))
+                    f"point array of shape {points.shape} for arity {self.arity}")
+            if points.dtype.kind not in "iuO":
+                raise InvalidParams(f"points must be integers, got {points.dtype}")
+            pts = (points % p).astype(np.int64)
+            if p >= _NUMPY_P_LIMIT:
+                pts = _point_tuples(pts)
+        else:
+            pts = []
+            for a in points:
+                if len(a) != self.arity:
+                    raise ArityMismatch(
+                        f"assignment length {len(a)} != arity {self.arity}")
+                pts.append(tuple(self.ctx.coerce(v) for v in a))
         self.query_count += len(pts)
         return self._batch(pts)
 
@@ -331,6 +362,7 @@ def corrupt_oracle(base: Oracle, delta: float, rng) -> Oracle:
         return (v + 1) % p if corrupted(pt) else v
 
     def batch(pts):
-        return [(v + 1) % p if corrupted(q) else v for q, v in zip(pts, base._batch(pts))]
+        return [(v + 1) % p if corrupted(q) else v
+                for q, v in zip(_point_tuples(pts), base._batch(pts))]
 
     return Oracle(base.ctx, base.arity, fn, batch)

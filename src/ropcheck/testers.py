@@ -23,6 +23,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+import numpy as np
+
 from .decomp import trivariate_is_rop
 from .errors import (
     ArityMismatch,
@@ -103,24 +105,38 @@ def _subsets(n: int):
     return [tuple(range(n))]
 
 
-def _grid_check(oracle: Oracle, base, I, axes, store):
-    """Query the grid over I, interpolate, and classify the restriction."""
-    combos = list(itertools.product(*axes))
-    pts = []
-    for combo in combos:
-        pt = list(base)
-        for slot, v in zip(I, combo):
-            pt[slot] = v
-        pts.append(tuple(pt))
+def _grid_values(oracle: Oracle, grid, base, I, store) -> list:
+    """Oracle values on the grid's rows, through the store when there is one.
+
+    Another subset's grid shares a point with this one only if one of the
+    point's I-coordinates equals the base point's, so only such points are
+    stored and looked up; every other point is queried exactly once.
+    """
     if store is None:
-        vals = oracle.query_many(pts)
-    else:
-        missing = [pt for pt in pts if pt not in store]
-        if missing:
-            for pt, v in zip(missing, oracle.query_many(missing)):
-                store[pt] = v
-        vals = [store[pt] for pt in pts]
-    Q = interpolate_grid(oracle.ctx, axes, dict(zip(combos, vals)))
+        return oracle.query_many(grid)
+    rows = np.flatnonzero((grid[:, I] == [base[i] for i in I]).any(axis=1))
+    keys = list(map(tuple, grid[rows].tolist()))
+    hit = np.zeros(len(grid), dtype=bool)
+    hit[rows] = [key in store for key in keys]
+    vals = np.empty(len(grid), dtype=object)
+    vals[~hit] = oracle.query_many(grid[~hit])
+    vals[hit] = [store[key] for key, h in zip(keys, hit[rows]) if h]
+    store.update(zip(keys, vals[rows].tolist()))
+    return vals.tolist()
+
+
+def _grid_check(oracle: Oracle, base, I, axes, store):
+    """Query the grid over I, interpolate, and classify the restriction.
+
+    The grid is the base point with the I columns running over the axes, in
+    itertools.product(*axes) order.
+    """
+    grid = np.empty([len(axis) for axis in axes] + [len(base)], dtype=np.int64)
+    grid[:] = base
+    for slot, column in zip(I, np.meshgrid(*axes, indexing="ij", sparse=True)):
+        grid[..., slot] = column
+    grid = grid.reshape(-1, len(base))
+    Q = interpolate_grid(oracle.ctx, axes, _grid_values(oracle, grid, base, I, store))
     if not Q.is_multilinear():
         return NOT_MULTILINEAR
     if not trivariate_is_rop(Q):

@@ -158,6 +158,47 @@ def test_is_locally_rop_accepts_formulas():
         assert ok and witness is None
 
 
+def _locally_rop_by_restriction(P, a):
+    """Reference: restrict P to each triple in lex order, decide by brute force."""
+    n = P.arity
+    for I in itertools.combinations(range(n), 3):
+        rest = [k for k in range(n) if k not in I]
+        if not brute_force_is_rop(P.restrict_many(rest, a)):
+            return False, I
+    return True, None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 1009])
+def test_is_locally_rop_matches_restriction_reference(p):
+    ctx = FieldCtx(p)
+    rng = random.Random(p)
+    rejected = 0
+    for n in range(3, 9):
+        polys = [q_n(n, ctx), random_rof(ctx, n, rng).expand(),
+                 random_rof(ctx, n, rng).expand(), random_multilinear(ctx, n, rng)]
+        for P in polys:
+            # 0, 1, 2, 3 and more than 3 zero coordinates, written as 0 or as
+            # a multiple of p; the other coordinates nonzero residues, written
+            # as they are, negative or at least p
+            for zeros in sorted({0, 1, 2, 3, min(4, n), n}):
+                a = [rng.randrange(1, p) + p * rng.choice((0, 0, -2, 1, 3))
+                     for _ in range(n)]
+                for k in rng.sample(range(n), zeros):
+                    a[k] = p * rng.choice((0, 0, -1, 2))
+                got = is_locally_rop(P, a)
+                assert got == _locally_rop_by_restriction(P, a)
+                rejected += not got[0]
+                # the triples are decided on the mixed partials d_T P(a)
+                table = charax._shifted_coefficients(P, [v % p for v in a])
+                for k in range(4):
+                    for T in itertools.combinations(range(n), k):
+                        D = P
+                        for v in T:
+                            D = D.partial(v)
+                        assert table.get(sum(1 << v for v in T), 0) % p == D.evaluate(a)
+    assert rejected > 0
+
+
 def test_is_locally_rop_rejects_hard_case_at_generic_point():
     Q4 = q_n(4, GF101)
     ok, witness = is_locally_rop(Q4, (3, 4, 5, 6))

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from ropcheck.errors import (
@@ -322,20 +323,26 @@ def test_interpolation_round_trip():
             P = P + MPoly(ctx, k, {mono: rng.randrange(ctx.p)})
         axes = [random.Random(rng.random()).sample(range(ctx.p), degs[v] + 1)
                 for v in range(k)]
-        samples = {pt: P.eval_raw(pt) for pt in itertools.product(*axes)}
-        assert interpolate_grid(ctx, axes, samples) == P
+        values = [P.eval_raw(pt) for pt in itertools.product(*axes)]
+        assert interpolate_grid(ctx, axes, values) == P
+        # unreduced representatives, as a list or as an array, give the same
+        shifted = [v - 3 * ctx.p for v in values]
+        assert interpolate_grid(ctx, axes, shifted) == P
+        assert interpolate_grid(ctx, axes, np.array(shifted, dtype=np.int64)) == P
 
 
 def test_interpolation_errors():
     axes = [(0, 1), (0, 1)]
-    full = {pt: 1 for pt in itertools.product(*axes)}
-    part = dict(list(full.items())[:3])
-    with pytest.raises(IncompleteGrid):
-        interpolate_grid(GF101, axes, part)
+    full = [1] * 4
+    for wrong in (full[:3], full + [1], []):
+        with pytest.raises(IncompleteGrid):
+            interpolate_grid(GF101, axes, wrong)
     with pytest.raises(DuplicateNode):
         interpolate_grid(GF101, [(0, 0), (0, 1)], full)
+    with pytest.raises(DuplicateNode):
+        interpolate_grid(GF101, [(0, 101), (0, 1)], full)
     with pytest.raises(EmptySampleSet):
-        interpolate_grid(GF101, [(), (0, 1)], {})
+        interpolate_grid(GF101, [(), (0, 1)], [])
     for k in (0, 4):
         with pytest.raises(InvalidParams):
             interpolate_grid(GF101, [(0, 1)] * k, full)

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from ropcheck import errors
@@ -177,6 +178,51 @@ def test_as_oracle_counts_queries():
     assert orc.query_count == 3
     with pytest.raises(ArityMismatch):
         orc.query((1, 2))
+
+
+@pytest.mark.parametrize("p", [101, 2**31 - 1, 2**61 - 1])
+def test_query_many_array_matches_point_list(p):
+    ctx = FieldCtx(p)
+    rng = random.Random(p % 1000)
+    n = 4
+    rows = [[rng.randrange(-p, 2 * p) if rng.random() < 0.3 else rng.randrange(p)
+             for _ in range(n)] for _ in range(40)]
+    array = np.array(rows, dtype=np.int64)
+    F = random_rof(ctx, n, rng)
+    P = F.expand() * F.expand()   # degree 2 per slot: big products at large p
+    for obj in (F, P):
+        for make in (as_oracle, lambda o: corrupt_oracle(as_oracle(o), 0.5, 9)):
+            a, b = make(obj), make(obj)
+            want = a.query_many([tuple(r) for r in rows])
+            assert b.query_many(array) == want
+            assert a.query_count == b.query_count == 40
+            # fewer than 8 points take the point-by-point path
+            assert b.query_many(array[:3]) == want[:3]
+            assert all(type(v) is int and 0 <= v < p for v in want)
+        assert as_oracle(obj).query_many(array) == [obj.eval_raw([v % p for v in r])
+                                                    for r in rows]
+
+
+def test_query_many_array_validation():
+    orc = as_oracle(_example())
+    for bad in (np.zeros((2, 2), dtype=np.int64), np.zeros((2, 4), dtype=np.int64),
+                np.zeros(3, dtype=np.int64)):
+        with pytest.raises(ArityMismatch):
+            orc.query_many(bad)
+    with pytest.raises(InvalidParams):
+        orc.query_many(np.zeros((2, 3)))
+    assert orc.query_count == 0
+    # a plain oracle's point function sees tuples of ints, as for a list
+    seen = []
+    plain = Oracle(GF101, 2, lambda pt: seen.append(pt) or 0)
+    plain.query_many(np.array([[1, 2], [3, 104]]))
+    assert seen == [(1, 2), (3, 3)] and all(type(v) is int for pt in seen for v in pt)
+    # above 2**30 a batch function gets Python ints, whose products stay exact
+    p = 2**61 - 1
+    batches = []
+    big = Oracle(FieldCtx(p), 2, None, lambda pts: batches.append(pts) or [0] * len(pts))
+    big.query_many(np.array([[p - 1, -1]] * 8, dtype=np.int64))
+    assert batches == [[(p - 1, p - 1)] * 8]
 
 
 def test_as_oracle_accepts_poly():

@@ -1,11 +1,12 @@
 """Black-box testers: one-sidedness, rejection, query accounting, determinism."""
 
+import itertools
 import math
 import random
 
 import pytest
 
-from ropcheck import errors
+from ropcheck import errors, testers
 from ropcheck.decomp import brute_force_is_rop
 from ropcheck.errors import (
     ArityMismatch,
@@ -103,6 +104,50 @@ def test_query_count_exact_without_cache():
     assert rep.queries == math.comb(5, 3) * 4**3
     cached = read_once_test(as_oracle(F), 5, 3, 0.25, 1, cache=True)
     assert cached.queries <= rep.queries
+
+
+def _grid_union(n, d, base):
+    """Every point on some subset's grid, as Python tuples."""
+    union = set()
+    for I in itertools.combinations(range(n), 3):
+        for combo in itertools.product(range(d + 1), repeat=3):
+            pt = list(base)
+            for slot, v in zip(I, combo):
+                pt[slot] = v
+            union.add(tuple(pt))
+    return union
+
+
+def test_cache_queries_each_point_of_the_grid_union_once():
+    d = 4
+    hits = 0
+    for p in (7, 11, 13):
+        ctx = FieldCtx(p)
+        for n in range(3, 7):
+            for seed in range(3):
+                F = random_rof(ctx, n, random.Random(p * n + seed))
+                rep = read_once_test(as_oracle(F), n, d, 0.25, seed)
+                assert rep.verdict == YES
+                rng = random.Random(seed)
+                union = _grid_union(n, d, [rng.randrange(p) for _ in range(n)])
+                assert rep.queries == len(union)
+                hits += rep.queries < math.comb(n, 3) * (d + 1) ** 3
+    assert hits > 0
+
+
+def test_cache_stores_only_points_another_grid_can_hold():
+    p, n, d = 7, 6, 4
+    orc = as_oracle(random_rof(FieldCtx(p), n, 8))
+    base = [3, 0, 5, 1, 6, 2]
+    axis = list(range(d + 1))
+    store = {}
+    for I in itertools.combinations(range(n), 3):
+        before = set(store)
+        assert testers._grid_check(orc, base, I, [axis] * 3, store) is None
+        new = set(store) - before
+        assert all(any(pt[i] == base[i] for i in I) for pt in new)
+    assert store
+    assert orc.query_count == len(_grid_union(n, d, base))
 
 
 def test_parameter_validation():
