@@ -19,9 +19,10 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
-from .decomp import _commutator, trivariate_is_rop, witness_is_zero
+from .decomp import (_is_multilinear, _pair_split, _shifted_coefficients, trivariate_is_rop,
+                     witness_is_zero)
 from .errors import (ArityMismatch, FieldTooSmall, InvalidParams, NotMultilinear,
                      guard_scale)
 from .mpoly import MPoly
@@ -61,7 +62,7 @@ class GoodnessReport:
 
 
 def _require_multilinear(P: MPoly):
-    if not P.is_multilinear():
+    if not _is_multilinear(P):
         raise NotMultilinear("certification needs a multilinear polynomial")
 
 
@@ -95,16 +96,18 @@ def certificate_multiplicands(P: MPoly) -> List[Multiplicand]:
 
 
 class GoodnessChecker:
-    """Reusable certifier: zero tags and partials once, then one check per
-    assignment.
+    """Reusable certifier: zero tags once, then one check per assignment.
 
-    No witness polynomial is precomputed.  check restricts first: for a
-    witness multiplicand glued on J it sets R = P|J<-a, builds S_R = dd_ij(R)
-    and D_R = D(R) on that small polynomial, and tests
-    S_R * D(a) - D_R * S(a) == 0, with S(a) and D(a) = P(a)*S(a) -
-    d_iP(a)*d_jP(a) taken from point values computed once per assignment.
-    Restriction at J commutes with the partials in i, j and with products, so
-    this is the restriction of D(x)*S(y) - S(x)*D(y) at x = a, y_J = a_J.
+    No witness polynomial is built.  check tabulates the mixed partials
+    d_T P(a), |T| <= 3, at the assignment a in one pass over P's terms (P's
+    order-3 Taylor table) and decides every multiplicand in O(1) from it.  A
+    first or second partial is one entry.  A witness multiplicand of the
+    pair (i, j) glued on J = rest - {m}, set to x = a and y_J = a_J, is a
+    polynomial in y_m alone: in u = y_m - a_m it is
+    u*(A1*d - s*D1) - u^2*s*D2, from the split of P's shift to a in (i, j)
+    along m (decomp._pair_split), where s = A0 = S(a), d = D0 = D(a) and
+    A1 = d_ijm P(a).  So it vanishes in the free variable iff s*D2 == 0 and
+    d*A1 == s*D1 (mod p).
     """
 
     def __init__(self, P: MPoly):
@@ -113,87 +116,44 @@ class GoodnessChecker:
             raise FieldTooSmall("goodness certification needs p >= 3")
         self.P = P
         self.multiplicands = certificate_multiplicands(P)
-        self._first = [P.partial(t) for t in range(P.arity)]
-        # a live witness implies a live second partial of its pair
-        self._second = {m.index: P.partial2(*m.index) for m in self.multiplicands
-                        if m.kind == SECOND_PARTIAL and not m.identically_zero}
+        # every live multiplicand with the table masks it reads: the
+        # partial's slots, or a witness's pair and free slot
+        self._live = []
+        for m in self.multiplicands:
+            if m.identically_zero:
+                continue
+            if m.kind == WITNESS:
+                i, j = m.index
+                free = next(k for k in range(P.arity)
+                            if k not in m.shared and k != i and k != j)
+                masks = (1 << i, 1 << j, 1 << free)
+            else:
+                masks = sum(1 << t for t in m.index)
+            self._live.append((m, masks))
 
     def check(self, assignment) -> GoodnessReport:
         P = self.P
         if len(assignment) != P.arity:
             raise ArityMismatch(
                 f"assignment length {len(assignment)} != arity {P.arity}")
-        a = tuple(P.ctx.coerce(v) for v in assignment)
         p = P.ctx.p
-        pa = P.eval_raw(a)
-        first = [d.eval_raw(a) for d in self._first]
-        second = {ij: S.eval_raw(a) for ij, S in self._second.items()}
-        # the three pairs of a triple share one glue set
-        restricted = {}
+        table = _shifted_coefficients(P, [P.ctx.coerce(v) for v in assignment])
         violations = []
-        skipped = 0
-        for m in self.multiplicands:
-            if m.identically_zero:
-                skipped += 1
+        for m, masks in self._live:
+            if m.kind != WITNESS:
+                if table[masks] % p == 0:
+                    violations.append((m, "evaluates to 0 at the assignment"))
                 continue
-            if m.kind == FIRST_PARTIAL:
-                if first[m.index[0]] == 0:
-                    violations.append((m, "evaluates to 0 at the assignment"))
-            elif m.kind == SECOND_PARTIAL:
-                if second[m.index] == 0:
-                    violations.append((m, "evaluates to 0 at the assignment"))
-            else:
-                i, j = m.index
-                s = second[(i, j)]
-                d = (pa * s - first[i] * first[j]) % p
-                R = restricted.get(m.shared)
-                if R is None:
-                    R = restricted[m.shared] = P.restrict_many(m.shared, a)
-                T = R.partial2(i, j).scale(d) - _commutator(R, i, j).scale(s)
-                if T.is_zero():
-                    violations.append(
-                        (m, "vanishes identically in the free variables"))
-        return GoodnessReport(not violations, violations, skipped)
+            A1, A0, D2, D1, D0 = _pair_split(table, *masks)
+            if A0 * D2 % p == 0 and (A1 * D0 - A0 * D1) % p == 0:
+                violations.append((m, "vanishes identically in the free variables"))
+        return GoodnessReport(not violations, violations,
+                              len(self.multiplicands) - len(self._live))
 
 
 def is_good_assignment(P: MPoly, a) -> GoodnessReport:
     """Certify one assignment; build a GoodnessChecker for repeated use."""
     return GoodnessChecker(P).check(a)
-
-
-def _shifted_coefficients(P: MPoly, a) -> Dict[int, int]:
-    """The mixed partials d_T P(a) for every |T| <= 3, keyed by T's bit mask.
-
-    They are the coefficients of P(a + u) in u.  A monomial c * x^m adds
-    c * prod(a_v : v in m - T) to d_T P(a) for every T inside m; the product
-    vanishes unless T holds every slot of m where a is 0, so a monomial with
-    more than 3 such slots adds nothing.  Entries that receive nothing are
-    absent, and values are left unreduced.
-    """
-    p = P.ctx.p
-    inv = [pow(v, p - 2, p) if v else 0 for v in a]
-    table: Dict[int, int] = {}
-    for mono, c in P.terms.items():
-        zero_mask = zeros = 0
-        live = []
-        for v, _ in mono:
-            if a[v]:
-                c = c * a[v] % p
-                live.append((1 << v, inv[v]))
-            else:
-                zero_mask |= 1 << v
-                zeros += 1
-        if zeros > 3:
-            continue
-        # grow the subsets T of the monomial that hold its zero slots, one
-        # live slot at a time: taking v into T divides its factor a_v out
-        subsets = [(zero_mask, c, zeros)]
-        for b, w in live:
-            subsets += [(mask | b, val * w % p, size + 1)
-                        for mask, val, size in subsets if size < 3]
-        for mask, val, _ in subsets:
-            table[mask] = table.get(mask, 0) + val
-    return table
 
 
 def is_locally_rop(P: MPoly, a) -> Tuple[bool, Optional[Tuple[int, int, int]]]:

@@ -12,6 +12,9 @@ The central objects:
   variables (x-block slots 0..n-1, y-block slots n..2n-1) that vanishes
   identically exactly when dd_ij(P) is zero or P splits for some constant.
   A shared index set J glues y_k := x_k for k in J;
+* the order-3 Taylor table of P at a point a: the mixed partials d_T P(a),
+  |T| <= 3, from one pass over P's terms.  The witness's fixed probe and the
+  certificate's checks read every point value they need from such tables;
 * the gate graph: edge (i, j) iff dd_ij(P) != 0; connected components are
   exactly the additive pieces of P;
 * exact splitting routines and a brute-force read-once decider used as the
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -43,9 +47,86 @@ from .mpoly import MPoly
 _PROBE = tuple(map(random.Random(0).getrandbits, [64] * 64))
 
 
+class _Probe:
+    """What this module memoizes on a polynomial P (MPoly._probe): whether P
+    is multilinear, and, once a witness is probed, the probe points x and y
+    (the J = {} pair) with P's Taylor tables at them.  P never changes, so
+    neither does its memo."""
+    __slots__ = ("multilinear", "tables")
+
+    def __init__(self, P: MPoly):
+        self.multilinear = P.is_multilinear()
+        self.tables = None
+
+
+def _probe_memo(P: MPoly) -> _Probe:
+    memo = P._probe
+    if memo is None:
+        memo = P._probe = _Probe(P)
+    return memo
+
+
+def _is_multilinear(P: MPoly) -> bool:
+    """P.is_multilinear(), scanned once per polynomial."""
+    return _probe_memo(P).multilinear
+
+
 def _require_multilinear(P: MPoly):
-    if not P.is_multilinear():
+    if not _is_multilinear(P):
         raise NotMultilinear(f"operation needs a multilinear polynomial, got {P!r}")
+
+
+def _shifted_coefficients(P: MPoly, a) -> Dict[int, int]:
+    """P's order-3 Taylor table at a: the mixed partials d_T P(a) for every
+    |T| <= 3, keyed by T's bit mask.
+
+    They are the coefficients of P(a + u) in u.  A monomial c * x^m adds
+    c * prod(a_v : v in m - T) to d_T P(a) for every T inside m; the product
+    vanishes unless T holds every slot of m where a is 0, so a monomial with
+    more than 3 such slots adds nothing.  P must be multilinear and a a list
+    of residues.  The table reads 0 at entries that receive nothing, and
+    values are left unreduced.
+    """
+    p = P.ctx.p
+    inv = [pow(v, p - 2, p) if v else 0 for v in a]
+    table: Dict[int, int] = defaultdict(int)
+    for mono, c in P.terms.items():
+        zero_mask = zeros = 0
+        live = []
+        for v, _ in mono:
+            if a[v]:
+                c = c * a[v] % p
+                live.append((1 << v, inv[v]))
+            else:
+                zero_mask |= 1 << v
+                zeros += 1
+        if zeros > 3:
+            continue
+        # grow the subsets T of the monomial that hold its zero slots, one
+        # live slot at a time: taking v into T divides its factor a_v out
+        subsets = [(zero_mask, c, zeros)]
+        for b, w in live:
+            subsets += [(mask | b, val * w % p, size + 1)
+                        for mask, val, size in subsets if size < 3]
+        for mask, val, _ in subsets:
+            table[mask] += val
+    return table
+
+
+def _pair_split(c, x: int, y: int, z: int):
+    """Split P = A*x*y + B*x + C*y + E with A, B, C, E affine in z,
+    A = A1*z + A0 and so on, and D = A*E - B*C = D2*z^2 + D1*z + D0.
+
+    c maps a bit mask to the coefficient of that monomial (a table, in
+    shifted coordinates), and x, y, z are one-bit masks; returns
+    (A1, A0, D2, D1, D0).
+    """
+    A1, A0 = c[x | y | z], c[x | y]
+    B1, B0 = c[x | z], c[x]
+    C1, C0 = c[y | z], c[y]
+    E1, E0 = c[z], c[0]
+    return (A1, A0, A1 * E1 - B1 * C1, A1 * E0 + A0 * E1 - B1 * C0 - B0 * C1,
+            A0 * E0 - B0 * C0)
 
 
 def commutator(P: MPoly, i: int, j: int) -> MPoly:
@@ -189,8 +270,10 @@ def witness_is_zero(P: MPoly, i: int, j: int,
     D = AE - BC, neither involving x_i or x_j, and
     W(x, y) = D(x) * S(y) - S(x) * D(y) with y_k = x_k for k in J.
 
-    W is first evaluated at one fixed pseudo-random glued point pair; a
-    nonzero value proves W != 0.
+    For the glue sets the certificate uses, J = {} and J = rest - {m}, W is
+    first read at one fixed pseudo-random glued point pair from P's Taylor
+    tables at the probe points, memoized on P (see _probe_value); a nonzero
+    value proves W != 0.
     Otherwise, with U the unglued slots, let mu be the U-part of a monomial
     of S with the fewest variables, and u0 the point with mu's slots 1 and
     the rest of U 0.  Only monomials whose U-part is mu survive u0, so s = S|U<-u0 is a
@@ -211,14 +294,10 @@ def witness_is_zero(P: MPoly, i: int, j: int,
         if not 0 <= k < n:
             raise IndexOverlap(f"shared index {k} outside arity {n}")
 
-    Pi, Pj = P.partial(i), P.partial(j)
-    S = Pi.partial(j)
+    S = P.partial(i).partial(j)
     if S.is_zero():
         return True
-    p = P.ctx.p
-    x = [_PROBE[k % len(_PROBE)] % p for k in range(n)]
-    y = [x[k] if k in shared else _PROBE[(n + k) % len(_PROBE)] % p for k in range(n)]
-    if _witness_at(P, Pi, Pj, S, x, y):
+    if _probe_value(P, i, j, shared):
         return False
     D = _commutator(P, i, j)
     unglued = [k for k in range(n) if k not in shared and k not in (i, j)]
@@ -227,13 +306,36 @@ def witness_is_zero(P: MPoly, i: int, j: int,
             - S * D.restrict_many(unglued, u0)).is_zero()
 
 
-def _witness_at(P: MPoly, Pi: MPoly, Pj: MPoly, S: MPoly, x, y) -> int:
-    """W(x, y) from the first partials Pi, Pj and the mixed second partial S;
-    D is evaluated pointwise as P * S - Pi * Pj, never built."""
-    sx, sy = S.eval_raw(x), S.eval_raw(y)
-    dx = P.eval_raw(x) * sx - Pi.eval_raw(x) * Pj.eval_raw(x)
-    dy = P.eval_raw(y) * sy - Pi.eval_raw(y) * Pj.eval_raw(y)
-    return (dx * sy - sx * dy) % P.ctx.p
+def _probe_value(P: MPoly, i: int, j: int, shared: FrozenSet[int]) -> int:
+    """W(x, y) at the fixed probe pair, in O(1) from P's memoized tables.
+
+    x reads _PROBE from entry 0 and y from entry n, and y_k = x_k on J.  For
+    J = {}, W = D(x)*S(y) - S(x)*D(y) with D = P*S - d_iP*d_jP at each
+    point.  For J = rest - {m}, D and S ignore slots i and j, so y differs
+    from x only in slot m, by delta = y_m - x_m; with the pair split of P's
+    shift to x in (i, j) along m (_pair_split), W = delta*(A1*D0 - A0*D1)
+    - delta^2*A0*D2.  Other glue sets get 0, which leaves them to the
+    identity.
+    """
+    n, p = P.arity, P.ctx.p
+    if shared and len(shared) != n - 3:
+        return 0
+    memo = _probe_memo(P)
+    if memo.tables is None:
+        x = [_PROBE[k % len(_PROBE)] % p for k in range(n)]
+        y = [_PROBE[(n + k) % len(_PROBE)] % p for k in range(n)]
+        memo.tables = x, y, _shifted_coefficients(P, x), _shifted_coefficients(P, y)
+    x, y, tx, ty = memo.tables
+    bi, bj = 1 << i, 1 << j
+    if not shared:
+        sx, sy = tx[bi | bj], ty[bi | bj]
+        dx = tx[0] * sx - tx[bi] * tx[bj]
+        dy = ty[0] * sy - ty[bi] * ty[bj]
+        return (dx * sy - sx * dy) % p
+    m = next(k for k in range(n) if k not in shared and k != i and k != j)
+    A1, A0, D2, D1, D0 = _pair_split(tx, bi, bj, 1 << m)
+    delta = y[m] - x[m]
+    return (delta * (A1 * D0 - A0 * D1) - delta * delta * A0 * D2) % p
 
 
 # ---- gate graph ----
@@ -380,13 +482,7 @@ def trivariate_is_rop(P: MPoly) -> bool:
     p = P.ctx.p
     zeros = 0
     for x, y, z in ((1, 2, 4), (1, 4, 2), (2, 4, 1)):
-        A1, A0 = c[x | y | z], c[x | y]
-        B1, B0 = c[x | z], c[x]
-        C1, C0 = c[y | z], c[y]
-        E1, E0 = c[z], c[0]
-        D2 = A1 * E1 - B1 * C1
-        D1 = A1 * E0 + A0 * E1 - B1 * C0 - B0 * C1
-        D0 = A0 * E0 - B0 * C0
+        A1, A0, D2, D1, D0 = _pair_split(c, x, y, z)
         if not (A1 or A0) or (D2 % p == 0 and (D1 * A0 - D0 * A1) % p == 0):
             zeros += 1
     return zeros >= 2

@@ -112,10 +112,12 @@ class MPoly:
     """Immutable sparse polynomial over a prime field.
 
     First partials are memoized per slot on the polynomial, so every caller
-    that asks for d_i(P) of one P shares a single computation.
+    that asks for d_i(P) of one P shares a single computation.  _probe holds
+    decomp's memo of P: its multilinearity and its Taylor tables at the fixed
+    witness probe points.
     """
 
-    __slots__ = ("ctx", "arity", "terms", "_partials")
+    __slots__ = ("ctx", "arity", "terms", "_partials", "_probe")
 
     def __init__(self, ctx: FieldCtx, arity: int, terms: Mapping[Mono, int] | None = None,
                  *, _canonical: bool = False):
@@ -124,6 +126,7 @@ class MPoly:
         self.ctx = ctx
         self.arity = arity
         self._partials = None
+        self._probe = None
         if terms is None:
             terms = {}
         elif not _canonical:

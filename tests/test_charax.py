@@ -98,13 +98,13 @@ def test_goodness_checker_validation():
         GoodnessChecker(parse_terms(GF101, 2, "x1^2"))
 
 
-def _reference_report(P, multiplicands, a):
+def _reference_report(P, multiplicands, a, full):
     """The goodness report from the full commutator D = P*S - d_iP*d_jP:
-    D and S are built over every variable, then restricted at the glue set."""
+    D and S are built over every variable, then restricted at the glue set.
+    full caches (D, S) per pair across the calls on one P."""
     a = tuple(v % P.ctx.p for v in a)
     violations = []
     skipped = 0
-    full = {}
     for m in multiplicands:
         if m.identically_zero:
             skipped += 1
@@ -131,16 +131,18 @@ def _reference_report(P, multiplicands, a):
 def test_goodness_check_matches_full_commutator_reference(p):
     ctx = FieldCtx(p)
     rng = random.Random(p)
-    for n in range(3, 7):
+    for n in range(3, 8):
         polys = [q_n(n, ctx), random_rof(ctx, n, rng).expand(),
                  random_rof(ctx, n, rng).expand(), random_multilinear(ctx, n, rng)]
         for P in polys:
             checker = GoodnessChecker(P)
-            for t in range(6):
+            full = {}
+            # the check's table drops monomials with more than 3 zero slots
+            for zeros in (0, 0, 1, 1, 2, 2, 3, min(4, n), n):
                 a = [rng.randrange(p) for _ in range(n)]
-                for k in rng.sample(range(n), t // 2):
+                for k in rng.sample(range(n), zeros):
                     a[k] = 0
-                assert checker.check(a) == _reference_report(P, checker.multiplicands, a)
+                assert checker.check(a) == _reference_report(P, checker.multiplicands, a, full)
 
 
 def test_is_locally_rop_small_arity():

@@ -137,6 +137,18 @@ def test_non_multilinear_exit_3(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_check_over_gf2_exits_3(tmp_path, capsys):
+    # goodness certification needs p >= 3 once the arity reaches 3
+    path = tmp_path / "q3.txt"
+    path.write_text("field p=2 n=3\nx1*x2*x3 + x1 + x2 + x3 + 1\n")
+    for argv in (["check", str(path)], ["check", str(path), "--json"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert out == ""
+        assert "error: goodness certification needs p >= 3" in err
+        assert "Traceback" not in err
+
+
 def test_nullary_file_exits_3_without_traceback(tmp_path, capsys):
     path = tmp_path / "c.txt"
     path.write_text("field p=101 n=0\n7\n")

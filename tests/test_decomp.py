@@ -6,7 +6,9 @@ import random
 import pytest
 
 from ropcheck.decomp import (
+    _PROBE,
     GateGraph,
+    _probe_value,
     additive_split,
     brute_force_is_rop,
     commutator,
@@ -193,6 +195,68 @@ def test_witness_is_zero_small_field_path():
         for P, i, j, J in _witness_cases(GF2, n, rng):
             want = decomp_witness(P, i, j, J).value.is_zero()
             assert witness_is_zero(P, i, j, J) == want
+
+
+def _probe_pair(n, p):
+    """The witness probe pair for J = {}: x reads _PROBE from entry 0, y from
+    entry n, cyclically, reduced mod p."""
+    x = [_PROBE[k % len(_PROBE)] % p for k in range(n)]
+    y = [_PROBE[(n + k) % len(_PROBE)] % p for k in range(n)]
+    return x, y
+
+
+def _certificate_glue_sets(n):
+    """(i, j, J) for every pair and J = {} or J = rest - {m}."""
+    for i, j in itertools.combinations(range(n), 2):
+        rest = frozenset(range(n)) - {i, j}
+        for J in [frozenset()] + [rest - {m} for m in sorted(rest)]:
+            yield i, j, J
+
+
+@pytest.mark.parametrize("p", [3, 5, 101])
+def test_probe_value_from_tables_matches_materialized_witness(p):
+    # the probe reads P's Taylor tables at x and y; the materialized witness
+    # on 2n slots is evaluated directly at x in the x-block, y in the y-block
+    ctx = FieldCtx(p)
+    rng = random.Random(p + 41)
+    zero_coordinates = 0
+    for n in range(3, 7):
+        x, y = _probe_pair(n, p)
+        zero_coordinates += (x + y).count(0)
+        polys = [q_n(n, ctx), random_rof(ctx, n, rng).expand(),
+                 random_rof(ctx, n, rng).expand(), random_multilinear(ctx, n, rng)]
+        for P in polys:
+            for i, j, J in _certificate_glue_sets(n):
+                W = decomp_witness(P, i, j, J).value
+                assert _probe_value(P, i, j, J) == W.eval_raw(x + y), (n, i, j, J)
+    if p == 3:
+        # probe coordinates that are 0 take the tables' zero-slot branch
+        assert zero_coordinates > 0
+
+
+def test_probe_memo_belongs_to_its_polynomial():
+    rng = random.Random(13)
+    n = 5
+    for ctx in (GF3, GF101):
+        x, y = _probe_pair(n, ctx.p)
+        P = random_rof(ctx, n, rng).expand()
+        Q = random_multilinear(ctx, n, rng)
+        cases = list(_certificate_glue_sets(n))
+        tags = [witness_is_zero(P, i, j, J) for i, j, J in cases]
+        # Q has P's arity, so the same probe points, but tables of its own
+        for i, j, J in cases:
+            W = decomp_witness(Q, i, j, J).value
+            assert _probe_value(Q, i, j, J) == W.eval_raw(x + y)
+        assert Q._probe is not P._probe
+        copy = MPoly(ctx, n, dict(P.terms))
+        assert copy._probe is None
+        assert [witness_is_zero(copy, i, j, J) for i, j, J in cases] == tags
+        assert tags == [decomp_witness(P, i, j, J).value.is_zero() for i, j, J in cases]
+    # a polynomial that is not multilinear raises on every call, memo or not
+    S = parse_terms(GF101, 3, "x1^2*x2 + x3")
+    for _ in range(2):
+        with pytest.raises(NotMultilinear):
+            witness_is_zero(S, 0, 1)
 
 
 def test_witness_examples():
