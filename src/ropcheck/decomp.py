@@ -12,6 +12,9 @@ The central objects:
   variables (x-block slots 0..n-1, y-block slots n..2n-1) that vanishes
   identically exactly when dd_ij(P) is zero or P splits for some constant.
   A shared index set J glues y_k := x_k for k in J;
+* the pair split along a third slot z, P = A*x_i*x_j + B*x_i + C*x_j + E
+  with A..E affine in z, from scalars or from P's cofactor polynomials; it
+  decides every witness with J != {} exactly (see witness_is_zero);
 * the order-3 Taylor table of P at a point a: the mixed partials d_T P(a),
   |T| <= 3, from one pass over P's terms.  The witness's fixed probe and the
   certificate's checks read every point value they need from such tables;
@@ -117,8 +120,9 @@ def _pair_split(c, x: int, y: int, z: int):
     """Split P = A*x*y + B*x + C*y + E with A, B, C, E affine in z,
     A = A1*z + A0 and so on, and D = A*E - B*C = D2*z^2 + D1*z + D0.
 
-    c maps a bit mask to the coefficient of that monomial (a table, in
-    shifted coordinates), and x, y, z are one-bit masks; returns
+    c maps a bit mask to the coefficient of that monomial in x, y and z:
+    scalars (a table, in shifted coordinates) or cofactor polynomials free
+    of x, y and z (_cofactors).  x, y, z are one-bit masks; returns
     (A1, A0, D2, D1, D0).
     """
     A1, A0 = c[x | y | z], c[x | y]
@@ -127,6 +131,26 @@ def _pair_split(c, x: int, y: int, z: int):
     E1, E0 = c[z], c[0]
     return (A1, A0, A1 * E1 - B1 * C1, A1 * E0 + A0 * E1 - B1 * C0 - B0 * C1,
             A0 * E0 - B0 * C0)
+
+
+def _cofactors(P: MPoly, slots) -> Dict[int, MPoly]:
+    """P = sum of c[T] * x^T over the subsets T of slots, each c[T] free of
+    the slots; returns c keyed by T's bit mask, the zero polynomial where no
+    monomial's slots-part is T.  One pass over P's terms; P multilinear."""
+    masks = [0]
+    for v in slots:
+        masks += [mask | 1 << v for mask in masks]
+    parts: Dict[int, dict] = {mask: {} for mask in masks}
+    for mono, c in P.terms.items():
+        mask = 0
+        rest = []
+        for t in mono:
+            if t[0] in slots:
+                mask |= 1 << t[0]
+            else:
+                rest.append(t)
+        parts[mask][tuple(rest)] = c
+    return {mask: MPoly(P.ctx, P.arity, d, _canonical=True) for mask, d in parts.items()}
 
 
 def commutator(P: MPoly, i: int, j: int) -> MPoly:
@@ -139,38 +163,9 @@ def commutator(P: MPoly, i: int, j: int) -> MPoly:
     if i == j:
         raise SameVariable(f"need two distinct variables, got {i} twice")
     _require_multilinear(P)
-    return _commutator(P, i, j)
-
-
-def _commutator(P: MPoly, i: int, j: int) -> MPoly:
-    """commutator without validation: i != j and P multilinear in both."""
-    # one pass over the terms: part k collects the cofactors of the monomials
-    # holding x_i (k & 1) and x_j (k & 2), so the parts are E, B, C, A
-    parts = ({}, {}, {}, {})
-    for mono, c in P.terms.items():
-        k = 0
-        rest = []
-        for t in mono:
-            if t[0] == i:
-                k += 1
-            elif t[0] == j:
-                k += 2
-            else:
-                rest.append(t)
-        parts[k][tuple(rest)] = c
-    E, B, C, A = (MPoly(P.ctx, P.arity, d, _canonical=True) for d in parts)
-    return A * E - B * C
-
-
-def _unit_point(P: MPoly, slots) -> Tuple[int, ...]:
-    """0/1 point: 1 on the slots-part of a monomial of P with the fewest such
-    slots, 0 on every other slot.  P must be multilinear and nonzero."""
-    slots = frozenset(slots)
-    part = min((tuple(v for v, _ in mono if v in slots) for mono in P.terms), key=len)
-    point = [0] * P.arity
-    for v in part:
-        point[v] = 1
-    return tuple(point)
+    c = _cofactors(P, (i, j))
+    bi, bj = 1 << i, 1 << j
+    return c[bi | bj] * c[0] - c[bi] * c[bj]
 
 
 def find_nonzero_point(P: MPoly) -> Tuple[int, ...]:
@@ -184,7 +179,10 @@ def find_nonzero_point(P: MPoly) -> Tuple[int, ...]:
     _require_multilinear(P)
     if P.is_zero():
         raise InvalidParams("the zero polynomial has no nonzero point")
-    return _unit_point(P, range(P.arity))
+    point = [0] * P.arity
+    for v, _ in min(P.terms, key=len):
+        point[v] = 1
+    return tuple(point)
 
 
 @dataclass(frozen=True)
@@ -268,20 +266,20 @@ def witness_is_zero(P: MPoly, i: int, j: int,
 
     Write P = A*x_i*x_j + B*x_i + C*x_j + E; then S = dd_ij(P) = A and
     D = AE - BC, neither involving x_i or x_j, and
-    W(x, y) = D(x) * S(y) - S(x) * D(y) with y_k = x_k for k in J.
+    W(x, y) = D(x) * S(y) - S(x) * D(y) with y_k = x_k for k in J.  W == 0
+    when S == 0; otherwise W is first read at fixed pseudo-random point
+    pairs from P's Taylor tables at the probe points, memoized on P (see
+    _probe_value), and a nonzero value proves W != 0.
 
-    For the glue sets the certificate uses, J = {} and J = rest - {m}, W is
-    first read at one fixed pseudo-random glued point pair from P's Taylor
-    tables at the probe points, memoized on P (see _probe_value); a nonzero
-    value proves W != 0.
-    Otherwise, with U the unglued slots, let mu be the U-part of a monomial
-    of S with the fewest variables, and u0 the point with mu's slots 1 and
-    the rest of U 0.  Only monomials whose U-part is mu survive u0, so s = S|U<-u0 is a
-    nonzero polynomial in the J slots.  W == 0 exactly when
-    D * s - S * (D|U<-u0) == 0: setting y_U = u0 in W gives that
-    difference, and conversely it makes s * W vanish, and the ring has no
-    zero divisors.  With J empty this is decompose's test.  The identity
-    holds over every field.
+    J = {} is then decompose's test, D = c * S for a constant c.  For
+    J = rest - {m}, split S = A1*x_m + A0 and D = D2*x_m^2 + D1*x_m + D0
+    with coefficients in the ring R of the other slots (_pair_split on the
+    cofactors of P in x_i, x_j, x_m).  W's coefficients in x_m and y_m are
+    +-D2*A1, +-D2*A0 and +-(A1*D0 - A0*D1); R has no zero divisors, so
+    W == 0 iff D2 == 0 and A1*D0 == A0*D1.  Any other J reduces to these:
+    W_J == 0 iff D/S is free of every unglued slot m, which is
+    W_{rest - {m}} == 0, so every unglued slot is probed before any is
+    tested.  This holds over every field, GF(2) included.
     """
     shared = frozenset(shared)
     if i == j:
@@ -294,32 +292,32 @@ def witness_is_zero(P: MPoly, i: int, j: int,
         if not 0 <= k < n:
             raise IndexOverlap(f"shared index {k} outside arity {n}")
 
-    S = P.partial(i).partial(j)
-    if S.is_zero():
+    if P.partial(i).partial(j).is_zero():
         return True
-    if _probe_value(P, i, j, shared):
+    if not shared:
+        return not _probe_value(P, i, j, None) and decompose(P, i, j).decomposable
+    unglued = [k for k in range(n) if k not in shared and k != i and k != j]
+    if any(_probe_value(P, i, j, m) for m in unglued):
         return False
-    D = _commutator(P, i, j)
-    unglued = [k for k in range(n) if k not in shared and k not in (i, j)]
-    u0 = _unit_point(S, unglued)
-    return (D * S.restrict_many(unglued, u0)
-            - S * D.restrict_many(unglued, u0)).is_zero()
+    bi, bj = 1 << i, 1 << j
+    for m in unglued:
+        A1, A0, D2, D1, D0 = _pair_split(_cofactors(P, (i, j, m)), bi, bj, 1 << m)
+        if not D2.is_zero() or A1 * D0 != A0 * D1:
+            return False
+    return True
 
 
-def _probe_value(P: MPoly, i: int, j: int, shared: FrozenSet[int]) -> int:
-    """W(x, y) at the fixed probe pair, in O(1) from P's memoized tables.
+def _probe_value(P: MPoly, i: int, j: int, m: Optional[int]) -> int:
+    """W(x, y) at a fixed probe pair, in O(1) from P's memoized tables.
 
-    x reads _PROBE from entry 0 and y from entry n, and y_k = x_k on J.  For
-    J = {}, W = D(x)*S(y) - S(x)*D(y) with D = P*S - d_iP*d_jP at each
-    point.  For J = rest - {m}, D and S ignore slots i and j, so y differs
-    from x only in slot m, by delta = y_m - x_m; with the pair split of P's
-    shift to x in (i, j) along m (_pair_split), W = delta*(A1*D0 - A0*D1)
-    - delta^2*A0*D2.  Other glue sets get 0, which leaves them to the
-    identity.
+    x reads _PROBE from entry 0 and y from entry n.  m = None probes J = {}:
+    W = D(x)*S(y) - S(x)*D(y) with D = P*S - d_iP*d_jP at each point.
+    Otherwise m is the free slot of J = rest - {m}: D and S ignore slots i
+    and j, so y differs from x only in slot m, by delta = y_m - x_m; with
+    the pair split of P's shift to x in (i, j) along m (_pair_split),
+    W = delta*(A1*D0 - A0*D1) - delta^2*A0*D2.
     """
     n, p = P.arity, P.ctx.p
-    if shared and len(shared) != n - 3:
-        return 0
     memo = _probe_memo(P)
     if memo.tables is None:
         x = [_PROBE[k % len(_PROBE)] % p for k in range(n)]
@@ -327,12 +325,11 @@ def _probe_value(P: MPoly, i: int, j: int, shared: FrozenSet[int]) -> int:
         memo.tables = x, y, _shifted_coefficients(P, x), _shifted_coefficients(P, y)
     x, y, tx, ty = memo.tables
     bi, bj = 1 << i, 1 << j
-    if not shared:
+    if m is None:
         sx, sy = tx[bi | bj], ty[bi | bj]
         dx = tx[0] * sx - tx[bi] * tx[bj]
         dy = ty[0] * sy - ty[bi] * ty[bj]
         return (dx * sy - sx * dy) % p
-    m = next(k for k in range(n) if k not in shared and k != i and k != j)
     A1, A0, D2, D1, D0 = _pair_split(tx, bi, bj, 1 << m)
     delta = y[m] - x[m]
     return (delta * (A1 * D0 - A0 * D1) - delta * delta * A0 * D2) % p

@@ -217,13 +217,15 @@ def property_test(oracle: Oracle, n: int, delta: float, rng=0) -> TestReport:
     """Repeat property_test_once ceil(3 / (delta + n^-4)) times.
 
     NO as soon as any round rejects; the repeat count R is recorded in the
-    report either way.
+    report either way.  The R * C(n,3) grids of a run must stay within the
+    scale guard, checked before the first query.
     """
     _require_coordinates(oracle, n)
     if not 0 < delta <= 1:
         raise InvalidParams(f"delta must be in (0, 1], got {delta}")
-    rng, seed = _rng_and_seed(rng)
     R = math.ceil(3 / (delta + float(n) ** -4))
+    guard_scale(R * math.comb(n, 3), "3-subset grids over all rounds")
+    rng, seed = _rng_and_seed(rng)
     start = oracle.query_count
     for _ in range(R):
         rep = property_test_once(oracle, n, rng)

@@ -301,6 +301,17 @@ def test_experiment_qn_fraction_work_guard_exit_2(capsys):
     assert "36700160 triple restrictions in the sweep" in err
 
 
+def test_property_round_work_guard_exit_2(tmp_path, capsys):
+    # delta -> 0 asks for ceil(3 / (1e-9 + 20^-4)) = 479,924 rounds of
+    # C(20,3) grids; the guard refuses the run before its first query
+    path = tmp_path / "f20.rof"
+    assert main(["gen", "rof", "--p", "1009", "--n", "20", "--out", str(path)]) == 0
+    capsys.readouterr()
+    code, out, err = run(capsys, "property", str(path), "--delta", "1e-9")
+    assert code == 2 and out == ""
+    assert "error:" in err and "exceed the limit" in err
+
+
 def test_experiment_trivariate_enum_scale_guard(capsys):
     code, _, err = run(capsys, "experiment", "trivariate-enum", "--p", "11")
     assert code == 2

@@ -206,11 +206,12 @@ def _probe_pair(n, p):
 
 
 def _certificate_glue_sets(n):
-    """(i, j, J) for every pair and J = {} or J = rest - {m}."""
+    """(i, j, J, m) for every pair, J = {} with m = None and J = rest - {m}."""
     for i, j in itertools.combinations(range(n), 2):
         rest = frozenset(range(n)) - {i, j}
-        for J in [frozenset()] + [rest - {m} for m in sorted(rest)]:
-            yield i, j, J
+        yield i, j, frozenset(), None
+        for m in sorted(rest):
+            yield i, j, rest - {m}, m
 
 
 @pytest.mark.parametrize("p", [3, 5, 101])
@@ -226,9 +227,9 @@ def test_probe_value_from_tables_matches_materialized_witness(p):
         polys = [q_n(n, ctx), random_rof(ctx, n, rng).expand(),
                  random_rof(ctx, n, rng).expand(), random_multilinear(ctx, n, rng)]
         for P in polys:
-            for i, j, J in _certificate_glue_sets(n):
+            for i, j, J, m in _certificate_glue_sets(n):
                 W = decomp_witness(P, i, j, J).value
-                assert _probe_value(P, i, j, J) == W.eval_raw(x + y), (n, i, j, J)
+                assert _probe_value(P, i, j, m) == W.eval_raw(x + y), (n, i, j, J)
     if p == 3:
         # probe coordinates that are 0 take the tables' zero-slot branch
         assert zero_coordinates > 0
@@ -242,21 +243,76 @@ def test_probe_memo_belongs_to_its_polynomial():
         P = random_rof(ctx, n, rng).expand()
         Q = random_multilinear(ctx, n, rng)
         cases = list(_certificate_glue_sets(n))
-        tags = [witness_is_zero(P, i, j, J) for i, j, J in cases]
+        tags = [witness_is_zero(P, i, j, J) for i, j, J, _ in cases]
         # Q has P's arity, so the same probe points, but tables of its own
-        for i, j, J in cases:
+        for i, j, J, m in cases:
             W = decomp_witness(Q, i, j, J).value
-            assert _probe_value(Q, i, j, J) == W.eval_raw(x + y)
+            assert _probe_value(Q, i, j, m) == W.eval_raw(x + y)
         assert Q._probe is not P._probe
         copy = MPoly(ctx, n, dict(P.terms))
         assert copy._probe is None
-        assert [witness_is_zero(copy, i, j, J) for i, j, J in cases] == tags
-        assert tags == [decomp_witness(P, i, j, J).value.is_zero() for i, j, J in cases]
+        assert [witness_is_zero(copy, i, j, J) for i, j, J, _ in cases] == tags
+        assert tags == [decomp_witness(P, i, j, J).value.is_zero()
+                        for i, j, J, _ in cases]
     # a polynomial that is not multilinear raises on every call, memo or not
     S = parse_terms(GF101, 3, "x1^2*x2 + x3")
     for _ in range(2):
         with pytest.raises(NotMultilinear):
             witness_is_zero(S, 0, 1)
+
+
+def test_probe_misses_on_q10_are_decided_exactly():
+    # the fixed probe pair reads 0 on two certificate glue sets of q_10 over
+    # GF(1009), so both reach the exact slot test, which must find W != 0
+    P = q_n(10, FieldCtx(1009))
+    rng = random.Random(10)
+    for i, j, m in ((4, 6, 0), (5, 7, 4)):
+        J = frozenset(range(10)) - {i, j, m}
+        assert _probe_value(P, i, j, m) == 0
+        assert not witness_is_zero(P, i, j, J)
+        # W != 0 at a second point pair, through D = P*S - d_iP*d_jP
+        S, Pi, Pj = P.partial(i).partial(j), P.partial(i), P.partial(j)
+
+        def D(pt):
+            return P.eval_raw(pt) * S.eval_raw(pt) - Pi.eval_raw(pt) * Pj.eval_raw(pt)
+
+        x = [rng.randrange(1009) for _ in range(10)]
+        y = list(x)
+        y[m] = rng.randrange(1009)
+        assert (D(x) * S.eval_raw(y) - S.eval_raw(x) * D(y)) % 1009
+
+
+def _split_product(ctx, n, rng):
+    """h*g + c with h on slots 0..k-1 and g on slots k..n-1."""
+    k = rng.randint(1, n - 1)
+    h = random_multilinear(ctx, k, rng).embed(n, {t: t for t in range(k)})
+    g = random_multilinear(ctx, n - k, rng).embed(n, {t: k + t for t in range(n - k)})
+    return h * g + MPoly.constant(ctx, n, rng.randrange(ctx.p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_glue_set_reduces_to_its_unglued_slots(p):
+    # oracle only: with S != 0, W_J == 0 iff W_{rest - {m}} == 0 for every
+    # slot m that J leaves unglued
+    ctx = FieldCtx(p)
+    rng = random.Random(p + 7)
+    outcomes = set()
+    for n in range(4, 7):
+        polys = [q_n(n, ctx), random_rof(ctx, n, rng).expand(),
+                 random_multilinear(ctx, n, rng), _split_product(ctx, n, rng)]
+        for P in polys:
+            pairs = [(i, j) for i, j in itertools.combinations(range(n), 2)
+                     if not P.partial2(i, j).is_zero()]
+            for i, j in rng.sample(pairs, min(2, len(pairs))):
+                rest = frozenset(range(n)) - {i, j}
+                slot_zero = {m: decomp_witness(P, i, j, rest - {m}).value.is_zero()
+                             for m in rest}
+                for size in range(len(rest) - 1):
+                    for J in itertools.combinations(sorted(rest), size):
+                        want = decomp_witness(P, i, j, J).value.is_zero()
+                        assert want == all(slot_zero[m] for m in rest - set(J))
+                        outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def test_witness_examples():

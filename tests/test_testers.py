@@ -174,8 +174,16 @@ def test_subset_scan_scale_guard():
         want = Queried if n == 229 else ScaleGuardExceeded
         with pytest.raises(want):
             read_once_test(orc, n, 2)
+    # property_test runs R = ceil(3 / (delta + n^-4)) rounds of C(n,3) grids:
+    # 6 * C(126,3) = 1,953,000 pass at delta = 0.5 and 6 * C(127,3) =
+    # 2,000,250 do not; 30 rounds at delta = 0.1 allow n <= 74, and about
+    # 3n^4 rounds as delta -> 0 allow n <= 9
+    for n, delta in ((126, 0.5), (127, 0.5), (100000, 0.5), (74, 0.1), (75, 0.1),
+                     (9, 1e-9), (10, 1e-9)):
+        orc = Oracle(GF1009, n, refuse, refuse)
+        want = Queried if n in (126, 74, 9) else ScaleGuardExceeded
         with pytest.raises(want):
-            property_test(orc, n, 0.5)
+            property_test(orc, n, delta)
     # tau_estimate scans no subsets and takes no guard
     assert tau_estimate(Oracle(GF1009, 230, lambda pt: 0), 230, 5).fraction == 0.0
 
