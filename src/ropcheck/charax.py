@@ -21,8 +21,10 @@ import random
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Tuple
 
-from .decomp import (_is_multilinear, _pair_split, _shifted_coefficients, trivariate_is_rop,
+from .decomp import (_is_multilinear, _pair_split, _shifted_coefficients, _trivariate_rop,
                      witness_is_zero)
+# bound here for bench/tracer.py, which wraps charax's binding of it
+from .decomp import trivariate_is_rop  # noqa: F401
 from .errors import (ArityMismatch, FieldTooSmall, InvalidParams, NotMultilinear,
                      guard_scale)
 from .mpoly import MPoly
@@ -161,11 +163,12 @@ def is_locally_rop(P: MPoly, a) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
 
     The restriction to a triple I, written in shifted coordinates
     x_k = a_k + u_k, is the 8-term polynomial with coefficients
-    {d_S P(a) : S inside I}; one pass over P's terms tabulates them all.  A
-    one-variable affine shift keeps a formula read-once, so each triple gets
-    the verdict of its restriction.  Subsets are scanned in lexicographic
-    order and the first failing one is returned as the witness.  Fewer than
-    3 variables: trivially read-once.
+    {d_S P(a) : S inside I}; one pass over P's terms tabulates them all, and
+    each triple's entries go straight to the closed-form decision
+    (decomp._trivariate_rop).  A one-variable affine shift keeps a formula
+    read-once, so each triple gets the verdict of its restriction.  Subsets
+    are scanned in lexicographic order and the first failing one is returned
+    as the witness.  Fewer than 3 variables: trivially read-once.
     """
     _require_multilinear(P)
     n = P.arity
@@ -174,16 +177,9 @@ def is_locally_rop(P: MPoly, a) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
     if len(a) != n:
         raise ArityMismatch(f"assignment length {len(a)} != arity {n}")
     ctx = P.ctx
-    p = ctx.p
     table = _shifted_coefficients(P, [ctx.coerce(v) for v in a])
     for I in itertools.combinations(range(n), 3):
-        # the 8 subsets S of I, as bit masks and as monomials
-        masks, monos = [0], [()]
-        for v in I:
-            masks += [mask | 1 << v for mask in masks]
-            monos += [mono + ((v, 1),) for mono in monos]
-        terms = {mono: table.get(mask, 0) % p for mono, mask in zip(monos, masks)}
-        if not trivariate_is_rop(MPoly(ctx, n, terms, _canonical=True)):
+        if not _trivariate_rop(table, *(1 << v for v in I), ctx.p):
             return False, I
     return True, None
 

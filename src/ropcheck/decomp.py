@@ -454,35 +454,47 @@ def multiplicative_split(P: MPoly, i: int, j: int) -> Tuple[MPoly, MPoly, int]:
 
 # ---- read-once deciders ----
 
+def _trivariate_rop(c, x: int, y: int, z: int, p: int):
+    """Is the multilinear polynomial with coefficients c in slots x, y, z
+    read-once?
+
+    c maps a bit mask to the coefficient of that monomial in x, y and z (the
+    one-bit masks of the three slots), as _pair_split reads it: residues,
+    unreduced Python ints, or int64 arrays of residues below 2**30 (object
+    arrays above), one entry per polynomial.  P is read-once iff at least two
+    of the three pair witnesses vanish identically.  For a pair (x, y) write
+    P = A*x*y + B*x + C*y + E with A, B, C, E affine in z, A = A1*z + A0 and
+    so on; then D = A*E - B*C = D2*z^2 + D1*z + D0, and the witness
+    D(z)*A(z') - A(z)*D(z') vanishes iff A == 0, or D2 == 0 and
+    D1*A0 == D0*A1, that is, D is a constant multiple of A.  With a slot
+    absent, both pairs through it have A == 0 and the third has D2 == 0 and
+    D1 == 0, so every polynomial in at most two of the slots is read-once.
+    Returns a bool, or a bool array for arrays.
+    """
+    zeros = 0
+    for a, b, m in ((x, y, z), (x, z, y), (y, z, x)):
+        A1, A0, D2, D1, D0 = _pair_split(c, a, b, m)
+        # reducing each D first keeps the products of residues below 2**60
+        zeros = zeros + ((A1 % p == 0) & (A0 % p == 0)
+                         | (D2 % p == 0) & ((D1 % p * A0 - D0 % p * A1) % p == 0))
+    return zeros >= 2
+
+
 def trivariate_is_rop(P: MPoly) -> bool:
     """Exact read-once test for polynomials with at most 3 live variables.
 
-    With one or two live variables every multilinear polynomial is
-    read-once.  With three, P is read-once iff at least two of the three
-    pair witnesses vanish identically, each decided from the 8 coefficients
-    c[S], S a subset of the live variables.  For a pair (x, y) with third
-    variable z write P = A*x*y + B*x + C*y + E with A, B, C, E affine in z,
-    A = A1*z + A0 and so on; then D = A*E - B*C = D2*z^2 + D1*z + D0, and the
-    witness D(z)*A(z') - A(z)*D(z') vanishes iff A == 0, or D2 == 0 and
-    D1*A0 == D0*A1, that is, D is a constant multiple of A.
+    The 8 coefficients c[S], S a subset of the live variables, decide it in
+    closed form (_trivariate_rop).
     """
     _require_multilinear(P)
     vs = sorted(P.variables())
     if len(vs) > 3:
         raise TooManyVariables(f"{len(vs)} live variables, trivariate test needs <= 3")
-    if len(vs) <= 2:
-        return True
     bit = {v: 1 << t for t, v in enumerate(vs)}
     c = [0] * 8
     for mono, coeff in P.terms.items():
         c[sum(bit[v] for v, _ in mono)] = coeff
-    p = P.ctx.p
-    zeros = 0
-    for x, y, z in ((1, 2, 4), (1, 4, 2), (2, 4, 1)):
-        A1, A0, D2, D1, D0 = _pair_split(c, x, y, z)
-        if not (A1 or A0) or (D2 % p == 0 and (D1 * A0 - D0 * A1) % p == 0):
-            zeros += 1
-    return zeros >= 2
+    return _trivariate_rop(c, 1, 2, 4, P.ctx.p)
 
 
 def _canonical_key(P: MPoly, live: Sequence[int]):

@@ -539,8 +539,9 @@ def _basis_matrix(p: int, xs: Tuple[int, ...]) -> np.ndarray:
     sum_k M[t][k] * f(xs[k]).  A row times a column of residues sums len(xs)
     products of two residues; int64 holds that sum exactly below 2**62, and
     above it M is an object array of Python ints.  Memoized per (p, nodes),
-    since the read-once tester interpolates every subset on the same nodes;
-    the returned array is read-only.
+    since the testers interpolate many grids on the same nodes (every subset
+    of read_once_test, every subset of a property round); the returned array
+    is read-only.
     """
     m = len(xs)
     M = [[0] * m for _ in range(m)]
@@ -567,6 +568,35 @@ def _basis_matrix(p: int, xs: Tuple[int, ...]) -> np.ndarray:
     return out
 
 
+def _residues(values, p: int) -> np.ndarray:
+    """Integer samples as one int64 array of residues mod p.
+
+    np.asarray keeps ints beyond int64 as objects, so the reduction is exact,
+    and residues below 2**61 fit int64.
+    """
+    return (np.asarray(values) % p).astype(np.int64, copy=False)
+
+
+def _interpolate_stack(p: int, axes: Sequence[Sequence[Tuple[int, ...]]],
+                       C: np.ndarray) -> np.ndarray:
+    """Coefficients of k grid interpolants at once.
+
+    C has shape (k, L_1, ..., L_m) and holds each grid's samples as int64
+    residues, in itertools.product order; axes[t] lists the k grids' node
+    tuples along axis t, distinct residues each.  Entry [g, e_1, ..., e_m] of
+    the result is grid g's coefficient of x_1^e_1 ... x_m^e_m, reduced mod p,
+    int64 where _basis_matrix is and object above its bound.
+    """
+    k, dims = C.shape[0], C.shape[1:]
+    # transform the leading axis, then rotate it to the back; after one step
+    # per axis the axes are back in order
+    for L, nodes in zip(dims, axes):
+        mats = [_basis_matrix(p, xs) for xs in nodes]
+        M = mats[0] if all(m is mats[0] for m in mats) else np.stack(mats)
+        C = (M @ C.reshape(k, L, -1) % p).transpose(0, 2, 1)
+    return C.reshape(k, *dims)
+
+
 def interpolate_grid(ctx: FieldCtx, axes: Sequence[Sequence[int]],
                      values: Sequence[int]) -> MPoly:
     """Interpolate a polynomial of arity len(axes) from a full product grid.
@@ -591,14 +621,8 @@ def interpolate_grid(ctx: FieldCtx, axes: Sequence[Sequence[int]],
     if len(values) != math.prod(dims):
         raise IncompleteGrid(
             f"{len(values)} samples for a grid of {math.prod(dims)} points")
-    # np.asarray keeps ints beyond int64 as objects, so the reduction is exact,
-    # and residues below 2**61 fit int64
-    C = (np.asarray(values) % p).astype(np.int64)
-    # transform the leading axis, then rotate it to the back; after one step
-    # per axis the axes are back in order
-    for nodes in ax:
-        C = (_basis_matrix(p, nodes) @ C.reshape(len(nodes), -1) % p).T
-    C = C.reshape(dims)
+    C = _residues(values, p).reshape(1, *dims)
+    C = _interpolate_stack(p, [[nodes] for nodes in ax], C)[0]
     # np.nonzero lists indices in row-major order, which fixes the term order
     nonzero = np.nonzero(C)
     terms: Dict[Mono, int] = {}

@@ -55,6 +55,21 @@ class Gate:
     right: Node
 
 
+def _eval_node(node: Node, vals, p: int):
+    """A subtree's value at raw residues (see Rof.eval_raw).
+
+    A module function rather than a recursive closure: the closure's
+    reference to itself is a cycle that keeps vals, a batch's point columns,
+    alive until the cyclic collector runs.
+    """
+    if isinstance(node, Leaf):
+        return (node.alpha * vals[node.var] + node.beta) % p
+    if isinstance(node, Const):
+        return node.value
+    l, r = _eval_node(node.left, vals, p), _eval_node(node.right, vals, p)
+    return (l + r) % p if node.op == "+" else l * r % p
+
+
 class Rof:
     """A read-once formula over a fixed field and arity."""
 
@@ -93,17 +108,7 @@ class Rof:
 
     def eval_raw(self, vals: Sequence[int]) -> int:
         """Evaluate at raw residues: one per slot, or one int64 array per slot."""
-        p = self.ctx.p
-
-        def go(node):
-            if isinstance(node, Leaf):
-                return (node.alpha * vals[node.var] + node.beta) % p
-            if isinstance(node, Const):
-                return node.value
-            l, r = go(node.left), go(node.right)
-            return (l + r) % p if node.op == "+" else l * r % p
-
-        return go(self.root)
+        return _eval_node(self.root, vals, self.ctx.p)
 
     def eval(self, assignment) -> int:
         if len(assignment) != self.arity:
@@ -306,9 +311,9 @@ class Oracle:
     def query_many(self, points) -> list[int]:
         """Answer a sequence of points, or an integer array with one row each.
 
-        An array is reduced mod p in one step; above 2**30 its rows become
-        tuples of Python ints, since int64 products of residues overflow
-        there.
+        An array is reduced mod p in one copy (an int64 array is not copied
+        again); above 2**30 its rows become tuples of Python ints, since
+        int64 products of residues overflow there.
         """
         p = self.ctx.p
         if isinstance(points, np.ndarray):
@@ -317,7 +322,7 @@ class Oracle:
                     f"point array of shape {points.shape} for arity {self.arity}")
             if points.dtype.kind not in "iuO":
                 raise InvalidParams(f"points must be integers, got {points.dtype}")
-            pts = (points % p).astype(np.int64)
+            pts = (points % p).astype(np.int64, copy=False)
             if p >= _NUMPY_P_LIMIT:
                 pts = _point_tuples(pts)
         else:

@@ -7,8 +7,16 @@ Two algorithms:
   non-multilinear or non-read-once trivariate restriction.  One-sided:
   read-once oracles always pass.
 * property_test_once / property_test: three base points aligned per
-  coordinate give 27-point grids; the wrapper repeats the once-tester
-  enough times for the distance parameter.
+  coordinate give 27-point grids; the wrapper repeats the round enough
+  times for the distance parameter.
+
+Both scan their grids in lexicographic subset order (round by round for
+property_test) and query and decide them in doubling batches of 1, 2, 4,
+... grids, up to _BATCH_POINTS points: one query_many call, one stacked
+interpolation and one vectorized closed-form decision per batch.  YES
+reports count the same queries as a one-grid-at-a-time scan.  A NO report
+counts every point of the batches it queried, fewer than about twice the
+points up to the failing grid, plus one batch.
 
 tau_estimate measures the aligned-triple statistic: the fraction of random
 axis triples whose univariate interpolant is not affine.
@@ -25,7 +33,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .decomp import trivariate_is_rop
+from .decomp import _trivariate_rop
 from .errors import (
     ArityMismatch,
     DegreeTooSmall,
@@ -34,13 +42,17 @@ from .errors import (
     TooFewVariables,
     guard_scale,
 )
-from .mpoly import interpolate_grid
+from .mpoly import _NUMPY_P_LIMIT, _interpolate_stack, _residues
 from .rof import Oracle
 
 YES = "YES"
 NO = "NO"
 NOT_MULTILINEAR = "NOT_MULTILINEAR"
 NOT_ROP = "NOT_ROP"
+
+# Points per batch of grids.  It bounds a batch's memory; a batch holds at
+# least one grid, so a larger grid (125^3 points at degree 124) runs alone.
+_BATCH_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -105,53 +117,116 @@ def _subsets(n: int):
     return [tuple(range(n))]
 
 
-def _grid_values(oracle: Oracle, grid, base, I, store) -> list:
-    """Oracle values on the grid's rows, through the store when there is one.
+def _grid_points(batch, n: int):
+    """The batch's grids as one (k, L_1, ..., L_m, n) int64 array, and which
+    points another grid of the scan can also hold.
 
-    Another subset's grid shares a point with this one only if one of the
-    point's I-coordinates equals the base point's, so only such points are
-    stored and looked up; every other point is queried exactly once.
+    Each grid is its base point with the I columns running over its axes, in
+    itertools.product(*axes) order.  Two grids share a point only if it
+    agrees with the common base point on their symmetric difference, so one
+    of the point's I-coordinates equals the base point's.
     """
+    k = len(batch)
+    dims = tuple(len(axis) for axis in batch[0][2])
+    bases = np.array([base for base, _, _ in batch], dtype=np.int64)
+    pts = np.empty((k,) + dims + (n,), dtype=np.int64)
+    pts[...] = bases.reshape((k,) + (1,) * len(dims) + (n,))
+    shared = np.zeros((k,) + dims, dtype=bool)
+    rows = np.arange(k)
+    for t, L in enumerate(dims):
+        slots = np.array([I[t] for _, I, _ in batch])
+        column = np.array([axes[t] for _, _, axes in batch], dtype=np.int64)
+        shape = [k] + [1] * len(dims)
+        shape[t + 1] = L
+        # rows and slots are advanced indices apart, so the grid axes follow
+        # the batch axis
+        pts[rows, ..., slots] = column.reshape(shape)
+        shared |= (column == bases[rows, slots][:, None]).reshape(shape)
+    return pts, shared
+
+
+def _stored_values(oracle: Oracle, points, shared, store) -> np.ndarray:
+    """Oracle values at the rows of points, through the store on shared rows.
+
+    Only shared rows are stored and looked up: each distinct one is queried
+    once per scan, however many grids or batches hold it, and every other
+    row is queried once.  One query_many call answers the batch.
+    """
+    p = oracle.ctx.p
+    values = np.empty(len(points), dtype=np.int64)
+    uniq, inverse = np.unique(points[shared], axis=0, return_inverse=True)
+    keys = list(map(tuple, uniq.tolist()))
+    new = np.array([key not in store for key in keys], dtype=bool)
+    own = np.count_nonzero(~shared)
+    answers = _residues(oracle.query_many(np.concatenate([points[~shared], uniq[new]])), p)
+    values[~shared] = answers[:own]
+    known = np.empty(len(uniq), dtype=np.int64)
+    known[new] = answers[own:]
+    known[~new] = [store[key] for key, fresh in zip(keys, new) if not fresh]
+    store.update(zip(itertools.compress(keys, new), answers[own:].tolist()))
+    values[shared] = known[inverse.reshape(-1)]
+    return values
+
+
+def _check_batch(oracle: Oracle, batch, store):
+    """Query the batch's grids, interpolate them and classify each restriction.
+
+    Returns (I, kind) of the first failing grid in batch order, or None: a
+    restriction fails when it is not multilinear, or when its 8 multilinear
+    coefficients are not read-once.
+    """
+    p, n = oracle.ctx.p, oracle.arity
+    k = len(batch)
+    pts, shared = _grid_points(batch, n)
+    dims = shared.shape[1:]
+    points = pts.reshape(-1, n)
     if store is None:
-        return oracle.query_many(grid)
-    rows = np.flatnonzero((grid[:, I] == [base[i] for i in I]).any(axis=1))
-    keys = list(map(tuple, grid[rows].tolist()))
-    hit = np.zeros(len(grid), dtype=bool)
-    hit[rows] = [key in store for key in keys]
-    vals = np.empty(len(grid), dtype=object)
-    vals[~hit] = oracle.query_many(grid[~hit])
-    vals[hit] = [store[key] for key, h in zip(keys, hit[rows]) if h]
-    store.update(zip(keys, vals[rows].tolist()))
-    return vals.tolist()
+        values = _residues(oracle.query_many(points), p)
+    else:
+        values = _stored_values(oracle, points, shared.reshape(-1), store)
+    # free the points before the transform: a degree-124 grid holds 2 M rows
+    del pts, points
+    nodes = [[tuple(axes[t]) for _, _, axes in batch] for t in range(len(dims))]
+    C = _interpolate_stack(p, nodes, values.reshape((k,) + dims))
+    lin = C[(slice(None),) + (slice(0, 2),) * len(dims)].reshape(k, -1)
+    failing = np.count_nonzero(C.reshape(k, -1), axis=1) > np.count_nonzero(lin, axis=1)
+    nonml = failing.copy()
+    # in fewer than 3 slots every multilinear polynomial is read-once
+    if len(dims) == 3:
+        if p >= _NUMPY_P_LIMIT:
+            lin = lin.astype(object)
+        # column e1*4 + e2*2 + e3 holds the coefficient of x^e, so slot t of
+        # the grid is bit 4 >> t
+        failing |= ~_trivariate_rop(lin.T, 4, 2, 1, p)
+    if not failing.any():
+        return None
+    g = int(np.argmax(failing))
+    return batch[g][1], NOT_MULTILINEAR if nonml[g] else NOT_ROP
 
 
-def _grid_check(oracle: Oracle, base, I, axes, store):
-    """Query the grid over I, interpolate, and classify the restriction.
+def _scan(oracle: Oracle, grids, store, seed, repeats) -> TestReport:
+    """Query and decide grids in doubling batches; NO at the first failing one.
 
-    The grid is the base point with the I columns running over the axes, in
-    itertools.product(*axes) order.
+    grids yields (base, I, axes) in scan order, every grid of one shape.
+    Batches hold 1, 2, 4, ... grids, up to _BATCH_POINTS points unless one
+    grid alone is larger, so each oracle call and numpy step covers many
+    small grids while a scan that fails early queries fewer than about twice
+    the grids a one-at-a-time scan would.  store, when given, keeps the
+    values of points that another grid can hold across batches.
     """
-    grid = np.empty([len(axis) for axis in axes] + [len(base)], dtype=np.int64)
-    grid[:] = base
-    for slot, column in zip(I, np.meshgrid(*axes, indexing="ij", sparse=True)):
-        grid[..., slot] = column
-    grid = grid.reshape(-1, len(base))
-    Q = interpolate_grid(oracle.ctx, axes, _grid_values(oracle, grid, base, I, store))
-    if not Q.is_multilinear():
-        return NOT_MULTILINEAR
-    if not trivariate_is_rop(Q):
-        return NOT_ROP
-    return None
-
-
-def _scan_subsets(oracle: Oracle, n: int, base, axes_of, store, seed) -> TestReport:
-    """Grid-check every subset I on axes_of(I); NO at the first failing one."""
     start = oracle.query_count
-    for I in _subsets(n):
-        kind = _grid_check(oracle, base, I, axes_of(I), store)
-        if kind is not None:
-            return TestReport(NO, I, kind, oracle.query_count - start, seed, 1)
-    return TestReport(YES, None, None, oracle.query_count - start, seed, 1)
+    grids = iter(grids)
+    size, limit = 1, None
+    while True:
+        batch = list(itertools.islice(grids, size))
+        if not batch:
+            return TestReport(YES, None, None, oracle.query_count - start, seed, repeats)
+        if limit is None:
+            limit = max(1, _BATCH_POINTS // math.prod(map(len, batch[0][2])))
+        failure = _check_batch(oracle, batch, store)
+        if failure is not None:
+            return TestReport(NO, *failure, oracle.query_count - start, seed, repeats)
+        size = min(2 * size, limit)
 
 
 def read_once_test(oracle: Oracle, n: int, d: int, epsilon: float = 0.25,
@@ -174,9 +249,9 @@ def read_once_test(oracle: Oracle, n: int, d: int, epsilon: float = 0.25,
         raise InvalidParams(f"epsilon must be in (0, 1), got {epsilon}")
     rng, seed = _rng_and_seed(rng)
     base = [rng.randrange(p) for _ in range(n)]
-    axis = list(range(d + 1))
-    return _scan_subsets(oracle, n, base, lambda I: [axis] * len(I),
-                         {} if cache else None, seed)
+    axis = tuple(range(d + 1))
+    return _scan(oracle, ((base, I, [axis] * len(I)) for I in _subsets(n)),
+                 {} if cache else None, seed, 1)
 
 
 def recommended_field_size(n: int, d: int, epsilon: float) -> float:
@@ -196,43 +271,49 @@ def _distinct_residues(p: int, rng) -> Tuple[int, int, int]:
     return x, y, z
 
 
-def property_test_once(oracle: Oracle, n: int, rng=0) -> TestReport:
-    """One round of the 27-point property test.
+def _round_grids(n: int, p: int, rng):
+    """The grids of one property round, its triples drawn at the first grid.
 
     Each coordinate gets three distinct values; the first ones form the base
     point and the three of each coordinate in I form its axis.
     """
+    triples = [_distinct_residues(p, rng) for _ in range(n)]
+    base = [t[0] for t in triples]
+    for I in _subsets(n):
+        yield base, I, [triples[i] for i in I]
+
+
+def property_test_once(oracle: Oracle, n: int, rng=0) -> TestReport:
+    """One round of the 27-point property test."""
     _require_coordinates(oracle, n)
     guard_scale(math.comb(n, 3), "3-subsets to scan")
     p = oracle.ctx.p
     if p < 3:
         raise FieldTooSmall("aligned triples need p >= 3")
     rng, seed = _rng_and_seed(rng)
-    triples = [_distinct_residues(p, rng) for _ in range(n)]
-    base = [t[0] for t in triples]
-    return _scan_subsets(oracle, n, base, lambda I: [triples[i] for i in I], None, seed)
+    return _scan(oracle, _round_grids(n, p, rng), None, seed, 1)
 
 
 def property_test(oracle: Oracle, n: int, delta: float, rng=0) -> TestReport:
-    """Repeat property_test_once ceil(3 / (delta + n^-4)) times.
+    """Repeat the property round ceil(3 / (delta + n^-4)) times.
 
     NO as soon as any round rejects; the repeat count R is recorded in the
     report either way.  The R * C(n,3) grids of a run must stay within the
-    scale guard, checked before the first query.
+    scale guard, checked before the first query.  Batches of grids run
+    across rounds, and a round's triples are drawn when the scan reaches
+    it, so on NO a caller's random.Random may have drawn later rounds'.
     """
     _require_coordinates(oracle, n)
     if not 0 < delta <= 1:
         raise InvalidParams(f"delta must be in (0, 1], got {delta}")
     R = math.ceil(3 / (delta + float(n) ** -4))
     guard_scale(R * math.comb(n, 3), "3-subset grids over all rounds")
+    p = oracle.ctx.p
+    if p < 3:
+        raise FieldTooSmall("aligned triples need p >= 3")
     rng, seed = _rng_and_seed(rng)
-    start = oracle.query_count
-    for _ in range(R):
-        rep = property_test_once(oracle, n, rng)
-        if rep.verdict == NO:
-            return TestReport(NO, rep.failing_I, rep.failure_kind,
-                              oracle.query_count - start, seed, R)
-    return TestReport(YES, None, None, oracle.query_count - start, seed, R)
+    rounds = itertools.chain.from_iterable(_round_grids(n, p, rng) for _ in range(R))
+    return _scan(oracle, rounds, None, seed, R)
 
 
 def draw_aligned_triple(ctx, n: int, rng, coordinate: Optional[int] = None) -> AlignedTriple:

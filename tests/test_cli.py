@@ -204,7 +204,7 @@ def test_blackbox_refuses_oversized_grid(tmp_path, capsys, monkeypatch):
     def no_grids(*args):
         raise AssertionError("the scan ran past the grid scale guard")
 
-    monkeypatch.setattr(testers, "_grid_check", no_grids)
+    monkeypatch.setattr(testers, "_check_batch", no_grids)
     path = tmp_path / "q5.txt"
     main(["gen", "qn", "--p", "1009", "--n", "5", "--out", str(path)])
     capsys.readouterr()

@@ -3,12 +3,14 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from ropcheck.decomp import (
     _PROBE,
     GateGraph,
     _probe_value,
+    _trivariate_rop,
     additive_split,
     brute_force_is_rop,
     commutator,
@@ -438,6 +440,28 @@ def test_trivariate_matches_brute_force_random():
         assert trivariate_is_rop(P) == brute_force_is_rop(P)
         agree += 1
     assert agree == 300
+
+
+def test_closed_form_on_int64_columns_below_2_30():
+    # the testers decide a batch's restrictions as int64 coefficient columns;
+    # just below 2**30 a pair split's D terms reach 2**61 and must be reduced
+    # before the last products
+    ctx = FieldCtx(2**30 - 35)
+    rng = random.Random(89)
+    monos = [tuple((v, 1) for v in range(3) if mask >> v & 1) for mask in range(8)]
+    vectors = []
+    for _ in range(300):
+        terms = random_rof(ctx, 3, rng).expand().terms
+        c = [terms.get(m, 0) for m in monos]
+        vectors.append(c)
+        near = list(c)
+        near[rng.randrange(8)] = rng.randrange(ctx.p)
+        vectors.append(near)
+        vectors.append([rng.randrange(ctx.p) for _ in range(8)])
+    want = [trivariate_is_rop(MPoly(ctx, 3, dict(zip(monos, c)))) for c in vectors]
+    got = _trivariate_rop(np.array(vectors, dtype=np.int64).T, 1, 2, 4, ctx.p)
+    assert got.tolist() == want
+    assert all(want[::3]) and not all(want)
 
 
 def test_brute_force_known_cases():

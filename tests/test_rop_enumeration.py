@@ -6,14 +6,17 @@ variables, straight from the grammar: constants; leaves alpha*x + beta with
 alpha != 0; f + g and f*g + c with f, g on disjoint nonempty variable sets.
 Constant leaves inside a formula only scale a subformula or add a constant,
 which the grammar already covers.  Nothing here calls the decomposition
-layer; the set is compared exhaustively with trivariate_is_rop.
+layer; the set is compared exhaustively with trivariate_is_rop and with
+its closed form on raw coefficients, as arrays and as unreduced ints.
 """
 
 import itertools
+import random
 
+import numpy as np
 import pytest
 
-from ropcheck.decomp import trivariate_is_rop
+from ropcheck.decomp import _trivariate_rop, trivariate_is_rop
 from ropcheck.ff import FieldCtx
 from ropcheck.mpoly import MPoly
 
@@ -73,3 +76,19 @@ def test_trivariate_is_rop_matches_formula_enumeration(p, count):
         if trivariate_is_rop(P):
             decided.add(coeffs)
     assert decided == rop
+    # the closed form on raw coefficients: all p^8 vectors at once as int64
+    # columns, as the testers pass them, in the three slot orders
+    vectors = np.array(list(itertools.product(range(p), repeat=8)), dtype=np.int64)
+    want = np.array([tuple(v) in rop for v in vectors.tolist()])
+    for slots in ((1, 2, 4), (4, 2, 1), (2, 4, 1)):
+        assert np.array_equal(_trivariate_rop(vectors.T, *slots, p), want)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_closed_form_reads_unreduced_coefficients(p):
+    # is_locally_rop passes Taylor-table entries as unreduced Python ints
+    rop = read_once_vectors(p)
+    rng = random.Random(p)
+    for coeffs in itertools.product(range(p), repeat=8):
+        raw = [c + p * rng.randrange(1 << 40) for c in coeffs]
+        assert _trivariate_rop(raw, 1, 2, 4, p) == (coeffs in rop)

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from ropcheck import errors, testers
-from ropcheck.decomp import brute_force_is_rop
+from ropcheck.decomp import brute_force_is_rop, trivariate_is_rop
 from ropcheck.errors import (
     ArityMismatch,
     DegreeTooSmall,
@@ -18,7 +18,7 @@ from ropcheck.errors import (
 )
 from ropcheck.ff import FieldCtx
 from ropcheck.hardcases import q_n
-from ropcheck.mpoly import parse_terms, random_multilinear
+from ropcheck.mpoly import MPoly, interpolate_grid, parse_terms, random_multilinear
 from ropcheck.rof import Oracle, as_oracle, corrupt_oracle, random_rof
 from ropcheck.testers import (
     NO,
@@ -118,7 +118,7 @@ def _grid_union(n, d, base):
     return union
 
 
-def test_cache_queries_each_point_of_the_grid_union_once():
+def _assert_cache_queries_the_grid_union_once():
     d = 4
     hits = 0
     for p in (7, 11, 13):
@@ -135,6 +135,17 @@ def test_cache_queries_each_point_of_the_grid_union_once():
     assert hits > 0
 
 
+def test_cache_queries_each_point_of_the_grid_union_once():
+    # 125-point grids: batches of 1, 2, 4, 8 and 5 grids at n = 6, so the
+    # store carries shared points across batches and np.unique within them
+    _assert_cache_queries_the_grid_union_once()
+
+
+def test_cache_queries_the_grid_union_once_in_one_grid_batches(monkeypatch):
+    monkeypatch.setattr(testers, "_BATCH_POINTS", 1)
+    _assert_cache_queries_the_grid_union_once()
+
+
 def test_cache_stores_only_points_another_grid_can_hold():
     p, n, d = 7, 6, 4
     orc = as_oracle(random_rof(FieldCtx(p), n, 8))
@@ -143,11 +154,129 @@ def test_cache_stores_only_points_another_grid_can_hold():
     store = {}
     for I in itertools.combinations(range(n), 3):
         before = set(store)
-        assert testers._grid_check(orc, base, I, [axis] * 3, store) is None
+        assert testers._check_batch(orc, [(base, I, [axis] * 3)], store) is None
         new = set(store) - before
         assert all(any(pt[i] == base[i] for i in I) for pt in new)
     assert store
     assert orc.query_count == len(_grid_union(n, d, base))
+    # one batch of every subset stores the same points and values, and
+    # queries each of them once
+    batched = {}
+    orc = as_oracle(random_rof(FieldCtx(p), n, 8))
+    grids = [(base, I, [axis] * 3) for I in itertools.combinations(range(n), 3)]
+    assert testers._check_batch(orc, grids, batched) is None
+    assert batched == store
+    assert orc.query_count == len(_grid_union(n, d, base))
+
+
+def _sequential_scan(oracle, grids, store):
+    """The one-grid-at-a-time scan: (failing I, kind) or None, and queries.
+
+    Each grid is queried on its own, interpolated with interpolate_grid and
+    decided with trivariate_is_rop; store, when given, caches every point.
+    """
+    start = oracle.query_count
+    for base, I, axes in grids:
+        pts = []
+        for combo in itertools.product(*axes):
+            pt = list(base)
+            for slot, v in zip(I, combo):
+                pt[slot] = v
+            pts.append(tuple(pt))
+        if store is None:
+            vals = oracle.query_many(pts)
+        else:
+            fresh = [pt for pt in dict.fromkeys(pts) if pt not in store]
+            store.update(zip(fresh, oracle.query_many(fresh)))
+            vals = [store[pt] for pt in pts]
+        Q = interpolate_grid(oracle.ctx, axes, vals)
+        if not Q.is_multilinear():
+            return (I, NOT_MULTILINEAR), oracle.query_count - start
+        if not trivariate_is_rop(Q):
+            return (I, NOT_ROP), oracle.query_count - start
+    return None, oracle.query_count - start
+
+
+def _lex_subsets(n):
+    return list(itertools.combinations(range(n), 3)) if n >= 3 else [tuple(range(n))]
+
+
+def _sequential_read_once_test(oracle, n, d, seed, cache):
+    rng = random.Random(seed)
+    base = [rng.randrange(oracle.ctx.p) for _ in range(n)]
+    axis = list(range(d + 1))
+    grids = [(base, I, [axis] * len(I)) for I in _lex_subsets(n)]
+    return _sequential_scan(oracle, grids, {} if cache else None)
+
+
+def _sequential_property_test(oracle, n, rounds, rng):
+    p = oracle.ctx.p
+    start = oracle.query_count
+    for _ in range(rounds):
+        triples = [testers._distinct_residues(p, rng) for _ in range(n)]
+        base = [t[0] for t in triples]
+        grids = [(base, I, [triples[i] for i in I]) for I in _lex_subsets(n)]
+        failure, _ = _sequential_scan(oracle, grids, None)
+        if failure is not None:
+            return failure, oracle.query_count - start
+    return None, oracle.query_count - start
+
+
+def _comparison_oracles(ctx, n, rng):
+    """Formula, multilinear, q_n, non-multilinear and corrupted oracles."""
+    F = random_rof(ctx, n, rng)
+    square = random_rof(ctx, n, rng).expand() + MPoly(ctx, n, {((rng.randrange(n), 2),): 1})
+    return [as_oracle(F), as_oracle(random_multilinear(ctx, n, rng)), as_oracle(q_n(n, ctx)),
+            as_oracle(square), corrupt_oracle(as_oracle(F), 0.05, rng.randrange(1 << 30))]
+
+
+def _assert_matches_sequential(rep, want, grid_points):
+    """Same verdict and failing subset; YES queries equal, NO queries from
+    the sequential count up to below twice it plus one batch."""
+    failure, sequential = want
+    if failure is None:
+        assert (rep.verdict, rep.failing_I, rep.failure_kind) == (YES, None, None)
+        assert rep.queries == sequential
+    else:
+        assert (rep.verdict, rep.failing_I, rep.failure_kind) == (NO,) + failure
+        batch = max(testers._BATCH_POINTS, grid_points)
+        assert sequential <= rep.queries < 2 * sequential + batch
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101, 1009, 2**31 - 1])
+def test_batched_scans_match_the_sequential_scan(p):
+    ctx = FieldCtx(p)
+    rng = random.Random(p)
+    outcomes = set()
+    for n in range(1, 9):
+        d = min(max(n, 2), 4, p - 1)
+        R = math.ceil(3 / (0.5 + float(n) ** -4))
+        for orc in _comparison_oracles(ctx, n, rng):
+            seed = rng.randrange(1 << 30)
+            for cache in (True, False):
+                rep = read_once_test(orc, n, d, 0.25, seed, cache=cache)
+                assert (rep.seed, rep.repeats) == (seed, 1)
+                want = _sequential_read_once_test(orc, n, d, seed, cache)
+                _assert_matches_sequential(rep, want, (d + 1) ** min(n, 3))
+                outcomes.add((rep.verdict, rep.failure_kind))
+            rep = property_test(orc, n, 0.5, seed)
+            assert (rep.seed, rep.repeats) == (seed, R)
+            _assert_matches_sequential(
+                rep, _sequential_property_test(orc, n, R, random.Random(seed)), 27)
+            rep = property_test_once(orc, n, seed)
+            assert (rep.seed, rep.repeats) == (seed, 1)
+            _assert_matches_sequential(
+                rep, _sequential_property_test(orc, n, 1, random.Random(seed)), 27)
+            outcomes.add((rep.verdict, rep.failure_kind))
+            # a caller's generator gives the same report without a seed and,
+            # on YES, is left in the sequential scan's state
+            mine, theirs = random.Random(seed), random.Random(seed)
+            rep = property_test(orc, n, 0.5, mine)
+            assert (rep.seed, rep.repeats) == (None, R)
+            _assert_matches_sequential(rep, _sequential_property_test(orc, n, R, theirs), 27)
+            if rep.verdict == YES:
+                assert mine.getstate() == theirs.getstate()
+    assert {(YES, None), (NO, NOT_MULTILINEAR), (NO, NOT_ROP)} <= outcomes
 
 
 def test_parameter_validation():
