@@ -4,17 +4,20 @@ The central objects:
 
 * the pair commutator D(P) = P * dd_ij(P) - d_i(P) * d_j(P), whose being a
   constant multiple of the mixed second partial dd_ij(P) characterizes
-  splitting P as h*g + c with x_i and x_j on opposite sides.  It is built as
-  D = AE - BC from P = A*x_i*x_j + B*x_i + C*x_j + E, which needs about a
+  splitting P as h*g + c with x_i and x_j on opposite sides.  With
+  P = A*x_i*x_j + B*x_i + C*x_j + E it is D = AE - BC, which needs about a
   quarter of the monomial products of the defining form and never forms the
-  terms of that form that always cancel;
+  terms of that form that always cancel.  The exact zero tests never build
+  D as a polynomial: they sum products of P's cofactors on integer monomial
+  codes (mpoly._code_products) and test that sum for zero;
 * the decomposition witness W(P): a polynomial in two copies of the
   variables (x-block slots 0..n-1, y-block slots n..2n-1) that vanishes
   identically exactly when dd_ij(P) is zero or P splits for some constant.
   A shared index set J glues y_k := x_k for k in J;
 * the pair split along a third slot z, P = A*x_i*x_j + B*x_i + C*x_j + E
-  with A..E affine in z, from scalars or from P's cofactor polynomials; it
-  decides every witness with J != {} exactly (see witness_is_zero);
+  with A..E affine in z.  On scalars it reads the witness probes and the
+  certificate checks; on P's coded cofactors it decides every witness with
+  J != {} exactly (_slot_vanishes, see witness_is_zero);
 * the order-3 Taylor table of P at a point a: the mixed partials d_T P(a),
   |T| <= 3, from one pass over P's terms.  The witness's fixed probe and the
   certificate's checks read every point value they need from such tables;
@@ -42,7 +45,7 @@ from .errors import (
     TooManyVariables,
     VariableNotPresent,
 )
-from .mpoly import MPoly
+from .mpoly import MPoly, _code_products, _coded_cofactors
 
 # The exact witness test's probe point pair, drawn once from a fixed seed so
 # that no call seeds or consumes a random stream: slot k of the x-point reads
@@ -121,9 +124,9 @@ def _pair_split(c, x: int, y: int, z: int):
     A = A1*z + A0 and so on, and D = A*E - B*C = D2*z^2 + D1*z + D0.
 
     c maps a bit mask to the coefficient of that monomial in x, y and z:
-    scalars (a table, in shifted coordinates) or cofactor polynomials free
-    of x, y and z (_cofactors).  x, y, z are one-bit masks; returns
-    (A1, A0, D2, D1, D0).
+    scalars, such as a table in shifted coordinates, or arrays of them
+    (_slot_vanishes forms the same D from coded cofactors).  x, y, z are
+    one-bit masks; returns (A1, A0, D2, D1, D0).
     """
     A1, A0 = c[x | y | z], c[x | y]
     B1, B0 = c[x | z], c[x]
@@ -133,24 +136,30 @@ def _pair_split(c, x: int, y: int, z: int):
             A0 * E0 - B0 * C0)
 
 
-def _cofactors(P: MPoly, slots) -> Dict[int, MPoly]:
-    """P = sum of c[T] * x^T over the subsets T of slots, each c[T] free of
-    the slots; returns c keyed by T's bit mask, the zero polynomial where no
-    monomial's slots-part is T.  One pass over P's terms; P multilinear."""
-    masks = [0]
-    for v in slots:
-        masks += [mask | 1 << v for mask in masks]
-    parts: Dict[int, dict] = {mask: {} for mask in masks}
-    for mono, c in P.terms.items():
-        mask = 0
-        rest = []
-        for t in mono:
-            if t[0] in slots:
-                mask |= 1 << t[0]
-            else:
-                rest.append(t)
-        parts[mask][tuple(rest)] = c
-    return {mask: MPoly(P.ctx, P.arity, d, _canonical=True) for mask, d in parts.items()}
+def _commutator_codes(c, x: int, y: int, p: int) -> Dict[int, int]:
+    """D = A*E - B*C for P = A*x*y + B*x + C*y + E, from P's coded cofactors
+    c in the one-bit masks x and y (mpoly._coded_cofactors), as
+    _code_products returns it: empty iff D == 0."""
+    return _code_products(p, (1, c[x | y], c[0]), (-1, c[x], c[y]))
+
+
+def _slot_vanishes(c, x: int, y: int, z: int, p: int) -> bool:
+    """D2 == 0 and A1*D0 == A0*D1 in the pair split along z (_pair_split),
+    from P's coded cofactors c in the one-bit masks x, y and z
+    (mpoly._coded_cofactors).
+
+    D1 and D0 are accumulated first and multiplied once; A1*D0 multiplies
+    three multilinear factors, which the cofactor codes hold.
+    """
+    A1, A0 = c[x | y | z], c[x | y]
+    B1, B0 = c[x | z], c[x]
+    C1, C0 = c[y | z], c[y]
+    E1, E0 = c[z], c[0]
+    if _code_products(p, (1, A1, E1), (-1, B1, C1)):
+        return False
+    D1 = _code_products(p, (1, A1, E0), (1, A0, E1), (-1, B1, C0), (-1, B0, C1))
+    D0 = _commutator_codes(c, x, y, p)
+    return not _code_products(p, (1, A1, D0.items()), (-1, A0, D1.items()))
 
 
 def commutator(P: MPoly, i: int, j: int) -> MPoly:
@@ -163,9 +172,11 @@ def commutator(P: MPoly, i: int, j: int) -> MPoly:
     if i == j:
         raise SameVariable(f"need two distinct variables, got {i} twice")
     _require_multilinear(P)
-    c = _cofactors(P, (i, j))
-    bi, bj = 1 << i, 1 << j
-    return c[bi | bj] * c[0] - c[bi] * c[bj]
+    zeros = [0] * P.arity
+    E = P.restrict_many((i, j), zeros)
+    B = P.partial(i).restrict(j, 0)
+    C = P.partial(j).restrict(i, 0)
+    return P.partial2(i, j) * E - B * C
 
 
 def find_nonzero_point(P: MPoly) -> Tuple[int, ...]:
@@ -202,7 +213,9 @@ def decompose(P: MPoly, i: int, j: int) -> DecompResult:
 
     P is decomposable iff D(P) = c * dd_ij(P) for the unique candidate
     c = D(w) / dd_ij(P)(w) at any point w where the second partial is
-    nonzero; the identity is then verified symbolically.
+    nonzero.  With P = A*x_i*x_j + B*x_i + C*x_j + E, D = AE - BC is summed
+    on the cofactors' codes (_commutator_codes) and compared with c * A;
+    no polynomial is built.
     """
     if i == j:
         raise SameVariable(f"need two distinct variables, got {i} twice")
@@ -211,14 +224,17 @@ def decompose(P: MPoly, i: int, j: int) -> DecompResult:
     for t in (i, j):
         if t not in pv:
             raise VariableNotPresent(f"x{t + 1} does not occur in the polynomial")
-    S = P.partial2(i, j)
-    if S.is_zero():
+    bi, bj, p = 1 << i, 1 << j, P.ctx.p
+    cof = _coded_cofactors(P, (i, j))
+    S = cof[bi | bj]
+    if not S:
         return DecompResult(False, None, True)
-    D = commutator(P, i, j)
-    w = find_nonzero_point(S)
-    ctx = P.ctx
-    c = D.eval_raw(w) * ctx.inv_raw(S.eval_raw(w)) % ctx.p
-    if (D - S.scale(c)).is_zero():
+    # D = c * S forces c to the ratio of their coefficients at any monomial
+    # of S
+    D = _commutator_codes(cof, bi, bj, p)
+    k, s = S[0]
+    c = D.get(k, 0) * P.ctx.inv_raw(s) % p
+    if D == ({m: c * a % p for m, a in S} if c else {}):
         return DecompResult(True, c, False)
     return DecompResult(False, None, False)
 
@@ -273,7 +289,7 @@ def witness_is_zero(P: MPoly, i: int, j: int,
 
     J = {} is then decompose's test, D = c * S for a constant c.  For
     J = rest - {m}, split S = A1*x_m + A0 and D = D2*x_m^2 + D1*x_m + D0
-    with coefficients in the ring R of the other slots (_pair_split on the
+    with coefficients in the ring R of the other slots (_slot_vanishes on the
     cofactors of P in x_i, x_j, x_m).  W's coefficients in x_m and y_m are
     +-D2*A1, +-D2*A0 and +-(A1*D0 - A0*D1); R has no zero divisors, so
     W == 0 iff D2 == 0 and A1*D0 == A0*D1.  Any other J reduces to these:
@@ -299,12 +315,9 @@ def witness_is_zero(P: MPoly, i: int, j: int,
     unglued = [k for k in range(n) if k not in shared and k != i and k != j]
     if any(_probe_value(P, i, j, m) for m in unglued):
         return False
-    bi, bj = 1 << i, 1 << j
-    for m in unglued:
-        A1, A0, D2, D1, D0 = _pair_split(_cofactors(P, (i, j, m)), bi, bj, 1 << m)
-        if not D2.is_zero() or A1 * D0 != A0 * D1:
-            return False
-    return True
+    bi, bj, p = 1 << i, 1 << j, P.ctx.p
+    return all(_slot_vanishes(_coded_cofactors(P, (i, j, m)), bi, bj, 1 << m, p)
+               for m in unglued)
 
 
 def _probe_value(P: MPoly, i: int, j: int, m: Optional[int]) -> int:
@@ -436,7 +449,7 @@ def multiplicative_split(P: MPoly, i: int, j: int) -> Tuple[MPoly, MPoly, int]:
     # P - c with constant 0, i.e. its commutator is nonzero
     right = {j}
     for k in sorted(Pp.variables()):
-        if k != j and not commutator(Pp, k, j).is_zero():
+        if k != j and _commutator_codes(_coded_cofactors(Pp, (k, j)), 1 << k, 1 << j, ctx.p):
             right.add(k)
     left = sorted(Pp.variables() - right)
     w = find_nonzero_point(Pp)

@@ -6,10 +6,18 @@ a tuple of (variable, exponent) pairs, sorted by variable, every exponent
 positive; the empty tuple is the constant monomial.  The representation is
 canonical, so equality of polynomials is equality of dicts.
 
-Zero coefficients are dropped in one place: the constructor.  Every operation
-accumulates its terms into a fresh dict as out[m] = (out.get(m, 0) + c) % p,
-leaving any cancelled term at 0, and hands the dict to the constructor, which
-removes the zeros and keeps the dict as the new polynomial's terms.
+Zero coefficients are dropped by the constructor.  Every operation but the
+product accumulates its terms into a fresh dict as
+out[m] = (out.get(m, 0) + c) % p, leaving any cancelled term at 0, and hands
+the dict to the constructor, which removes the zeros and keeps the dict as
+the new polynomial's terms.
+
+Products go through integer monomial codes: a code holds each slot's exponent
+in its own bit field (_encode), wide enough for the largest exponent sum, so a
+monomial product is one integer addition.  _code_products sums such products
+into one dict and drops the codes whose sum vanishes; MPoly.__mul__ decodes
+its result in the order the codes first occur, which is the order the
+monomials first occur.
 
 Restriction keeps the arity: substituting into slot i just removes i from the
 support, it never renumbers the remaining variables.
@@ -24,6 +32,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+from collections import defaultdict
 from typing import Dict, FrozenSet, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -55,14 +64,18 @@ def eval_points(eval_raw, p: int, points: Sequence[Sequence[int]]) -> list[int]:
     points is a list of points or an integer array with one row per point.
     Below _NUMPY_P_LIMIT, 8 or more points go to eval_raw in one call, as
     one int64 column per slot; a result that does not depend on the point
-    is broadcast to every point.
+    is broadcast to every point.  An int64 array is neither copied nor
+    reduced when its entries already lie in [0, p), as Oracle.query_many's
+    do.
     """
     if p >= _NUMPY_P_LIMIT or len(points) < 8:
         if isinstance(points, np.ndarray):
             points = points.tolist()
         return [eval_raw(pt) for pt in points]
-    columns = (np.asarray(points, dtype=np.int64) % p).T
-    return np.broadcast_to(eval_raw(columns), len(points)).tolist()
+    pts = np.asarray(points, dtype=np.int64)
+    if pts.size and (pts.min() < 0 or pts.max() >= p):
+        pts = pts % p
+    return np.broadcast_to(eval_raw(pts.T), len(points)).tolist()
 
 
 def _pow_mod(x, e: int, p: int):
@@ -78,34 +91,92 @@ def _pow_mod(x, e: int, p: int):
         x = x * x % p
 
 
-def _mono_mul(m1: Mono, m2: Mono) -> Mono:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
+def _encode(terms: Mapping[Mono, int], w: int) -> list[Tuple[int, int]]:
+    """(code, coefficient) per term: the code holds slot v's exponent in bits
+    w*v .. w*v + w - 1, so a monomial product is the sum of the codes as long
+    as no exponent sum reaches 2**w."""
     out = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    while i < n1 and j < n2:
-        v1, e1 = m1[i]
-        v2, e2 = m2[j]
-        if v1 == v2:
-            out.append((v1, e1 + e2))
-            i += 1
-            j += 1
-        elif v1 < v2:
-            out.append(m1[i])
-            i += 1
-        else:
-            out.append(m2[j])
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out)
+    for mono, c in terms.items():
+        code = 0
+        for v, e in mono:
+            code |= e << w * v
+        out.append((code, c))
+    return out
+
+
+def _decode_all(codes: Iterable[int], w: int) -> list[Mono]:
+    """The monomials of codes in w-bit fields (see _encode), in order.
+
+    A code is read one chunk of max(1, 8 // w) fields at a time.  Each
+    chunk, kept in place in the code, is decoded once per call: the codes of
+    one product share most of their chunks.
+    """
+    step = max(1, 8 // w) * w
+    chunk_mask = (1 << step) - 1
+    mask = (1 << w) - 1
+    memo: Dict[int, Mono] = {}
+    out = []
+    for code in codes:
+        mono = ()
+        shift = 0
+        top = code.bit_length()
+        while shift < top:
+            chunk = code & chunk_mask << shift
+            if chunk:
+                part = memo.get(chunk)
+                if part is None:
+                    fields, v, found = chunk >> shift, shift // w, []
+                    while fields:
+                        if fields & mask:
+                            found.append((v, fields & mask))
+                        fields >>= w
+                        v += 1
+                    part = memo[chunk] = tuple(found)
+                mono += part
+            shift += step
+        out.append(mono)
+    return out
+
+
+def _code_products(p: int, *products) -> Dict[int, int]:
+    """sum of s * X * Y over products (s, X, Y), reduced mod p.
+
+    X and Y are iterables of (code, coefficient) pairs in one field width
+    (_encode); Y is iterated once per term of X.  s is an integer.  The result maps each code with a nonzero residue to it,
+    in the order the codes first occur, so it is empty iff the sum vanishes.
+    """
+    acc: Dict[int, int] = defaultdict(int)
+    for s, X, Y in products:
+        for k1, c1 in X:
+            c1 *= s
+            for k2, c2 in Y:
+                acc[k1 + k2] += c1 * c2
+    return {k: r for k, v in acc.items() if (r := v % p)}
 
 
 def _mono_degree(m: Mono) -> int:
     return sum(e for _, e in m)
+
+
+def _coded_cofactors(P: "MPoly", slots) -> Dict[int, list[Tuple[int, int]]]:
+    """P = sum of c[T] * x^T over the subsets T of slots, each c[T] free of
+    the slots; returns c keyed by T's bit mask, each c[T] as the (code,
+    coefficient) pairs of _encode in 2-bit fields, empty where no monomial's
+    slots-part is T.  One pass over P's terms.  P must be multilinear; a
+    product of up to three cofactors then fits the fields."""
+    masks = [0]
+    for v in slots:
+        masks += [mask | 1 << v for mask in masks]
+    parts: Dict[int, list] = {mask: [] for mask in masks}
+    for mono, c in P.terms.items():
+        mask = code = 0
+        for v, _ in mono:
+            if v in slots:
+                mask |= 1 << v
+            else:
+                code |= 1 << 2 * v
+        parts[mask].append((code, c))
+    return parts
 
 
 class MPoly:
@@ -338,14 +409,13 @@ class MPoly:
         if not isinstance(other, MPoly):
             return NotImplemented
         self._check_compat(other)
-        p = self.ctx.p
-        out: Dict[Mono, int] = {}
-        items2 = list(other.terms.items())
-        for m1, c1 in self.terms.items():
-            for m2, c2 in items2:
-                m = _mono_mul(m1, m2)
-                out[m] = (out.get(m, 0) + c1 * c2) % p
-        return MPoly(self.ctx, self.arity, out, _canonical=True)
+        # fields one bit wider than the largest exponent of either operand
+        # hold every exponent sum
+        top = max((e for f in (self, other) for mono in f.terms for _, e in mono), default=0)
+        w = top.bit_length() + 1
+        out = _code_products(self.ctx.p, (1, _encode(self.terms, w), _encode(other.terms, w)))
+        return MPoly(self.ctx, self.arity, dict(zip(_decode_all(out, w), out.values())),
+                     _canonical=True)
 
     def scale(self, c) -> "MPoly":
         c = self.ctx.coerce(c)

@@ -10,6 +10,7 @@ from ropcheck.decomp import (
     _PROBE,
     GateGraph,
     _probe_value,
+    _slot_vanishes,
     _trivariate_rop,
     additive_split,
     brute_force_is_rop,
@@ -35,7 +36,7 @@ from ropcheck.errors import (
 )
 from ropcheck.ff import FieldCtx
 from ropcheck.hardcases import q_n
-from ropcheck.mpoly import MPoly, parse_terms, random_multilinear
+from ropcheck.mpoly import MPoly, _coded_cofactors, parse_terms, random_multilinear
 from ropcheck.rof import random_rof
 
 GF101 = FieldCtx(101)
@@ -282,6 +283,53 @@ def test_probe_misses_on_q10_are_decided_exactly():
         y = list(x)
         y[m] = rng.randrange(1009)
         assert (D(x) * S.eval_raw(y) - S.eval_raw(x) * D(y)) % 1009
+
+
+def _affine_product(ctx, n, rng):
+    """The full product of n affine leaves a_k*x_k + b_k, all 2^n terms."""
+    P = MPoly.constant(ctx, n, 1)
+    for k in range(n):
+        P = P * MPoly.affine(ctx, n, k, rng.randrange(1, ctx.p), rng.randrange(1, ctx.p))
+    return P
+
+
+@pytest.mark.parametrize("p", [2, 3, 1009])
+def test_coded_zero_tests_match_materialized_witness_on_dense_inputs(p):
+    # decompose and the slot test run on coded cofactors and never build D;
+    # the materialized witness builds D through MPoly products.  The slot
+    # test is called directly, since the probe refutes most read-many glue
+    # sets before witness_is_zero reaches it.
+    ctx = FieldCtx(p)
+    rng = random.Random(p + 8)
+    outcomes = set()
+    for n in range(3, 9):
+        polys = [q_n(n, ctx), _affine_product(ctx, n, rng)]
+        polys += [max((random_rof(ctx, n, rng).expand() for _ in range(4)),
+                      key=lambda P: len(P.terms)) for _ in range(2)]
+        if n >= 4:
+            # x1*x2 + x1*x3 + x2*x3 plus a formula in the other slots: for
+            # the pair (0, 1) along 2, A1*D0 == A0*D1 but D2 != 0
+            tail = random_rof(ctx, n - 3, rng).expand()
+            polys.append(parse_terms(ctx, n, "x1*x2 + x1*x3 + x2*x3")
+                         + tail.embed(n, {t: t + 3 for t in range(n - 3)}))
+        for P in polys:
+            pairs = [(i, j) for i, j in itertools.combinations(range(n), 2)
+                     if not P.partial2(i, j).is_zero()]
+            if n > 6:
+                pairs = [(0, 1)] * ((0, 1) in pairs) + rng.sample(pairs, min(3, len(pairs)))
+            for i, j in pairs:
+                r = decompose(P, i, j)
+                assert r.decomposable == decomp_witness(P, i, j).value.is_zero()
+                if r.decomposable:
+                    assert commutator(P, i, j) == P.partial2(i, j).scale(r.c)
+                rest = frozenset(range(n)) - {i, j}
+                for m in rest:
+                    want = decomp_witness(P, i, j, rest - {m}).value.is_zero()
+                    c = _coded_cofactors(P, (i, j, m))
+                    assert _slot_vanishes(c, 1 << i, 1 << j, 1 << m, p) == want
+                    assert witness_is_zero(P, i, j, rest - {m}) == want
+                    outcomes.add((r.decomposable, want))
+    assert outcomes >= {(True, True), (False, True), (False, False)}
 
 
 def _split_product(ctx, n, rng):

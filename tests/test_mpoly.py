@@ -122,6 +122,61 @@ def test_ring_ops_against_reference():
         assert P.eval_raw(pt) == _ref_eval(rp, pt, ctx.p)
 
 
+def _merge_mono(m1, m2):
+    """Product of two sorted (variable, exponent) tuples by a merge."""
+    out = []
+    i = j = 0
+    while i < len(m1) and j < len(m2):
+        (v1, e1), (v2, e2) = m1[i], m2[j]
+        if v1 == v2:
+            out.append((v1, e1 + e2))
+            i += 1
+            j += 1
+        elif v1 < v2:
+            out.append(m1[i])
+            i += 1
+        else:
+            out.append(m2[j])
+            j += 1
+    return tuple(out + list(m1[i:]) + list(m2[j:]))
+
+
+def _merge_mul(P, Q):
+    """Term dict of P * Q by merging monomial tuples, zeros dropped last."""
+    p = P.ctx.p
+    out = {}
+    for m1, c1 in P.terms.items():
+        for m2, c2 in Q.terms.items():
+            m = _merge_mono(m1, m2)
+            out[m] = (out.get(m, 0) + c1 * c2) % p
+    return {m: c for m, c in out.items() if c}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 1009, 2**31 - 1, 2**61 - 1])
+def test_coded_product_matches_merge_reference(p):
+    # equal term dicts, key order included, for arity 0..8, zero operands and
+    # exponents up to 10**19, whose monomial codes run past 63 bits
+    ctx = FieldCtx(p)
+    rng = random.Random(p)
+
+    def random_poly(n, top):
+        return MPoly(ctx, n, {tuple((v, rng.randint(1, top)) for v in range(n)
+                                    if rng.random() < 0.5): rng.randrange(p)
+                              for _ in range(rng.randint(0, 12))})
+
+    wide = 0
+    for n in range(9):
+        zero = MPoly.zero(ctx, n)
+        for top in (1, 3, 2**20, 10**19):
+            for _ in range(6):
+                P, Q = random_poly(n, top), random_poly(n, top)
+                for A, B in ((P, Q), (Q, P), (P, P), (P, zero), (zero, Q)):
+                    want = _merge_mul(A, B)
+                    assert list((A * B).terms.items()) == list(want.items())
+                    wide += any(e >= 2**63 for m in want for _, e in m)
+    assert wide > 0
+
+
 def test_eval_batch_matches_pointwise():
     rng = random.Random(7)
     big = FieldCtx(1_073_741_789)           # the largest prime below 2**30
