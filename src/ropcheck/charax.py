@@ -101,15 +101,15 @@ class GoodnessChecker:
     """Reusable certifier: zero tags once, then one check per assignment.
 
     No witness polynomial is built.  check tabulates the mixed partials
-    d_T P(a), |T| <= 3, at the assignment a in one pass over P's terms (P's
-    order-3 Taylor table) and decides every multiplicand in O(1) from it.  A
-    first or second partial is one entry.  A witness multiplicand of the
-    pair (i, j) glued on J = rest - {m}, set to x = a and y_J = a_J, is a
-    polynomial in y_m alone: in u = y_m - a_m it is
-    u*(A1*d - s*D1) - u^2*s*D2, from the split of P's shift to a in (i, j)
-    along m (decomp._pair_split), where s = A0 = S(a), d = D0 = D(a) and
-    A1 = d_ijm P(a).  So it vanishes in the free variable iff s*D2 == 0 and
-    d*A1 == s*D1 (mod p).
+    d_T P(a), |T| <= 3, at the assignment a by a truncated shift of P's terms
+    (P's order-3 Taylor table, decomp._shifted_coefficients) and decides
+    every multiplicand in O(1) from it.  A first or second partial is one
+    entry.  A witness multiplicand of the pair (i, j) glued on
+    J = rest - {m}, set to x = a and y_J = a_J, is a polynomial in y_m
+    alone: in u = y_m - a_m it is u*(A1*d - s*D1) - u^2*s*D2, from the
+    split of P's shift to a in (i, j) along m (decomp._pair_split), where
+    s = A0 = S(a), d = D0 = D(a) and A1 = d_ijm P(a).  So it vanishes in
+    the free variable iff s*D2 == 0 and d*A1 == s*D1 (mod p).
     """
 
     def __init__(self, P: MPoly):
@@ -138,8 +138,12 @@ class GoodnessChecker:
         if len(assignment) != P.arity:
             raise ArityMismatch(
                 f"assignment length {len(assignment)} != arity {P.arity}")
-        p = P.ctx.p
-        table = _shifted_coefficients(P, [P.ctx.coerce(v) for v in assignment])
+        return self._check_table(
+            _shifted_coefficients(P, [P.ctx.coerce(v) for v in assignment]))
+
+    def _check_table(self, table) -> GoodnessReport:
+        """check on P's Taylor table at the assignment."""
+        p = self.P.ctx.p
         violations = []
         for m, masks in self._live:
             if m.kind != WITNESS:
@@ -163,8 +167,9 @@ def is_locally_rop(P: MPoly, a) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
 
     The restriction to a triple I, written in shifted coordinates
     x_k = a_k + u_k, is the 8-term polynomial with coefficients
-    {d_S P(a) : S inside I}; one pass over P's terms tabulates them all, and
-    each triple's entries go straight to the closed-form decision
+    {d_S P(a) : S inside I}; one truncated shift of P's terms to a
+    tabulates them all (decomp._shifted_coefficients), and each triple's
+    entries go straight to the closed-form decision
     (decomp._trivariate_rop).  A one-variable affine shift keeps a formula
     read-once, so each triple gets the verdict of its restriction.  Subsets
     are scanned in lexicographic order and the first failing one is returned
@@ -177,11 +182,18 @@ def is_locally_rop(P: MPoly, a) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
     if len(a) != n:
         raise ArityMismatch(f"assignment length {len(a)} != arity {n}")
     ctx = P.ctx
-    table = _shifted_coefficients(P, [ctx.coerce(v) for v in a])
+    I = _failing_triple(_shifted_coefficients(P, [ctx.coerce(v) for v in a]), n, ctx.p)
+    return I is None, I
+
+
+def _failing_triple(table, n: int, p: int) -> Optional[Tuple[int, int, int]]:
+    """The first triple, in lexicographic order, whose restriction is not
+    read-once, read from P's Taylor table at the assignment; None if every
+    one is."""
     for I in itertools.combinations(range(n), 3):
-        if not _trivariate_rop(table, *(1 << v for v in I), ctx.p):
-            return False, I
-    return True, None
+        if not _trivariate_rop(table, *(1 << v for v in I), p):
+            return I
+    return None
 
 
 @dataclass(frozen=True)
@@ -232,10 +244,12 @@ def characterize(P: MPoly, rng, max_retries: int = 16) -> CharacterizeReport:
     last = None
     for attempt in range(1, max_retries + 1):
         a = tuple(rng.randrange(p) for _ in range(n))
-        last = checker.check(a)
+        # one table at a serves the certificate check and the triple scan
+        table = _shifted_coefficients(P, a)
+        last = checker._check_table(table)
         if last.good:
-            ok, witness = is_locally_rop(P, a)
-            verdict = ROP if ok else READ_MANY
+            witness = _failing_triple(table, n, p)
+            verdict = ROP if witness is None else READ_MANY
             return CharacterizeReport(verdict, a, witness, attempt, last, seed)
     return CharacterizeReport(INDETERMINATE, None, None, max_retries, last, seed,
                               "no certified assignment within the retry budget")

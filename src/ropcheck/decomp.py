@@ -19,8 +19,10 @@ The central objects:
   certificate checks; on P's coded cofactors it decides every witness with
   J != {} exactly (_slot_vanishes, see witness_is_zero);
 * the order-3 Taylor table of P at a point a: the mixed partials d_T P(a),
-  |T| <= 3, from one pass over P's terms.  The witness's fixed probe and the
-  certificate's checks read every point value they need from such tables;
+  |T| <= 3, from a truncated shift of P's terms to a, one slot at a time,
+  that keeps no term past its third shifted slot.  The witness's fixed probe
+  and the certificate's checks read every point value they need from such
+  tables;
 * the gate graph: edge (i, j) iff dd_ij(P) != 0; connected components are
   exactly the additive pieces of P;
 * exact splitting routines and a brute-force read-once decider used as the
@@ -82,40 +84,74 @@ def _require_multilinear(P: MPoly):
         raise NotMultilinear(f"operation needs a multilinear polynomial, got {P!r}")
 
 
+def _tail(tails: Dict[int, int], a, p: int, x: int) -> int:
+    """prod(a_w : w in x) mod p for the bit mask x, memoized in tails.
+
+    Not a closure inside _shifted_coefficients: a closure that calls itself
+    is a reference cycle, which keeps each call's memo alive until the
+    cyclic garbage collector runs, and so raises peak memory over many
+    tables.
+    """
+    t = tails.get(x)
+    if t is None:
+        low = x & -x
+        t = tails[x] = a[low.bit_length() - 1] * _tail(tails, a, p, x ^ low) % p
+    return t
+
+
 def _shifted_coefficients(P: MPoly, a) -> Dict[int, int]:
     """P's order-3 Taylor table at a: the mixed partials d_T P(a) for every
     |T| <= 3, keyed by T's bit mask.
 
-    They are the coefficients of P(a + u) in u.  A monomial c * x^m adds
-    c * prod(a_v : v in m - T) to d_T P(a) for every T inside m; the product
-    vanishes unless T holds every slot of m where a is 0, so a monomial with
-    more than 3 such slots adds nothing.  P must be multilinear and a a list
-    of residues.  The table reads 0 at entries that receive nothing, and
-    values are left unreduced.
+    They are the coefficients of P(a + u) in u, and a truncated shift finds
+    them: x_v = a_v + u_v is substituted one slot at a time, in index order.
+    A term then has a shifted part U (its u-slots, below v) and an unshifted
+    part X (its x-slots, v and up).  Terms are grouped by X, so terms that
+    share their unshifted part are shifted together and merge.  At slot v a
+    term c * u^U * x^X splits into c*a_v * u^U * x^(X-v), dropped when
+    a_v = 0, and c * u^(U+v) * x^(X-v).  A term that takes its third u-slot
+    can take no more: it adds c * prod(a_w : w in X-v) to d_(U+v) P(a) at
+    once, the product memoized per remaining part and 0 when some a_w is.
+    So no term carries more than two u-slots.  P must be multilinear and a a
+    sequence of residues.  The table reads 0 at entries that receive nothing;
+    values are sums of residues, left unreduced.
     """
-    p = P.ctx.p
-    inv = [pow(v, p - 2, p) if v else 0 for v in a]
+    p, n = P.ctx.p, P.arity
     table: Dict[int, int] = defaultdict(int)
+    # pending[v] maps each unshifted part X whose lowest slot is v to its
+    # terms, a dict from shifted part U to coefficient.  Plain dicts and get:
+    # a defaultdict's missing-key path costs more than the lookup
+    pending = [{} for _ in range(n)]
     for mono, c in P.terms.items():
-        zero_mask = zeros = 0
-        live = []
+        x = 0
         for v, _ in mono:
-            if a[v]:
-                c = c * a[v] % p
-                live.append((1 << v, inv[v]))
+            x |= 1 << v
+        if x:
+            pending[(x & -x).bit_length() - 1][x] = {0: c}
+        else:
+            table[0] = c
+    tails = {0: 1}
+    for v in range(n):
+        bit, av = 1 << v, a[v]
+        for x, group in pending[v].items():
+            rest = x ^ bit
+            if rest:
+                groups = pending[(rest & -rest).bit_length() - 1]
+                target = groups.get(rest)
+                if target is None:
+                    target = groups[rest] = {}
+                t = _tail(tails, a, p, rest)
             else:
-                zero_mask |= 1 << v
-                zeros += 1
-        if zeros > 3:
-            continue
-        # grow the subsets T of the monomial that hold its zero slots, one
-        # live slot at a time: taking v into T divides its factor a_v out
-        subsets = [(zero_mask, c, zeros)]
-        for b, w in live:
-            subsets += [(mask | b, val * w % p, size + 1)
-                        for mask, val, size in subsets if size < 3]
-        for mask, val, _ in subsets:
-            table[mask] += val
+                target, t = table, 1
+            for u, c in group.items():
+                if av:
+                    target[u] = target.get(u, 0) + c * av % p
+                u |= bit
+                if u.bit_count() < 3:
+                    target[u] = target.get(u, 0) + c
+                elif t:
+                    table[u] = table.get(u, 0) + c * t % p
+        pending[v] = None
     return table
 
 

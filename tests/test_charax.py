@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from ropcheck import charax
+from ropcheck import charax, decomp
 from ropcheck.charax import (
     INDETERMINATE,
     READ_MANY,
@@ -286,6 +286,25 @@ def test_characterize_exact_at_arity_11_and_12():
         F = random_rof(GF1009, n, seed)
         assert F.variables() == frozenset(range(n))
         assert characterize(F.expand(), 1).verdict == ROP
+
+
+def test_characterize_builds_one_table_per_attempt(monkeypatch):
+    # the witness probes build P's tables at their two points; a certified
+    # first attempt then builds one table at its assignment, which both the
+    # certificate check and the triple scan read
+    build = decomp._shifted_coefficients
+    calls = []
+
+    def counted(P, a):
+        calls.append(tuple(a))
+        return build(P, a)
+
+    monkeypatch.setattr(decomp, "_shifted_coefficients", counted)
+    monkeypatch.setattr(charax, "_shifted_coefficients", counted)
+    rep = characterize(q_n(6, GF1009), 3)
+    assert rep.attempts == 1 and rep.verdict == READ_MANY
+    assert len(calls) == 3
+    assert calls[-1] == rep.assignment
 
 
 def test_characterize_requires_multilinear():

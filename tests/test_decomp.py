@@ -10,6 +10,7 @@ from ropcheck.decomp import (
     _PROBE,
     GateGraph,
     _probe_value,
+    _shifted_coefficients,
     _slot_vanishes,
     _trivariate_rop,
     additive_split,
@@ -283,6 +284,50 @@ def test_probe_misses_on_q10_are_decided_exactly():
         y = list(x)
         y[m] = rng.randrange(1009)
         assert (D(x) * S.eval_raw(y) - S.eval_raw(x) * D(y)) % 1009
+
+
+def _taylor_input(ctx, kind, n):
+    """The Taylor-table builder's inputs past n = 8."""
+    rng = random.Random(f"taylor/{ctx.p}/{kind}/{n}")
+    if kind == "monomial":
+        # one full-degree monomial plus 1: every |T| <= 3 entry is live
+        return MPoly(ctx, n, {tuple((v, 1) for v in range(n)): rng.randrange(1, ctx.p),
+                              (): 1})
+    if kind == "sparse":
+        # 40 monomials of degree n/2 that share little structure
+        return MPoly(ctx, n, {tuple((v, 1) for v in sorted(rng.sample(range(n), n // 2))):
+                              rng.randrange(1, ctx.p) for _ in range(40)})
+    return random_rof(ctx, n, rng).expand()
+
+
+@pytest.mark.parametrize("p", [2, 3, 1009, 2**31 - 1])
+@pytest.mark.parametrize("kind, n", [("monomial", 20), ("monomial", 30), ("monomial", 46),
+                                     ("sparse", 20), ("sparse", 46), ("rof", 20)])
+def test_taylor_table_matches_partial_chains_past_n8(p, kind, n):
+    # every entry d_T P(a), |T| <= 3, of the truncated shift against chains of
+    # P.partial evaluated at a; the reference never reads the table
+    ctx = FieldCtx(p)
+    P = _taylor_input(ctx, kind, n)
+    rng = random.Random(p * n)
+    points = []
+    for zeros in (0, 1, 3, 4, n):
+        # nonzero coordinates as residues or shifted by multiples of p; zero
+        # coordinates as 0 or as a nonzero multiple of p
+        a = [rng.randrange(1, p) + p * rng.choice((0, 0, -1, 2)) for _ in range(n)]
+        for k in rng.sample(range(n), zeros):
+            a[k] = p * rng.choice((0, -1, 3))
+        points.append(a)
+    assert any(v != 0 and v % p == 0 for a in points for v in a)
+    tables = [_shifted_coefficients(P, [v % p for v in a]) for a in points]
+    assert all(bin(mask).count("1") <= 3 for table in tables for mask in table)
+    for k in range(4):
+        for T in itertools.combinations(range(n), k):
+            D = P
+            for v in T:
+                D = D.partial(v)
+            mask = sum(1 << v for v in T)
+            for a, table in zip(points, tables):
+                assert table.get(mask, 0) % p == D.evaluate(a), (T, a)
 
 
 def _affine_product(ctx, n, rng):
