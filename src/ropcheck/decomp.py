@@ -461,7 +461,8 @@ def additive_split(P: MPoly, part) -> Tuple[MPoly, MPoly]:
             f"cut {sorted(side)} is not a nonempty proper subset of {sorted(vs)}")
     zeros = [0] * P.arity
     P1 = P.restrict_many(vs - side, zeros)
-    P2 = P.restrict_many(side, zeros) - MPoly.constant(P.ctx, P.arity, P.eval_raw(zeros))
+    # P1 keeps the constant term, which is P at 0
+    P2 = P.restrict_many(side, zeros) - MPoly.constant(P.ctx, P.arity, P.terms.get((), 0))
     if P1 + P2 != P:
         raise NotSeparableAlongCut(f"terms cross the cut {sorted(side)}")
     return P1, P2

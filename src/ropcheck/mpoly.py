@@ -22,6 +22,13 @@ monomials first occur.
 Restriction keeps the arity: substituting into slot i just removes i from the
 support, it never renumbers the remaining variables.
 
+Evaluation runs a plan compiled once per polynomial (_Plan): the Horner form
+of its monomial prefix tree, P = c + sum of x_v**e * P_child over the tree's
+edges, so each distinct monomial prefix costs one product.  The same loop
+runs on residues and on int64 columns.  The compiler tracks an upper bound
+on every intermediate value and reduces mod p only where the next step could
+reach 2**62; read-once formulas compile their own trees to the same plans.
+
 Serialization is one term per '+', coefficients as decimal residues,
 variables printed 1-based (slot 0 is x1), terms ordered by graded
 lexicographic order, highest first.
@@ -32,6 +39,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+import sys
 from collections import defaultdict
 from typing import Dict, FrozenSet, Iterable, Mapping, Sequence, Tuple
 
@@ -54,7 +62,9 @@ from .ff import FieldCtx
 
 Mono = Tuple[Tuple[int, int], ...]
 
-# eval_points' int64 products stay exact below this modulus
+# below this modulus a product of two residues plus a residue stays below
+# 2**61, so a plan's bound rule keeps every int64 intermediate below 2**62;
+# at and above it eval_points evaluates Python ints point by point
 _NUMPY_P_LIMIT = 2**30
 
 
@@ -63,19 +73,22 @@ def eval_points(eval_raw, p: int, points: Sequence[Sequence[int]]) -> list[int]:
 
     points is a list of points or an integer array with one row per point.
     Below _NUMPY_P_LIMIT, 8 or more points go to eval_raw in one call, as
-    one int64 column per slot; a result that does not depend on the point
-    is broadcast to every point.  An int64 array is neither copied nor
-    reduced when its entries already lie in [0, p), as Oracle.query_many's
-    do.
+    one contiguous int64 column per slot; a result that does not depend on
+    the point is broadcast to every point.  Entries outside [0, p) are
+    reduced first, those beyond int64 as Python ints.
     """
     if p >= _NUMPY_P_LIMIT or len(points) < 8:
         if isinstance(points, np.ndarray):
             points = points.tolist()
         return [eval_raw(pt) for pt in points]
-    pts = np.asarray(points, dtype=np.int64)
+    try:
+        pts = np.asarray(points, dtype=np.int64)
+    except OverflowError:
+        pts = np.array([[v % p for v in pt] for pt in points], dtype=np.int64)
     if pts.size and (pts.min() < 0 or pts.max() >= p):
         pts = pts % p
-    return np.broadcast_to(eval_raw(pts.T), len(points)).tolist()
+    cols = list(np.ascontiguousarray(pts.T))
+    return np.broadcast_to(eval_raw(cols), len(points)).tolist()
 
 
 def _pow_mod(x, e: int, p: int):
@@ -89,6 +102,192 @@ def _pow_mod(x, e: int, p: int):
         if not e:
             return out
         x = x * x % p
+
+
+# ---- evaluation plans ----
+
+# plan steps (op, d, f, c) on registers r and factors X (see _Plan)
+_PROD, _PROD_ACC, _CHILD, _CHILD_ACC, _CONST, _ADDC, _ADD, _MUL, _MOD = range(9)
+# the step that adds what op writes, for a register that holds a value
+_ACC = {_PROD: _PROD_ACC, _CHILD: _CHILD_ACC, _CONST: _ADDC}
+# in a product's factor list: reduce the product so far mod p
+_REDUCE = -1
+# no intermediate value of a plan reaches this where p allows it
+_LAZY_LIMIT = 2**62
+
+
+@functools.lru_cache(maxsize=64)
+def _product_run(p: int) -> int:
+    """How many residue factors may multiply a residue, one after another,
+    before the product could reach 2**62; at least 1."""
+    q = t = p - 1
+    if q == 1:
+        return sys.maxsize
+    k = 0
+    while t * q < _LAZY_LIMIT:
+        t *= q
+        k += 1
+    return max(k, 1)
+
+
+class _Plan:
+    """A polynomial or a formula compiled to a straight-line program.
+
+    A compiler hands over the program's steps, each (op, d, f, c):
+      _PROD   r[d] = c * X[f[0]] * X[f[1]] * ...
+      _CHILD  r[d] = r[d + 1] * X[f]
+      _CONST  r[d] = c
+      _ADD    r[d] = r[d] + r[d + 1]
+      _MUL    r[d] = r[d] * r[d + 1]
+    and the value ends in r[0].  Factor X[v] is slot v's value, and X[k] for
+    k in powers.values() is x_v**e mod p for its key (v, e).
+
+    The constructor turns a write to a register that holds a value into an
+    add (_PROD_ACC, _CHILD_ACC, _ADDC), and places the reductions mod p by
+    the bound rule: it tracks an upper bound on every register, taking p - 1
+    for every input, factor and constant in a product, and reduces only
+    where a sum or product could reach 2**62, the larger operand first, then
+    the other.  A product's run of factors is cut by _REDUCE, a register is
+    reduced by a _MOD step.  A result that still could reach 2**62 (p above
+    2**31, where a product of two residues passes it and eval_points hands
+    over Python ints) is reduced right after its step.
+    """
+
+    __slots__ = ("p", "code", "powers", "regs")
+
+    def __init__(self, p: int, steps, powers: Dict[Tuple[int, int], int], regs: int):
+        self.p, self.powers, self.regs = p, powers, regs
+        q, run = p - 1, _product_run(p)
+        B: list = [None] * regs       # per register: its value's bound, None while free
+        code = self.code = []
+        for op, d, f, c in steps:
+            # a: r[d]'s bound, None when the step writes r[d]; t: the bound
+            # of what the step writes or adds; low: t once that is reduced,
+            # None when it cannot be
+            a = B[d]
+            if op == _PROD:
+                t, low = q ** ((len(f) - 1) % run + 2), q
+                cut = list(f[:run])
+                for k in range(run, len(f), run):
+                    cut += (_REDUCE, *f[k:k + run])
+                f = cut
+            elif op == _CHILD:
+                t, low = B[d + 1] * q, q * q
+            elif op == _ADD:
+                t, low = B[d + 1], q
+            elif op == _CONST:
+                t, low = c, None
+            else:                     # _MUL: reduce the larger factor first
+                for k in sorted((d, d + 1), key=B.__getitem__, reverse=True):
+                    if B[d] * B[d + 1] >= _LAZY_LIMIT and B[k] > q:
+                        code.append((_MOD, k, 0, 0))
+                        B[k] = q
+                a, t, low = 0, B[d] * B[d + 1], None
+            if low is not None and low >= t:
+                low = None
+            while (a or 0) + t >= _LAZY_LIMIT:
+                if low is not None and (a is None or t >= a or a <= q):
+                    if op == _PROD:
+                        f = [*f, _REDUCE]
+                    else:
+                        code.append((_MOD, d + 1, 0, 0))
+                    t, low = low, None
+                elif a and a > q:
+                    code.append((_MOD, d, 0, 0))
+                    a = q
+                else:
+                    break
+            if a is not None:
+                op = _ACC.get(op, op)
+            code.append((op, d, tuple(f) if op <= _PROD_ACC else f, c))
+            B[d] = (a or 0) + t
+            if op in (_CHILD, _CHILD_ACC, _ADD, _MUL):
+                B[d + 1] = None
+            if B[d] >= _LAZY_LIMIT:
+                code.append((_MOD, d, 0, 0))
+                B[d] = q
+
+    def run(self, vals):
+        """The value mod p at vals: one residue per slot, or one int64 column
+        per slot with entries in [0, p) (see eval_points).  On Python ints
+        the value is exact for any entries."""
+        p = self.p
+        x = vals
+        if self.powers:
+            x = [*vals, *[_pow_mod(vals[v], e, p) for v, e in self.powers]]
+        r = [0] * self.regs
+        for op, d, f, c in self.code:
+            if op <= _PROD_ACC:
+                t = c
+                for k in f:
+                    t = t * x[k] if k >= 0 else t % p
+                r[d] = r[d] + t if op == _PROD_ACC else t
+            elif op == _CHILD_ACC:
+                r[d] = r[d] + r[d + 1] * x[f]
+            elif op == _CONST:
+                r[d] = c
+            elif op == _ADDC:
+                r[d] = r[d] + c
+            elif op == _ADD:
+                r[d] = r[d] + r[d + 1]
+            elif op == _MUL:
+                r[d] = r[d] * r[d + 1]
+            elif op == _CHILD:
+                r[d] = r[d + 1] * x[f]
+            else:
+                r[d] = r[d] % p
+        return r[0] % p
+
+
+def _shared_length(m1, m2) -> int:
+    """The length of the longest common prefix of two sequences."""
+    k = 0
+    while k < len(m1) and k < len(m2) and m1[k] == m2[k]:
+        k += 1
+    return k
+
+
+def _compile_terms(terms: Mapping[Mono, int], arity: int, p: int) -> _Plan:
+    """The Horner plan of a term dict.
+
+    The monomials form a prefix tree: a node is a monomial prefix, with the
+    coefficient of that monomial (0 if it is no term), and an edge is one
+    factor x_v**e.  A node's value, c + sum of x_v**e * child, goes to the
+    register of its depth.  A chain of nodes that only one term passes is
+    that term's product, c * x_v**e * ..., one step.  The tree is walked in
+    the sorted order of the monomials, which lists every prefix before its
+    extensions, and never recursively.
+    """
+    powers: Dict[Tuple[int, int], int] = {}
+    steps = []
+    items = sorted(terms.items())
+    # the open nodes below the root, node k in register k + 1: their edges
+    # and the factors on them
+    edges: list = []
+    factors: list = []
+    shared = 0                  # how many open nodes mono lies under
+    for i, (mono, c) in enumerate(items):
+        while len(edges) > shared:
+            edges.pop()
+            steps.append((_CHILD, len(edges), factors.pop(), 0))
+        # the nodes mono shares with the next term stay open for it
+        ahead = _shared_length(mono, items[i + 1][0]) if i + 1 < len(items) else 0
+        top = max(shared, ahead)
+        fs = [v if e == 1 else powers.setdefault((v, e), arity + len(powers))
+              for v, e in mono[shared:]]
+        edges += mono[shared:top]
+        factors += fs[:top - shared]
+        if top == len(mono):
+            steps.append((_CONST, top, 0, c))
+        else:
+            steps.append((_PROD, top, fs[top - shared:], c))
+        shared = ahead
+    while edges:
+        edges.pop()
+        steps.append((_CHILD, len(edges), factors.pop(), 0))
+    if not terms:
+        steps.append((_CONST, 0, 0, 0))
+    return _Plan(p, steps, powers, max(map(len, terms), default=0) + 2)
 
 
 def _encode(terms: Mapping[Mono, int], w: int) -> list[Tuple[int, int]]:
@@ -185,10 +384,11 @@ class MPoly:
     First partials are memoized per slot on the polynomial, so every caller
     that asks for d_i(P) of one P shares a single computation.  _probe holds
     decomp's memo of P: its multilinearity and its Taylor tables at the fixed
-    witness probe points.
+    witness probe points.  _plan holds the evaluation plan, compiled on the
+    first evaluation.
     """
 
-    __slots__ = ("ctx", "arity", "terms", "_partials", "_probe")
+    __slots__ = ("ctx", "arity", "terms", "_partials", "_probe", "_plan")
 
     def __init__(self, ctx: FieldCtx, arity: int, terms: Mapping[Mono, int] | None = None,
                  *, _canonical: bool = False):
@@ -198,6 +398,7 @@ class MPoly:
         self.arity = arity
         self._partials = None
         self._probe = None
+        self._plan = None
         if terms is None:
             terms = {}
         elif not _canonical:
@@ -276,18 +477,14 @@ class MPoly:
         """Evaluate at raw residues (no validation).
 
         vals holds one residue per slot, or one int64 array per slot (see
-        eval_points); every product is of two residues, so below
-        _NUMPY_P_LIMIT no int64 product reaches 2**60.
+        eval_points).  The polynomial's plan (_Plan) reduces mod p only where
+        an intermediate value could reach 2**62, so below _NUMPY_P_LIMIT no
+        int64 intermediate overflows.
         """
-        p = self.ctx.p
-        acc = 0
-        for mono, c in self.terms.items():
-            t = c
-            for v, e in mono:
-                x = vals[v]
-                t = t * x % p if e == 1 else t * _pow_mod(x, e, p) % p
-            acc += t
-        return acc % p
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = _compile_terms(self.terms, self.arity, self.ctx.p)
+        return plan.run(vals)
 
     def evaluate(self, assignment) -> int:
         """Residue at an assignment of int representatives, full arity."""

@@ -31,7 +31,8 @@ from .errors import (
     guard_scale,
 )
 from .ff import FieldCtx
-from .mpoly import _NUMPY_P_LIMIT, MPoly, content_lines, eval_points, parse_header
+from .mpoly import (_ADD, _CONST, _MUL, _NUMPY_P_LIMIT, _PROD, MPoly, _Plan, content_lines,
+                    eval_points, parse_header)
 
 Node = Union["Leaf", "Const", "Gate"]
 
@@ -55,29 +56,52 @@ class Gate:
     right: Node
 
 
-def _eval_node(node: Node, vals, p: int):
-    """A subtree's value at raw residues (see Rof.eval_raw).
+def _compile(root: Node, p: int) -> _Plan:
+    """The formula's plan (see mpoly._Plan), on its own tree.
 
-    A module function rather than a recursive closure: the closure's
-    reference to itself is a cycle that keeps vals, a batch's point columns,
-    alive until the cyclic collector runs.
+    A node's value goes to register d.  A sum adds both children into d,
+    and a product leaves its left child in d and its right child in d + 1;
+    a product that is added to a value already in d is built in d + 1 and
+    added after.  The tree is walked with an explicit stack.
     """
-    if isinstance(node, Leaf):
-        return (node.alpha * vals[node.var] + node.beta) % p
-    if isinstance(node, Const):
-        return node.value
-    l, r = _eval_node(node.left, vals, p), _eval_node(node.right, vals, p)
-    return (l + r) % p if node.op == "+" else l * r % p
+    steps = []
+    regs = 2
+    # (node, d, whether r[d] already holds a value the node's is added to),
+    # or (step, d, None) once a gate's children are in place
+    stack: list = [(root, 0, False)]
+    while stack:
+        node, d, adds = stack.pop()
+        if isinstance(node, Leaf):
+            steps.append((_PROD, d, [node.var], node.alpha))
+            if node.beta:
+                steps.append((_CONST, d, 0, node.beta))
+        elif isinstance(node, Const):
+            steps.append((_CONST, d, 0, node.value))
+        elif isinstance(node, Gate):
+            if node.op == "+":
+                stack += ((node.right, d, True), (node.left, d, adds))
+            elif adds:
+                stack += ((_ADD, d, None), (node, d + 1, False))
+            else:
+                regs = max(regs, d + 2)
+                stack += ((_MUL, d, None), (node.right, d + 1, False), (node.left, d, False))
+        else:
+            steps.append((node, d, 0, 0))
+    return _Plan(p, steps, {}, regs)
 
 
 class Rof:
-    """A read-once formula over a fixed field and arity."""
+    """A read-once formula over a fixed field and arity.
 
-    __slots__ = ("ctx", "arity", "root", "_vars")
+    _plan holds the evaluation plan, compiled on the first evaluation.
+    """
+
+    __slots__ = ("ctx", "arity", "root", "_vars", "_plan")
 
     def __init__(self, ctx: FieldCtx, arity: int, root: Node):
         self.ctx = ctx
         self.arity = arity
+        self._plan = None
         seen = set()
         self.root = self._reduce(root, seen)
         self._vars = frozenset(seen)
@@ -108,7 +132,10 @@ class Rof:
 
     def eval_raw(self, vals: Sequence[int]) -> int:
         """Evaluate at raw residues: one per slot, or one int64 array per slot."""
-        return _eval_node(self.root, vals, self.ctx.p)
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = _compile(self.root, self.ctx.p)
+        return plan.run(vals)
 
     def eval(self, assignment) -> int:
         if len(assignment) != self.arity:

@@ -19,6 +19,12 @@ from ropcheck.errors import (
 )
 from ropcheck.ff import FieldCtx
 from ropcheck.mpoly import (
+    _CHILD,
+    _CHILD_ACC,
+    _MOD,
+    _PROD,
+    _PROD_ACC,
+    _REDUCE,
     MPoly,
     interpolate_grid,
     parse_header,
@@ -199,6 +205,127 @@ def test_eval_batch_matches_pointwise():
     # polynomials that do not depend on the point still answer every point
     assert MPoly.constant(GF101, 2, 7).eval_batch([(t, t) for t in range(9)]) == [7] * 9
     assert MPoly.zero(GF101, 2).eval_batch([(t, 1) for t in range(8)]) == [0] * 8
+
+
+# the moduli of the exactness tests: small, mid, the largest prime below the
+# int64 path's limit 2**30, and the largest supported modulus
+EXACT_MODULI = [5, 101, 1_073_741_789, 2**61 - 1]
+
+
+class CheckedInt(int):
+    """An int whose sums, products and residues must stay in [0, 2**62).
+
+    Evaluating at CheckedInt entries runs a plan on Python ints and checks
+    every intermediate value its steps compute, as the int64 path would
+    hold them.
+    """
+
+    def _checked(self, value):
+        assert 0 <= value < 2**62, value
+        return CheckedInt(value)
+
+    def __add__(self, other):
+        return self._checked(int(self) + int(other))
+
+    def __mul__(self, other):
+        return self._checked(int(self) * int(other))
+
+    def __mod__(self, other):
+        return self._checked(int(self) % int(other))
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+
+def extreme_points(n, p, rng, count=9):
+    """count points of arity n: all p - 1 (the largest residues), all 1, and
+    random nonzero residues; 9 points take the batch path below 2**30."""
+    pts = [(p - 1,) * n, (1,) * n]
+    pts += [tuple(rng.randrange(1, p) for _ in range(n)) for _ in range(count - 2)]
+    return pts
+
+
+def assert_matches_reference(P, pts):
+    """Pointwise and batch values, from lists and from arrays, equal the
+    per-term reference; below 2**30 no intermediate reaches 2**62."""
+    p = P.ctx.p
+    ref = _ref_from(P)
+    want = [_ref_eval(ref, pt, p) for pt in pts]
+    assert [P.eval_raw(pt) for pt in pts] == want
+    assert P.eval_batch(pts) == want
+    assert P.eval_batch(np.array(pts, dtype=np.int64)) == want
+    if p < 2**30:
+        assert [P.eval_raw([CheckedInt(v) for v in pt]) for pt in pts] == want
+
+
+@pytest.mark.parametrize("p", EXACT_MODULI)
+def test_eval_matches_reference_on_wide_sums(p):
+    # 300 linear children of the root with coefficient p - 1: at 1_073_741_789
+    # four of their products already pass 2**62, so the sum is reduced in the
+    # middle; at 101 the whole sum stays far below it and nothing is reduced
+    ctx = FieldCtx(p)
+    P = MPoly(ctx, 300, {((v, 1),): p - 1 - v % (p - 1) for v in range(300)} | {(): p - 1})
+    assert_matches_reference(P, extreme_points(300, p, random.Random(p)))
+    steps = [op for op, *_ in P._plan.code]
+    assert steps.count(_PROD) + steps.count(_PROD_ACC) == 300
+    reductions = steps.count(_MOD) + sum(f.count(_REDUCE) for op, _, f, _ in P._plan.code
+                                         if op in (_PROD, _PROD_ACC))
+    if p == 1_073_741_789:
+        assert _PROD_ACC in steps[steps.index(_MOD):] and reductions <= 300 // 3 + 1
+    if p in (5, 101):
+        assert reductions == 0
+
+
+@pytest.mark.parametrize("p", EXACT_MODULI)
+def test_eval_matches_reference_on_a_long_monomial(p):
+    # one monomial over 3000 slots, deeper than the interpreter's recursion
+    # limit: compiling and evaluating it must not recurse per variable
+    ctx = FieldCtx(p)
+    P = MPoly(ctx, 3000, {tuple((v, 1) for v in range(3000)): 3})
+    assert_matches_reference(P, extreme_points(3000, p, random.Random(p)))
+
+
+@pytest.mark.parametrize("p", EXACT_MODULI)
+def test_eval_matches_reference_on_powers_and_constants(p):
+    ctx = FieldCtx(p)
+    rng = random.Random(p)
+    pts = extreme_points(2, p, rng)
+    assert_matches_reference(parse_terms(ctx, 2, "x1^1000000007 + 3*x2^3"), pts)
+    assert_matches_reference(parse_terms(ctx, 2, f"{p - 1}*x1^5*x2^2 + x1^5 + x2^2"), pts)
+    assert_matches_reference(MPoly.constant(ctx, 2, p - 1), pts)
+    assert_matches_reference(MPoly.zero(ctx, 2), pts)
+    assert_matches_reference(MPoly.constant(ctx, 0, 7), [()] * 9)
+
+
+@pytest.mark.parametrize("p", EXACT_MODULI)
+def test_eval_matches_reference_on_dense_multilinear(p):
+    ctx = FieldCtx(p)
+    rng = random.Random(p)
+    P = random_multilinear(ctx, 10, rng)
+    assert_matches_reference(P, extreme_points(10, p, rng))
+    # every coefficient p - 1: one product per distinct monomial prefix, and
+    # the 2**10 - 1 nonempty monomials are their own prefixes
+    full = MPoly(ctx, 10, {tuple((v, 1) for v in range(10) if mask >> v & 1): p - 1
+                           for mask in range(1 << 10)})
+    assert_matches_reference(full, extreme_points(10, p, rng))
+    products = 0
+    for op, _, f, _ in full._plan.code:
+        if op in (_PROD, _PROD_ACC):
+            products += len(f) - f.count(_REDUCE)
+        products += op in (_CHILD, _CHILD_ACC)
+    assert products == 2**10 - 1
+
+
+@pytest.mark.parametrize("count", [7, 8])
+def test_eval_batch_reduces_entries_beyond_int64(count):
+    # 7 points are evaluated one by one, 8 as int64 columns: entries past
+    # int64 must be reduced as Python ints before the cast
+    P = parse_terms(GF101, 2, "x1^2*x2 + 3*x1 + x2")
+    ref = _ref_from(P)
+    mixed = [(10**20, 1), (-(10**30), 2**63), (2**64 + 5, -1)] * 3
+    for pts in ([(10**20, 1)] * count, mixed[:count]):
+        want = [_ref_eval(ref, [v % 101 for v in pt], 101) for pt in pts]
+        assert P.eval_batch(pts) == want
 
 
 def test_formal_vs_functional_zero_gf2():

@@ -28,6 +28,7 @@ from ropcheck.rof import (
     corrupt_oracle,
     random_rof,
 )
+from test_mpoly import EXACT_MODULI, CheckedInt, _ref_eval, _ref_from, extreme_points
 
 GF101 = FieldCtx(101)
 
@@ -83,6 +84,50 @@ def test_eval_batch_matches_eval():
     # a formula of constants alone still answers every point
     K = Rof(GF101, 3, Gate("*", Const(3), Gate("+", Const(5), Const(100))))
     assert K.eval_batch([(t, 0, 1) for t in range(8)]) == [12] * 8
+
+
+def _chain(op, leaves):
+    """A right-deep chain of one gate over the leaves."""
+    node = leaves[-1]
+    for leaf in reversed(leaves[:-1]):
+        node = Gate(op, leaf, node)
+    return node
+
+
+@pytest.mark.parametrize("p", EXACT_MODULI)
+def test_eval_matches_expanded_reference(p):
+    # values of F at lists, arrays and one point at a time equal its
+    # expansion evaluated term by term; below 2**30 no intermediate reaches
+    # 2**62, with every slope, shift and point entry as large as it can be
+    ctx = FieldCtx(p)
+    rng = random.Random(p)
+    q = p - 1
+    formulas = [random_rof(ctx, n, rng) for n in (1, 4, 8, 8, 12)]
+    formulas += [
+        Rof(ctx, 4, Gate("*", Gate("+", Leaf(0, q, q), Leaf(1, q, q)),
+                         Gate("*", Leaf(2, q, q), Gate("+", Leaf(3, q, q), Const(q))))),
+        Rof(ctx, 12, _chain("*", [Leaf(v, q, q) for v in range(12)])),
+        Rof(ctx, 300, _chain("+", [Leaf(v, q, q) for v in range(300)])),
+        Rof(ctx, 200, _chain("+", [Gate("*", Leaf(v, q, q), Leaf(v + 1, q, q))
+                                   for v in range(0, 200, 2)])),
+        Rof(ctx, 3, Gate("*", Const(3), Gate("+", Const(5), Const(q)))),
+    ]
+    for F in formulas:
+        ref = _ref_from(F.expand())
+        pts = extreme_points(F.arity, p, rng)
+        want = [_ref_eval(ref, pt, p) for pt in pts]
+        assert [F.eval_raw(pt) for pt in pts] == want
+        assert F.eval_batch(pts) == want
+        assert F.eval_batch(np.array(pts, dtype=np.int64)) == want
+        if p < 2**30:
+            assert [F.eval_raw([CheckedInt(v) for v in pt]) for pt in pts] == want
+
+
+@pytest.mark.parametrize("count", [7, 8])
+def test_eval_batch_reduces_entries_beyond_int64(count):
+    F = _example()
+    want = F.eval((10**20 % 101, 1, 2**64 % 101))
+    assert F.eval_batch([(10**20, 1, 2**64)] * count) == [want] * count
 
 
 def test_read_once_violation():
