@@ -489,8 +489,10 @@ def multiplicative_split(P: MPoly, i: int, j: int) -> Tuple[MPoly, MPoly, int]:
         if k != j and _commutator_codes(_coded_cofactors(Pp, (k, j)), 1 << k, 1 << j, ctx.p):
             right.add(k)
     left = sorted(Pp.variables() - right)
+    # Pp's value at w is the coefficient of the least-degree monomial that
+    # find_nonzero_point sets to 1
     w = find_nonzero_point(Pp)
-    s = Pp.eval_raw(w)
+    s = Pp.terms[min(Pp.terms, key=len)]
     h_raw = Pp.restrict_many(sorted(right), w)   # h * g(w)
     g_raw = Pp.restrict_many(left, w)            # h(w) * g
     lc = h_raw.leading_coefficient()

@@ -68,27 +68,34 @@ Mono = Tuple[Tuple[int, int], ...]
 _NUMPY_P_LIMIT = 2**30
 
 
-def eval_points(eval_raw, p: int, points: Sequence[Sequence[int]]) -> list[int]:
-    """eval_raw's value at each raw-residue point.
+def eval_points(eval_raw, p: int, points: Sequence[Sequence[int]]) -> np.ndarray:
+    """eval_raw's value at each point, as an int64 array of residues.
 
     points is a list of points or an integer array with one row per point.
-    Below _NUMPY_P_LIMIT, 8 or more points go to eval_raw in one call, as
-    one contiguous int64 column per slot; a result that does not depend on
-    the point is broadcast to every point.  Entries outside [0, p) are
-    reduced first, those beyond int64 as Python ints.
+    Below _NUMPY_P_LIMIT, 8 or more points are brought into [0, p) by
+    _residues, so _eval_residues evaluates them in one call.
+    """
+    if p < _NUMPY_P_LIMIT and len(points) >= 8:
+        points = _residues(points, p)
+    return _eval_residues(eval_raw, p, points)
+
+
+def _eval_residues(eval_raw, p: int, points) -> np.ndarray:
+    """eval_raw's value at each point, as an int64 array.
+
+    points is a list of points or an integer array with one row per point.
+    8 or more points below _NUMPY_P_LIMIT must be residues, which nothing
+    checks or reduces again; they go to eval_raw in one call, as one
+    contiguous int64 column per slot, and a result that does not depend on
+    the point is broadcast to every point.  Otherwise eval_raw runs point by
+    point on Python ints, which is exact for any entries.
     """
     if p >= _NUMPY_P_LIMIT or len(points) < 8:
         if isinstance(points, np.ndarray):
             points = points.tolist()
-        return [eval_raw(pt) for pt in points]
-    try:
-        pts = np.asarray(points, dtype=np.int64)
-    except OverflowError:
-        pts = np.array([[v % p for v in pt] for pt in points], dtype=np.int64)
-    if pts.size and (pts.min() < 0 or pts.max() >= p):
-        pts = pts % p
-    cols = list(np.ascontiguousarray(pts.T))
-    return np.broadcast_to(eval_raw(cols), len(points)).tolist()
+        return np.array([eval_raw(pt) for pt in points], dtype=np.int64)
+    cols = list(np.ascontiguousarray(np.asarray(points, dtype=np.int64).T))
+    return np.broadcast_to(eval_raw(cols), len(points))
 
 
 def _pow_mod(x, e: int, p: int):
@@ -494,8 +501,8 @@ class MPoly:
         return self.eval_raw([self.ctx.coerce(v) for v in assignment])
 
     def eval_batch(self, points: Sequence[Sequence[int]]) -> list[int]:
-        """Evaluate at many raw-residue points at once."""
-        return eval_points(self.eval_raw, self.ctx.p, points)
+        """Evaluate at many points at once (see eval_points), as a list."""
+        return eval_points(self.eval_raw, self.ctx.p, points).tolist()
 
     # ---- restriction and derivatives ----
 
@@ -836,12 +843,22 @@ def _basis_matrix(p: int, xs: Tuple[int, ...]) -> np.ndarray:
 
 
 def _residues(values, p: int) -> np.ndarray:
-    """Integer samples as one int64 array of residues mod p.
+    """Integers as an int64 array of residues mod p, of the same shape.
 
-    np.asarray keeps ints beyond int64 as objects, so the reduction is exact,
-    and residues below 2**61 fit int64.
+    An int64 array already in [0, p) comes back as it is, neither copied nor
+    reduced: one min/max check decides, and % p runs only on out-of-range
+    input.  Unsigned and object arrays are reduced in their own type, and
+    ints beyond int64 as Python ints, so every reduction is exact.
     """
-    return (np.asarray(values) % p).astype(np.int64, copy=False)
+    if isinstance(values, np.ndarray) and values.dtype.kind in "uO":
+        values = values % p
+    try:
+        out = np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return (np.asarray(values, dtype=object) % p).astype(np.int64)
+    if out.size and (out.min() < 0 or out.max() >= p):
+        out = out % p
+    return out
 
 
 def _interpolate_stack(p: int, axes: Sequence[Sequence[Tuple[int, ...]]],

@@ -31,8 +31,8 @@ from .errors import (
     guard_scale,
 )
 from .ff import FieldCtx
-from .mpoly import (_ADD, _CONST, _MUL, _NUMPY_P_LIMIT, _PROD, MPoly, _Plan, content_lines,
-                    eval_points, parse_header)
+from .mpoly import (_ADD, _CONST, _MUL, _NUMPY_P_LIMIT, _PROD, MPoly, _eval_residues, _Plan,
+                    _residues, content_lines, eval_points, parse_header)
 
 Node = Union["Leaf", "Const", "Gate"]
 
@@ -144,7 +144,8 @@ class Rof:
         return self.eval_raw([self.ctx.coerce(v) for v in assignment])
 
     def eval_batch(self, points: Sequence[Sequence[int]]) -> list[int]:
-        return eval_points(self.eval_raw, self.ctx.p, points)
+        """Evaluate at many points at once (see mpoly.eval_points), as a list."""
+        return eval_points(self.eval_raw, self.ctx.p, points).tolist()
 
     def expand(self) -> MPoly:
         """Multiply the tree out into its (multilinear) polynomial.
@@ -323,7 +324,8 @@ class Oracle:
         """fn answers one point, a tuple of residues; batch answers many.
 
         batch receives a list of such tuples, or below 2**30 possibly an
-        (N, arity) int64 array of residues (default: fn on each point).
+        (N, arity) int64 array of residues (default: fn on each point), and
+        returns a list or an integer array of their values.
         """
         self.ctx = ctx
         self.arity = arity
@@ -336,11 +338,19 @@ class Oracle:
         return self.query_many((assignment,))[0]
 
     def query_many(self, points) -> list[int]:
-        """Answer a sequence of points, or an integer array with one row each.
+        """Answer a sequence of points, or an integer array with one row
+        each, as a list of residues (see _query_array)."""
+        return self._query_array(points).tolist()
 
-        An array is reduced mod p in one copy (an int64 array is not copied
-        again); above 2**30 its rows become tuples of Python ints, since
-        int64 products of residues overflow there.
+    def _query_array(self, points) -> np.ndarray:
+        """The residues at the points, as an int64 array; counts them.
+
+        An integer array is brought into [0, p) by mpoly._residues: an int64
+        array already there is handed on as it is, without a copy or a
+        second % p.  Above 2**30 its rows become tuples of Python ints,
+        since int64 products of residues overflow there.  A list's entries
+        are coerced one by one.  The batch's values pass through _residues
+        too, so a list, or values outside [0, p), come back as residues.
         """
         p = self.ctx.p
         if isinstance(points, np.ndarray):
@@ -349,7 +359,7 @@ class Oracle:
                     f"point array of shape {points.shape} for arity {self.arity}")
             if points.dtype.kind not in "iuO":
                 raise InvalidParams(f"points must be integers, got {points.dtype}")
-            pts = (points % p).astype(np.int64, copy=False)
+            pts = _residues(points, p)
             if p >= _NUMPY_P_LIMIT:
                 pts = _point_tuples(pts)
         else:
@@ -360,13 +370,14 @@ class Oracle:
                         f"assignment length {len(a)} != arity {self.arity}")
                 pts.append(tuple(self.ctx.coerce(v) for v in a))
         self.query_count += len(pts)
-        return self._batch(pts)
+        return _residues(self._batch(pts), p)
 
 
 def as_oracle(obj) -> Oracle:
     """Wrap a formula or polynomial as a counting oracle."""
     if isinstance(obj, (Rof, MPoly)):
-        return Oracle(obj.ctx, obj.arity, obj.eval_raw, obj.eval_batch)
+        return Oracle(obj.ctx, obj.arity, obj.eval_raw,
+                      functools.partial(_eval_residues, obj.eval_raw, obj.ctx.p))
     raise InvalidParams(f"cannot build an oracle from {type(obj).__name__}")
 
 
@@ -394,7 +405,8 @@ def corrupt_oracle(base: Oracle, delta: float, rng) -> Oracle:
         return (v + 1) % p if corrupted(pt) else v
 
     def batch(pts):
-        return [(v + 1) % p if corrupted(q) else v
-                for q, v in zip(_point_tuples(pts), base._batch(pts))]
+        vals = _residues(base._batch(pts), p)
+        flip = np.fromiter(map(corrupted, _point_tuples(pts)), dtype=bool, count=len(vals))
+        return np.where(flip, (vals + 1) % p, vals)
 
     return Oracle(base.ctx, base.arity, fn, batch)

@@ -12,11 +12,15 @@ Two algorithms:
 
 Both scan their grids in lexicographic subset order (round by round for
 property_test) and query and decide them in doubling batches of 1, 2, 4,
-... grids, up to _BATCH_POINTS points: one query_many call, one stacked
-interpolation and one vectorized closed-form decision per batch.  YES
-reports count the same queries as a one-grid-at-a-time scan.  A NO report
-counts every point of the batches it queried, fewer than about twice the
-points up to the failing grid, plus one batch.
+... grids, up to _BATCH_POINTS points: one oracle call, one stacked
+interpolation and one vectorized closed-form decision per batch.  A batch
+stays in int64 arrays from grid to verdict: its points are built in the
+column layout the oracle's plan reads, Oracle._query_array answers them
+as an int64 array of residues (no list in between, no second % p), and
+the interpolation reads that array.  YES reports count the same queries as
+a one-grid-at-a-time scan.  A NO report counts every point of the batches
+it queried, fewer than about twice the points up to the failing grid, plus
+one batch.
 
 tau_estimate measures the aligned-triple statistic: the fraction of random
 axis triples whose univariate interpolant is not affine.
@@ -42,7 +46,7 @@ from .errors import (
     TooFewVariables,
     guard_scale,
 )
-from .mpoly import _NUMPY_P_LIMIT, _interpolate_stack, _residues
+from .mpoly import _NUMPY_P_LIMIT, _interpolate_stack
 from .rof import Oracle
 
 YES = "YES"
@@ -118,19 +122,22 @@ def _subsets(n: int):
 
 
 def _grid_points(batch, n: int):
-    """The batch's grids as one (k, L_1, ..., L_m, n) int64 array, and which
-    points another grid of the scan can also hold.
+    """The batch's grids as one (N, n) int64 array of points, and which of
+    them another grid of the scan can also hold.
 
     Each grid is its base point with the I columns running over its axes, in
-    itertools.product(*axes) order.  Two grids share a point only if it
-    agrees with the common base point on their symmetric difference, so one
-    of the point's I-coordinates equals the base point's.
+    itertools.product(*axes) order, and the grids follow each other.  The
+    array is the transpose of an (n, N) one, so each slot's column is
+    contiguous, as the oracle's plan reads it.  shared has the batch's grid
+    shape (k, L_1, ..., L_m).  Two grids share a point only if it agrees
+    with the common base point on their symmetric difference, so one of the
+    point's I-coordinates equals the base point's.
     """
     k = len(batch)
     dims = tuple(len(axis) for axis in batch[0][2])
     bases = np.array([base for base, _, _ in batch], dtype=np.int64)
-    pts = np.empty((k,) + dims + (n,), dtype=np.int64)
-    pts[...] = bases.reshape((k,) + (1,) * len(dims) + (n,))
+    pts = np.empty((n, k) + dims, dtype=np.int64)
+    pts[...] = bases.T.reshape((n, k) + (1,) * len(dims))
     shared = np.zeros((k,) + dims, dtype=bool)
     rows = np.arange(k)
     for t, L in enumerate(dims):
@@ -138,11 +145,10 @@ def _grid_points(batch, n: int):
         column = np.array([axes[t] for _, _, axes in batch], dtype=np.int64)
         shape = [k] + [1] * len(dims)
         shape[t + 1] = L
-        # rows and slots are advanced indices apart, so the grid axes follow
-        # the batch axis
-        pts[rows, ..., slots] = column.reshape(shape)
-        shared |= (column == bases[rows, slots][:, None]).reshape(shape)
-    return pts, shared
+        column = column.reshape(shape)
+        pts[slots, rows] = column
+        shared |= column == bases[rows, slots].reshape([k] + [1] * len(dims))
+    return pts.reshape(n, -1).T, shared
 
 
 def _stored_values(oracle: Oracle, points, shared, store) -> np.ndarray:
@@ -150,21 +156,26 @@ def _stored_values(oracle: Oracle, points, shared, store) -> np.ndarray:
 
     Only shared rows are stored and looked up: each distinct one is queried
     once per scan, however many grids or batches hold it, and every other
-    row is queried once.  One query_many call answers the batch.
+    row is queried once.  Unshared rows go to the oracle as they are, and
+    only shared ones are made unique and turned into keys.  One oracle call
+    answers the batch.
     """
-    p = oracle.ctx.p
-    values = np.empty(len(points), dtype=np.int64)
-    uniq, inverse = np.unique(points[shared], axis=0, return_inverse=True)
+    if not shared.any():
+        return oracle._query_array(points)
+    own = np.flatnonzero(~shared)
+    rows = np.flatnonzero(shared)
+    uniq, first, inverse = np.unique(points[rows], axis=0, return_index=True,
+                                     return_inverse=True)
     keys = list(map(tuple, uniq.tolist()))
     new = np.array([key not in store for key in keys], dtype=bool)
-    own = np.count_nonzero(~shared)
-    answers = _residues(oracle.query_many(np.concatenate([points[~shared], uniq[new]])), p)
-    values[~shared] = answers[:own]
+    answers = oracle._query_array(points[np.concatenate([own, rows[first[new]]])])
+    values = np.empty(len(points), dtype=np.int64)
+    values[own] = answers[:len(own)]
     known = np.empty(len(uniq), dtype=np.int64)
-    known[new] = answers[own:]
-    known[~new] = [store[key] for key, fresh in zip(keys, new) if not fresh]
-    store.update(zip(itertools.compress(keys, new), answers[own:].tolist()))
-    values[shared] = known[inverse.reshape(-1)]
+    known[new] = answers[len(own):]
+    known[~new] = [store[key] for key in itertools.compress(keys, ~new)]
+    store.update(zip(itertools.compress(keys, new), answers[len(own):].tolist()))
+    values[rows] = known[inverse.reshape(-1)]
     return values
 
 
@@ -173,19 +184,19 @@ def _check_batch(oracle: Oracle, batch, store):
 
     Returns (I, kind) of the first failing grid in batch order, or None: a
     restriction fails when it is not multilinear, or when its 8 multilinear
-    coefficients are not read-once.
+    coefficients are not read-once.  The points and the oracle's answers
+    stay int64 arrays.
     """
     p, n = oracle.ctx.p, oracle.arity
     k = len(batch)
-    pts, shared = _grid_points(batch, n)
+    points, shared = _grid_points(batch, n)
     dims = shared.shape[1:]
-    points = pts.reshape(-1, n)
     if store is None:
-        values = _residues(oracle.query_many(points), p)
+        values = oracle._query_array(points)
     else:
         values = _stored_values(oracle, points, shared.reshape(-1), store)
     # free the points before the transform: a degree-124 grid holds 2 M rows
-    del pts, points
+    del points
     nodes = [[tuple(axes[t]) for _, _, axes in batch] for t in range(len(dims))]
     C = _interpolate_stack(p, nodes, values.reshape((k,) + dims))
     lin = C[(slice(None),) + (slice(0, 2),) * len(dims)].reshape(k, -1)

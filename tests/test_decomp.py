@@ -516,6 +516,41 @@ def test_multiplicative_split_random_round_trip():
         assert hh.variables() | gg.variables() == frozenset(range(n))
 
 
+@pytest.mark.parametrize("p", [2, 5, 1009])
+def test_multiplicative_split_scales_by_the_value_at_the_nonzero_point(p):
+    # s, Pp's value at find_nonzero_point(Pp), is read as a coefficient; the
+    # factors must be those of evaluating Pp there
+    ctx = FieldCtx(p)
+    rng = random.Random(p)
+    checked = 0
+    for _ in range(80):
+        n = rng.randint(2, 6)
+        slots = rng.sample(range(n), n)
+        cut = rng.randint(1, n - 1)
+        left, right = sorted(slots[:cut]), sorted(slots[cut:])
+        h0 = random_multilinear(ctx, len(left), rng).embed(n, left)
+        g0 = random_multilinear(ctx, len(right), rng).embed(n, right)
+        c0 = rng.randrange(p)
+        P = h0 * g0 + MPoly.constant(ctx, n, c0)
+        i, j = rng.choice(left), rng.choice(right)
+        if not {i, j} <= P.variables() or not decompose(P, i, j).decomposable:
+            continue
+        h, g, c = multiplicative_split(P, i, j)
+        Pp = P - MPoly.constant(ctx, n, c)
+        w = find_nonzero_point(Pp)
+        s = sum(coef * all(w[v] for v, _ in m) for m, coef in Pp.terms.items()) % p
+        assert s == Pp.evaluate(w) != 0
+        h_raw = Pp.restrict_many(sorted(g.variables()), w)
+        g_raw = Pp.restrict_many(sorted(h.variables()), w)
+        lc = h_raw.leading_coefficient()
+        assert h == h_raw.scale(ctx.inv_raw(lc))
+        assert g == g_raw.scale(lc * ctx.inv_raw(s) % p)
+        assert c == decompose(P, i, j).c
+        assert h * g + MPoly.constant(ctx, n, c) == P
+        checked += 1
+    assert checked >= 30
+
+
 def test_trivariate_examples():
     assert trivariate_is_rop(parse_terms(GF101, 3, "x1*x2 + x3"))
     assert trivariate_is_rop(parse_terms(GF101, 3, "x1*x2 + x1 + 5"))

@@ -26,6 +26,7 @@ from ropcheck.mpoly import (
     _PROD_ACC,
     _REDUCE,
     MPoly,
+    _residues,
     interpolate_grid,
     parse_header,
     parse_poly_file,
@@ -511,6 +512,29 @@ def test_interpolation_round_trip():
         shifted = [v - 3 * ctx.p for v in values]
         assert interpolate_grid(ctx, axes, shifted) == P
         assert interpolate_grid(ctx, axes, np.array(shifted, dtype=np.int64)) == P
+
+
+def test_interpolation_reduces_samples_beyond_int64():
+    # 2**63 + 1 = 91 and 2**64 + 5 = 84 mod 101; a float64 conversion of the
+    # first read 12*x1 + 90
+    assert interpolate_grid(GF101, [[0, 1]], [2**63 + 1, 1]) == parse_terms(GF101, 1, "11*x1 + 91")
+    assert interpolate_grid(GF101, [[0, 1]], [1, 2**64 + 5]) == parse_terms(GF101, 1, "83*x1 + 1")
+    for values in ([2**63 + 1, -(2**64) - 5], np.array([2**63 + 1, 2**64 + 5], dtype=object),
+                   np.array([2**63 + 1, 2**64 - 1], dtype=np.uint64)):
+        got = _residues(values, 101)
+        assert got.dtype == np.int64
+        assert got.tolist() == [int(v) % 101 for v in values]
+
+
+def test_residues_hand_back_int64_residues_uncopied():
+    a = np.array([[0, 100], [5, 7]], dtype=np.int64)
+    assert _residues(a, 101) is a
+    assert np.shares_memory(_residues(a.T, 101), a)
+    b = np.array([[-1, 101], [5, 2**62]], dtype=np.int64)
+    got = _residues(b, 101)
+    assert got.tolist() == [[100, 0], [5, 2**62 % 101]]
+    assert b.tolist() == [[-1, 101], [5, 2**62]]
+    assert _residues([], 101).shape == (0,)
 
 
 def test_interpolation_errors():

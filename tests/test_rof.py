@@ -270,6 +270,55 @@ def test_query_many_array_validation():
     assert batches == [[(p - 1, p - 1)] * 8]
 
 
+def _array_path_oracles(ctx, n, rng):
+    """Polynomial, formula, corrupted and plain oracles, each built twice."""
+    F = random_rof(ctx, n, rng.randrange(1 << 30))
+    P = F.expand() * random_rof(ctx, n, rng.randrange(1 << 30)).expand()
+    key = rng.randrange(1 << 30)
+    plain = lambda pt: (pt[0] * pt[1] + 3 * pt[-1] ** 2 + ctx.p - 1)
+    return [(lambda: as_oracle(P)), (lambda: as_oracle(F)),
+            (lambda: corrupt_oracle(as_oracle(F), 0.3, key)),
+            (lambda: Oracle(ctx, n, plain))]
+
+
+@pytest.mark.parametrize("p", [5, 1009, 1_073_741_789, 2**61 - 1])
+def test_query_array_matches_query_many(p):
+    ctx = FieldCtx(p)
+    rng = random.Random(p % 997)
+    n = 4
+    limit = min(3 * p, 2**63 - 1)
+    rows = [[rng.randrange(-limit, limit) if rng.random() < 0.3 else rng.randrange(p)
+             for _ in range(n)] for _ in range(40)]
+    array = np.array(rows, dtype=np.int64)
+    for make in _array_path_oracles(ctx, n, rng):
+        a, b = make(), make()
+        cases = (array, array[:3], rows, rows[:5], array[:0])
+        for pts in cases:
+            got = a._query_array(pts)
+            assert got.dtype == np.int64 and got.ndim == 1
+            assert got.tolist() == b.query_many(pts)
+            assert a.query_count == b.query_count
+        assert a.query_count == sum(map(len, cases))
+        assert all(0 <= v < p for v in a._query_array(array).tolist())
+
+
+def test_query_array_passes_int64_residues_uncopied():
+    # an int64 array already in [0, p) reaches the batch as it is; one with
+    # entries outside is reduced once, and the caller's copy stays unchanged
+    seen = []
+    orc = Oracle(GF101, 2, None, lambda pts: seen.append(pts) or [7] * len(pts))
+    inside = np.array([[0, 100], [3, 4]], dtype=np.int64)
+    assert orc._query_array(inside).tolist() == [7, 7]
+    assert seen[-1] is inside
+    outside = np.array([[-1, 101], [3, 205]], dtype=np.int64)
+    orc._query_array(outside)
+    assert seen[-1].tolist() == [[100, 0], [3, 3]]
+    assert outside.tolist() == [[-1, 101], [3, 205]]
+    # a batch's answers outside [0, p) come back as residues
+    wide = Oracle(GF101, 1, None, lambda pts: [-1, 2**70, 5][:len(pts)])
+    assert wide.query_many([(0,), (1,), (2,)]) == [100, 2**70 % 101, 5]
+
+
 def test_as_oracle_accepts_poly():
     P = parse_terms(GF101, 2, "x1*x2 + 3")
     orc = as_oracle(P)

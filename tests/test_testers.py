@@ -279,6 +279,38 @@ def test_batched_scans_match_the_sequential_scan(p):
     assert {(YES, None), (NO, NOT_MULTILINEAR), (NO, NOT_ROP)} <= outcomes
 
 
+@pytest.mark.parametrize("p", [7, 1009, 2**31 - 1])
+def test_corrupted_oracle_scans_match_the_sequential_scan(p):
+    # a corrupted oracle flips some of its base's residues in its batch
+    # callable; every report matches the one-grid-at-a-time scan
+    ctx = FieldCtx(p)
+    rng = random.Random(p + 1)
+    verdicts = set()
+    for n in (3, 5, 7):
+        d = min(n, p - 1)
+        R = math.ceil(3 / (0.5 + float(n) ** -4))
+        for delta in (0.0, 0.002, 0.05):
+            F, key = random_rof(ctx, n, rng), rng.randrange(1 << 30)
+            make = lambda: corrupt_oracle(as_oracle(F), delta, key)
+            seed = rng.randrange(1 << 30)
+            for cache in (True, False):
+                orc = make()
+                rep = read_once_test(orc, n, d, 0.25, seed, cache=cache)
+                assert (rep.seed, rep.repeats) == (seed, 1)
+                want = _sequential_read_once_test(make(), n, d, seed, cache)
+                _assert_matches_sequential(rep, want, (d + 1) ** 3)
+                assert orc.query_count == rep.queries
+                verdicts.add(rep.verdict)
+            orc = make()
+            rep = property_test(orc, n, 0.5, seed)
+            assert (rep.seed, rep.repeats) == (seed, R)
+            _assert_matches_sequential(
+                rep, _sequential_property_test(make(), n, R, random.Random(seed)), 27)
+            assert orc.query_count == rep.queries
+            verdicts.add(rep.verdict)
+    assert verdicts == {YES, NO}
+
+
 def test_parameter_validation():
     orc = as_oracle(random_rof(GF1009, 4, 0))
     with pytest.raises(ArityMismatch):
