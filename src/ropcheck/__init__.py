@@ -14,7 +14,6 @@ from .charax import (
     GoodnessChecker,
     certificate_multiplicands,
     characterize,
-    is_good_assignment,
     is_locally_rop,
 )
 from .decomp import (
@@ -60,7 +59,7 @@ __all__ = [
     "boolean_is_read_once", "brute_force_is_rop", "certificate_multiplicands",
     "characterize", "commutator", "corrupt_oracle", "decomp_witness",
     "decompose", "gate_graph", "interpolate_grid", "is_additively_separable",
-    "is_good_assignment", "is_locally_rop", "is_prime", "local_rop_fraction",
+    "is_locally_rop", "is_prime", "local_rop_fraction",
     "multiplicative_split", "parse_poly_file", "property_test", "q_n",
     "random_multilinear", "random_rof", "read_once_test", "tau_estimate",
     "trivariate_is_rop", "witness_is_zero",

@@ -21,8 +21,10 @@ import random
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Tuple
 
-from .decomp import (_is_multilinear, _pair_split, _shifted_coefficients, _trivariate_rop,
-                     witness_is_zero)
+import numpy as np
+
+from .decomp import (_is_multilinear, _pair_layout, _pair_splits, _subsets, _taylor_table,
+                     _trivariate_rop, witness_is_zero)
 # bound here for bench/tracer.py, which wraps charax's binding of it
 from .decomp import trivariate_is_rop  # noqa: F401
 from .errors import (ArityMismatch, FieldTooSmall, InvalidParams, NotMultilinear,
@@ -100,16 +102,18 @@ def certificate_multiplicands(P: MPoly) -> List[Multiplicand]:
 class GoodnessChecker:
     """Reusable certifier: zero tags once, then one check per assignment.
 
-    No witness polynomial is built.  check tabulates the mixed partials
-    d_T P(a), |T| <= 3, at the assignment a by a truncated shift of P's terms
-    (P's order-3 Taylor table, decomp._shifted_coefficients) and decides
-    every multiplicand in O(1) from it.  A first or second partial is one
-    entry.  A witness multiplicand of the pair (i, j) glued on
-    J = rest - {m}, set to x = a and y_J = a_J, is a polynomial in y_m
-    alone: in u = y_m - a_m it is u*(A1*d - s*D1) - u^2*s*D2, from the
-    split of P's shift to a in (i, j) along m (decomp._pair_split), where
-    s = A0 = S(a), d = D0 = D(a) and A1 = d_ijm P(a).  So it vanishes in
-    the free variable iff s*D2 == 0 and d*A1 == s*D1 (mod p).
+    No witness polynomial is built.  check evaluates the mixed partials
+    d_T P(a), |T| <= 3, at the assignment a through P's Taylor plan (P's
+    order-3 Taylor table, decomp._taylor_table) and decides every live
+    multiplicand from it at once: the partials' entries in one gather, the
+    witnesses' pair splits in one stacked step (decomp._pair_splits).  A
+    first or second partial is one entry.  A witness multiplicand of the
+    pair (i, j) glued on J = rest - {m}, set to x = a and y_J = a_J, is a
+    polynomial in y_m alone: in u = y_m - a_m it is
+    u*(A1*d - s*D1) - u^2*s*D2, from the split of P's shift to a in (i, j)
+    along m (decomp._pair_split), where s = A0 = S(a), d = D0 = D(a) and
+    A1 = d_ijm P(a).  So it vanishes in the free variable iff s*D2 == 0 and
+    d*A1 == s*D1 (mod p).
     """
 
     def __init__(self, P: MPoly):
@@ -118,9 +122,14 @@ class GoodnessChecker:
             raise FieldTooSmall("goodness certification needs p >= 3")
         self.P = P
         self.multiplicands = certificate_multiplicands(P)
-        # every live multiplicand with the table masks it reads: the
-        # partial's slots, or a witness's pair and free slot
+        # every live multiplicand with its violation, in certificate order,
+        # which lists the partials before the witnesses, and the table rows
+        # each reads: a partial's entry, or the factors of a witness's pair
+        # split of (i, j) along its free slot (decomp._pair_layout)
         self._live = []
+        rows = _subsets(P.arity).rows
+        left, right, columns = _pair_layout(P.arity)
+        partials, splits = [], []
         for m in self.multiplicands:
             if m.identically_zero:
                 continue
@@ -128,38 +137,32 @@ class GoodnessChecker:
                 i, j = m.index
                 free = next(k for k in range(P.arity)
                             if k not in m.shared and k != i and k != j)
-                masks = (1 << i, 1 << j, 1 << free)
+                splits.append(columns[i, j, free])
+                self._live.append((m, "vanishes identically in the free variables"))
             else:
-                masks = sum(1 << t for t in m.index)
-            self._live.append((m, masks))
+                partials.append(rows[sum(1 << t for t in m.index)])
+                self._live.append((m, "evaluates to 0 at the assignment"))
+        self._partial_rows = np.array(partials, dtype=np.intp)
+        self._left, self._right = left[:, splits], right[:, splits]
 
     def check(self, assignment) -> GoodnessReport:
         P = self.P
         if len(assignment) != P.arity:
             raise ArityMismatch(
                 f"assignment length {len(assignment)} != arity {P.arity}")
-        return self._check_table(
-            _shifted_coefficients(P, [P.ctx.coerce(v) for v in assignment]))
+        return self._check_table(_taylor_table(P, [P.ctx.coerce(v) for v in assignment]))
 
     def _check_table(self, table) -> GoodnessReport:
-        """check on P's Taylor table at the assignment."""
+        """check on P's Taylor table at the assignment, a column of
+        residues in the rows of decomp._subsets."""
         p = self.P.ctx.p
-        violations = []
-        for m, masks in self._live:
-            if m.kind != WITNESS:
-                if table[masks] % p == 0:
-                    violations.append((m, "evaluates to 0 at the assignment"))
-                continue
-            A1, A0, D2, D1, D0 = _pair_split(table, *masks)
-            if A0 * D2 % p == 0 and (A1 * D0 - A0 * D1) % p == 0:
-                violations.append((m, "vanishes identically in the free variables"))
+        A1, A0, D = _pair_splits(table, self._left, self._right)
+        D %= p
+        failed = np.concatenate([table.take(self._partial_rows) == 0,
+                                 (A0 * D[0] % p == 0) & ((A1 * D[2] - A0 * D[1]) % p == 0)])
+        violations = [self._live[k] for k in failed.nonzero()[0].tolist()]
         return GoodnessReport(not violations, violations,
                               len(self.multiplicands) - len(self._live))
-
-
-def is_good_assignment(P: MPoly, a) -> GoodnessReport:
-    """Certify one assignment; build a GoodnessChecker for repeated use."""
-    return GoodnessChecker(P).check(a)
 
 
 def is_locally_rop(P: MPoly, a) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
@@ -167,13 +170,13 @@ def is_locally_rop(P: MPoly, a) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
 
     The restriction to a triple I, written in shifted coordinates
     x_k = a_k + u_k, is the 8-term polynomial with coefficients
-    {d_S P(a) : S inside I}; one truncated shift of P's terms to a
-    tabulates them all (decomp._shifted_coefficients), and each triple's
-    entries go straight to the closed-form decision
-    (decomp._trivariate_rop).  A one-variable affine shift keeps a formula
-    read-once, so each triple gets the verdict of its restriction.  Subsets
-    are scanned in lexicographic order and the first failing one is returned
-    as the witness.  Fewer than 3 variables: trivially read-once.
+    {d_S P(a) : S inside I}; one evaluation of P's Taylor plan at a
+    tabulates them all (decomp._taylor_table), and every triple's entries
+    go to the closed-form decision at once (_failing_triple).  A
+    one-variable affine shift keeps a formula read-once, so each triple gets
+    the verdict of its restriction.  The first failing triple in
+    lexicographic order is returned as the witness.  Fewer than 3
+    variables: trivially read-once.
     """
     _require_multilinear(P)
     n = P.arity
@@ -182,18 +185,20 @@ def is_locally_rop(P: MPoly, a) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
     if len(a) != n:
         raise ArityMismatch(f"assignment length {len(a)} != arity {n}")
     ctx = P.ctx
-    I = _failing_triple(_shifted_coefficients(P, [ctx.coerce(v) for v in a]), n, ctx.p)
+    I = _failing_triple(_taylor_table(P, [ctx.coerce(v) for v in a]), n, ctx.p)
     return I is None, I
 
 
 def _failing_triple(table, n: int, p: int) -> Optional[Tuple[int, int, int]]:
     """The first triple, in lexicographic order, whose restriction is not
     read-once, read from P's Taylor table at the assignment; None if every
-    one is."""
-    for I in itertools.combinations(range(n), 3):
-        if not _trivariate_rop(table, *(1 << v for v in I), p):
-            return I
-    return None
+    one is.  The (8, C(n,3)) entries of all triples are gathered and decided
+    in one call (decomp._trivariate_rop)."""
+    sub = _subsets(n)
+    rop = _trivariate_rop(table.take(sub.triple_rows, axis=0), 1, 2, 4, p)
+    if rop.all():
+        return None
+    return tuple(sub.triples[rop.argmin()].tolist())
 
 
 @dataclass(frozen=True)
@@ -245,7 +250,7 @@ def characterize(P: MPoly, rng, max_retries: int = 16) -> CharacterizeReport:
     for attempt in range(1, max_retries + 1):
         a = tuple(rng.randrange(p) for _ in range(n))
         # one table at a serves the certificate check and the triple scan
-        table = _shifted_coefficients(P, a)
+        table = _taylor_table(P, a)
         last = checker._check_table(table)
         if last.good:
             witness = _failing_triple(table, n, p)

@@ -15,14 +15,16 @@ The central objects:
   identically exactly when dd_ij(P) is zero or P splits for some constant.
   A shared index set J glues y_k := x_k for k in J;
 * the pair split along a third slot z, P = A*x_i*x_j + B*x_i + C*x_j + E
-  with A..E affine in z.  On scalars it reads the witness probes and the
-  certificate checks; on P's coded cofactors it decides every witness with
-  J != {} exactly (_slot_vanishes, see witness_is_zero);
+  with A..E affine in z.  On scalars it reads the witness probes; on arrays
+  it runs many splits at once for the certificate checks and the
+  trivariate decisions (_pair_splits); on P's coded cofactors it decides
+  every witness with J != {} exactly (_slot_vanishes, see witness_is_zero);
 * the order-3 Taylor table of P at a point a: the mixed partials d_T P(a),
-  |T| <= 3, from a truncated shift of P's terms to a, one slot at a time,
-  that keeps no term past its third shifted slot.  The witness's fixed probe
-  and the certificate's checks read every point value they need from such
-  tables;
+  |T| <= 3, one row per T (_subsets).  A Taylor plan compiled once per
+  polynomial (_TaylorPlan) evaluates it at the columns of an (n, K) array
+  of points in a few numpy steps, from P's terms as slot arrays and, for
+  each T, the terms that contain it.  The witness's fixed probe and the
+  certificate's checks read every point value they need from such tables;
 * the gate graph: edge (i, j) iff dd_ij(P) != 0; connected components are
   exactly the additive pieces of P;
 * exact splitting routines and a brute-force read-once decider used as the
@@ -31,11 +33,14 @@ The central objects:
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import (
     IndexOverlap,
@@ -47,7 +52,7 @@ from .errors import (
     TooManyVariables,
     VariableNotPresent,
 )
-from .mpoly import MPoly, _code_products, _coded_cofactors
+from .mpoly import _NUMPY_P_LIMIT, MPoly, _code_products, _coded_cofactors, _product_run
 
 # The exact witness test's probe point pair, drawn once from a fixed seed so
 # that no call seeds or consumes a random stream: slot k of the x-point reads
@@ -57,13 +62,15 @@ _PROBE = tuple(map(random.Random(0).getrandbits, [64] * 64))
 
 class _Probe:
     """What this module memoizes on a polynomial P (MPoly._probe): whether P
-    is multilinear, and, once a witness is probed, the probe points x and y
-    (the J = {} pair) with P's Taylor tables at them.  P never changes, so
-    neither does its memo."""
-    __slots__ = ("multilinear", "tables")
+    is multilinear, its Taylor plan once a table is asked for (_TaylorPlan),
+    and, once a witness is probed, the probe points x and y (the J = {}
+    pair) with P's Taylor tables at them.  P never changes, so neither does
+    its memo."""
+    __slots__ = ("multilinear", "taylor", "tables")
 
     def __init__(self, P: MPoly):
         self.multilinear = P.is_multilinear()
+        self.taylor = None
         self.tables = None
 
 
@@ -84,85 +91,206 @@ def _require_multilinear(P: MPoly):
         raise NotMultilinear(f"operation needs a multilinear polynomial, got {P!r}")
 
 
-def _tail(tails: Dict[int, int], a, p: int, x: int) -> int:
-    """prod(a_w : w in x) mod p for the bit mask x, memoized in tails.
+@functools.lru_cache(maxsize=64)
+def _subsets(n: int) -> "_Subsets":
+    """The row layout of order-3 Taylor tables in n slots, built once per n."""
+    return _Subsets(n)
 
-    Not a closure inside _shifted_coefficients: a closure that calls itself
-    is a reference cycle, which keeps each call's memo alive until the
-    cyclic garbage collector runs, and so raises peak memory over many
-    tables.
+
+class _Subsets:
+    """The rows of an order-3 Taylor table in n slots: one per subset T of
+    at most 3 slots, by size, and colexicographically within a size.
+
+    T = {s_1 < ... < s_k} sits in row w_1(s_1) + ... + w_k(s_k), where
+    w_t(s) = C(s, t) + C(n, t-1); slot n pads a subset of fewer than 3
+    slots and weighs 0.  weights holds w_1, w_2 and w_3 over the slots
+    0..n one after the other, from offsets, in the smallest unsigned type
+    that numbers every row.  rows maps T's bit mask to its row, and slots
+    holds each row's slots, padded with n.  triples lists every 3-subset
+    {a < b < c} in lexicographic order, and triple_rows its 8 subsets'
+    rows, one column per triple: row mask holds the subset with a iff bit 0
+    of mask is set, b iff bit 1 and c iff bit 2, so a column reads as
+    coefficients in the one-bit masks 1, 2 and 4.
     """
-    t = tails.get(x)
-    if t is None:
-        low = x & -x
-        t = tails[x] = a[low.bit_length() - 1] * _tail(tails, a, p, x ^ low) % p
-    return t
+    __slots__ = ("size", "weights", "offsets", "rows", "slots", "triples", "triple_rows")
+
+    def __init__(self, n: int):
+        self.size = sum(math.comb(n, k) for k in range(4))
+        w = [[math.comb(s, t) + math.comb(n, t - 1) for s in range(n)] + [0] for t in (1, 2, 3)]
+        self.weights = np.array(w, dtype=np.min_scalar_type(self.size)).ravel()
+        self.offsets = np.array([0, n + 1, 2 * n + 2], dtype=np.intp)
+        self.rows = {0: 0}
+        self.slots = np.full((self.size, 3), n, dtype=np.intp)
+        for k in (1, 2, 3):
+            for T in itertools.combinations(range(n), k):
+                row = self.rows[sum(1 << v for v in T)] = sum(w[t][v] for t, v in enumerate(T))
+                self.slots[row, :k] = T
+        self.triples = np.array(list(itertools.combinations(range(n), 3)),
+                                dtype=np.intp).reshape(-1, 3)
+        w0, w1, w2 = np.array(w, dtype=np.intp)
+        a, b, c = self.triples.T
+        self.triple_rows = np.array([np.zeros_like(a), w0[a], w0[b], w0[a] + w1[b], w0[c],
+                                     w0[a] + w1[c], w0[b] + w1[c], w0[a] + w1[b] + w2[c]])
 
 
-def _shifted_coefficients(P: MPoly, a) -> Dict[int, int]:
-    """P's order-3 Taylor table at a: the mixed partials d_T P(a) for every
-    |T| <= 3, keyed by T's bit mask.
+# (term, subset) pairs a Taylor plan's compiler indexes at a time
+_PAIR_BLOCK = 1 << 18
 
-    They are the coefficients of P(a + u) in u, and a truncated shift finds
-    them: x_v = a_v + u_v is substituted one slot at a time, in index order.
-    A term then has a shifted part U (its u-slots, below v) and an unshifted
-    part X (its x-slots, v and up).  Terms are grouped by X, so terms that
-    share their unshifted part are shifted together and merge.  At slot v a
-    term c * u^U * x^X splits into c*a_v * u^U * x^(X-v), dropped when
-    a_v = 0, and c * u^(U+v) * x^(X-v).  A term that takes its third u-slot
-    can take no more: it adds c * prod(a_w : w in X-v) to d_(U+v) P(a) at
-    once, the product memoized per remaining part and 0 when some a_w is.
-    So no term carries more than two u-slots.  P must be multilinear and a a
-    sequence of residues.  The table reads 0 at entries that receive nothing;
-    values are sums of residues, left unreduced.
+
+@functools.lru_cache(maxsize=64)
+def _positions(d: int) -> Tuple[np.ndarray, List[int]]:
+    """The subsets of at most 3 of the positions 0..d-1, in order of their
+    largest position, padded with position d, and C(e, <=3) for each e <= d:
+    the subsets of a term's first e positions are the first C(e, <=3) rows.
+    Row k holds 3*q_t + t for the t-th position q_t of subset k, the flat
+    index of w_t+1 at q_t in a (d + 1, 3) array of a term's slot weights."""
+    subsets = sorted((c for k in range(4) for c in itertools.combinations(range(d), k)),
+                     key=lambda c: c[-1] if c else -1)
+    positions = [[3 * q + t for t, q in enumerate(c + (d,) * (3 - len(c)))] for c in subsets]
+    return (np.array(positions, dtype=np.int32).reshape(-1, 3),
+            [sum(math.comb(e, k) for k in range(4)) for e in range(d + 1)])
+
+
+def _product_mod(factors: np.ndarray, p: int) -> np.ndarray:
+    """The product of the residues factors[0], factors[1], ... mod p, as
+    many at a time as the product stays below 2**62 (mpoly._product_run)."""
+    run = min(_product_run(p), len(factors)) + 1
+    out = np.multiply.reduce(factors[:run], axis=0) % p
+    for lo in range(run, len(factors), run):
+        out = out * (np.multiply.reduce(factors[lo:lo + run], axis=0) % p) % p
+    return out
+
+
+class _TaylorPlan:
+    """P's order-3 Taylor table as a plan compiled once per polynomial: the
+    mixed partials d_T P(a), |T| <= 3, at the columns of an array of
+    assignments, in a handful of numpy steps.
+
+    At an assignment a, d_T P(a) is the sum of c_m * prod(a_v : v in m - T)
+    over P's terms c_m * x^m with T inside m.  Let pi_m be the product of a
+    over m's nonzero slots and z_m the count of m's zero slots.  A term's
+    product over m - T is nonzero iff every zero slot of m lies in T, that
+    is iff z_m = z_T, and it is pi_m / pi_T then.  So d_T P(a) is pi_T^-1
+    times the sum of w_m = c_m * pi_m over the terms m that contain T and
+    have z_m = z_T.
+
+    The plan holds P's terms as slot arrays (slots[r] holds every term's
+    r-th slot, or n past its degree) and the (term, subset) pairs of every
+    subset T of at most 3 slots that some term contains, sorted by T's row
+    (_subsets): T's terms are the run of pair_terms that starts at T's
+    entry of starts and has its entry of sizes.  live lists those rows and
+    live_slots their slots.  Its memory grows with the pairs, not with
+    C(n, <=3) times the terms.  At and above _NUMPY_P_LIMIT the same steps
+    run on object arrays of Python ints.
     """
-    p, n = P.ctx.p, P.arity
-    table: Dict[int, int] = defaultdict(int)
-    # pending[v] maps each unshifted part X whose lowest slot is v to its
-    # terms, a dict from shifted part U to coefficient.  Plain dicts and get:
-    # a defaultdict's missing-key path costs more than the lookup
-    pending = [{} for _ in range(n)]
-    for mono, c in P.terms.items():
-        x = 0
-        for v, _ in mono:
-            x |= 1 << v
-        if x:
-            pending[(x & -x).bit_length() - 1][x] = {0: c}
-        else:
-            table[0] = c
-    tails = {0: 1}
-    for v in range(n):
-        bit, av = 1 << v, a[v]
-        for x, group in pending[v].items():
-            rest = x ^ bit
-            if rest:
-                groups = pending[(rest & -rest).bit_length() - 1]
-                target = groups.get(rest)
-                if target is None:
-                    target = groups[rest] = {}
-                t = _tail(tails, a, p, rest)
-            else:
-                target, t = table, 1
-            for u, c in group.items():
-                if av:
-                    target[u] = target.get(u, 0) + c * av % p
-                u |= bit
-                if u.bit_count() < 3:
-                    target[u] = target.get(u, 0) + c
-                elif t:
-                    table[u] = table.get(u, 0) + c * t % p
-        pending[v] = None
-    return table
+    __slots__ = ("p", "dtype", "size", "coeffs", "slots", "pair_terms", "starts", "sizes",
+                 "live", "live_slots")
+
+    def __init__(self, P: MPoly):
+        n, p = P.arity, P.ctx.p
+        sub = _subsets(n)
+        self.p, self.size = p, sub.size
+        self.dtype = np.int64 if p < _NUMPY_P_LIMIT else object
+        self.coeffs = np.array(list(P.terms.values()), dtype=self.dtype)
+        width = max(map(len, P.terms), default=0)
+        positions, subset_counts = _positions(width)
+        # one row per term: its slots, then slot n up to width + 1 columns;
+        # a term of degree d has C(d, <=3) subsets of at most 3 slots, the
+        # first rows of positions, which position width pads with slot n
+        pad = [n] * (width + 1)
+        flat, counts = [], []
+        for mono in P.terms:
+            flat += [v for v, _ in mono]
+            flat += pad[len(mono):]
+            counts.append(subset_counts[len(mono)])
+        slots = np.array(flat, dtype=np.int32).reshape(-1, width + 1)
+        self.slots = np.ascontiguousarray(slots[:, :width].T)
+        # term m's k-th subset for every k below its count, term by term; a
+        # subset's row sums the weights w_1, w_2, w_3 of its slots
+        # (_Subsets), gathered at once from each term's slot weights, laid
+        # out term by term as positions' flat indices read them.  Blocks of
+        # terms bound the memory of the index arrays.
+        weights = sub.weights.take(slots[:, :, None] + sub.offsets).ravel()
+        counts = np.array(counts)
+        block = max(1, _PAIR_BLOCK // len(positions))
+        pair_terms, rows = [], []
+        for lo in range(0, len(counts), block):
+            terms, local = (np.arange(len(positions)) < counts[lo:lo + block, None]).nonzero()
+            at = positions.take(local, axis=0)
+            terms = terms.astype(np.int32)
+            terms += lo
+            at += (terms * np.int32(3 * width + 3))[:, None]
+            pair_terms.append(terms)
+            rows.append(weights.take(at).sum(axis=1, dtype=weights.dtype))
+        pair_terms = np.concatenate(pair_terms or [np.zeros(0, dtype=np.int32)])
+        rows = np.concatenate(rows or [np.zeros(0, dtype=weights.dtype)])
+        order = rows.argsort(kind="stable")
+        rows = rows.take(order)
+        self.pair_terms = pair_terms.take(order)
+        del pair_terms, order
+        change = np.empty(len(rows), dtype=bool)
+        change[:1] = True
+        np.not_equal(rows[1:], rows[:-1], out=change[1:])
+        self.starts = change.nonzero()[0]
+        ends = np.empty_like(self.starts)
+        ends[:-1] = self.starts[1:]
+        ends[-1:] = len(rows)
+        self.sizes = ends - self.starts
+        self.live = rows.take(self.starts)
+        self.live_slots = np.ascontiguousarray(sub.slots.take(self.live, axis=0).T)
+
+    def table(self, a) -> np.ndarray:
+        """d_T P at each column of a, n rows of K residues (Python ints, or
+        an integer array): an (R, K) array of residues in the rows of
+        _subsets(n), in the plan's dtype.  A sequence of n residues gives its
+        one column, as an (R,) array.  Rows of subsets that no term contains
+        read 0.  The n*K entries are prepared in Python (1 for 0, the
+        inverses); every step over terms and pairs is a numpy step."""
+        p = self.p
+        if isinstance(a, np.ndarray):
+            a = a.tolist()
+        column = not a or not isinstance(a[0], (list, tuple))
+        if column:
+            a = [[v] for v in a]
+        K = len(a[0]) if a else 1
+        # each slot's entries with 1 for 0, then their inverses; slot n pads
+        ext = [v if v else 1 for row in a for v in row] + [1] * K
+        factors = np.array(ext + [pow(v, -1, p) for v in ext],
+                           dtype=self.dtype).reshape(2, len(a) + 1, K)
+        # ndarray.take gathers along the first axis several times faster
+        # than fancy indexing does
+        w = self.coeffs[:, None] * _product_mod(factors[0].take(self.slots, axis=0), p) % p
+        terms = w.take(self.pair_terms, axis=0)
+        if any(0 in row for row in a):
+            # a term counts toward T only if it has T's count of zero slots
+            zero = np.array([[v == 0 for v in row] for row in a] + [[False] * K])
+            z = zero.take(self.slots, axis=0).sum(axis=0, dtype=np.int8)
+            zT = zero.take(self.live_slots, axis=0).sum(axis=0, dtype=np.int8)
+            terms *= z.take(self.pair_terms, axis=0) == zT.repeat(self.sizes, axis=0)
+        sums = np.add.reduceat(terms, self.starts, axis=0) % p
+        out = np.zeros((self.size, K), dtype=self.dtype)
+        out[self.live] = sums * _product_mod(factors[1].take(self.live_slots, axis=0), p) % p
+        return out[:, 0] if column else out
+
+
+def _taylor_table(P: MPoly, a) -> np.ndarray:
+    """P's order-3 Taylor tables at the columns of a, through P's plan
+    (_TaylorPlan.table), compiled at the first table and memoized on P.
+    P must be multilinear."""
+    memo = _probe_memo(P)
+    if memo.taylor is None:
+        memo.taylor = _TaylorPlan(P)
+    return memo.taylor.table(a)
 
 
 def _pair_split(c, x: int, y: int, z: int):
     """Split P = A*x*y + B*x + C*y + E with A, B, C, E affine in z,
     A = A1*z + A0 and so on, and D = A*E - B*C = D2*z^2 + D1*z + D0.
 
-    c maps a bit mask to the coefficient of that monomial in x, y and z:
-    scalars, such as a table in shifted coordinates, or arrays of them
-    (_slot_vanishes forms the same D from coded cofactors).  x, y, z are
-    one-bit masks; returns (A1, A0, D2, D1, D0).
+    c maps a bit mask to the coefficient of that monomial in x, y and z, a
+    scalar (_pair_splits splits arrays of them, and _slot_vanishes forms
+    the same D from coded cofactors).  x, y, z are one-bit masks; returns
+    (A1, A0, D2, D1, D0).
     """
     A1, A0 = c[x | y | z], c[x | y]
     B1, B0 = c[x | z], c[x]
@@ -170,6 +298,41 @@ def _pair_split(c, x: int, y: int, z: int):
     E1, E0 = c[z], c[0]
     return (A1, A0, A1 * E1 - B1 * C1, A1 * E0 + A0 * E1 - B1 * C0 - B0 * C1,
             A0 * E0 - B0 * C0)
+
+
+# D's eight products in a pair split: D2 = A1*E1 - B1*C1,
+# D1 = A1*E0 + A0*E1 - B1*C0 - B0*C1 and D0 = A0*E0 - B0*C0, each product's
+# sign, and where each of D2, D1 and D0 starts among them
+_SPLIT_SIGNS = np.array([1, -1, 1, 1, -1, -1, 1, -1])
+_SPLIT_STARTS = np.array([0, 2, 6])
+
+
+# the three pair splits of a triple in the one-bit masks 1, 2, 4: (1, 2)
+# along 4, (1, 4) along 2 and (2, 4) along 1
+_SPLITS = ((1, 2, 4), (1, 4, 2), (2, 4, 1))
+
+
+@functools.lru_cache(maxsize=64)
+def _split_masks(splits) -> Tuple[np.ndarray, np.ndarray]:
+    """The masks of the left and right factors of D's eight products (in
+    _SPLIT_SIGNS order) in the pair split of (x, y) along z, for each
+    (x, y, z) in splits: two (8, len(splits)) arrays.  Row 0 of the left
+    factors is A1 and row 3 is A0."""
+    left = [[x | y | z, x | z, x | y | z, x | y, x | z, x, x | y, x] for x, y, z in splits]
+    right = [[z, y | z, 0, z, y, y | z, 0, y] for x, y, z in splits]
+    return np.array(left, dtype=np.intp).T, np.array(right, dtype=np.intp).T
+
+
+def _pair_splits(c: np.ndarray, left: np.ndarray, right: np.ndarray):
+    """Many pair splits (_pair_split) at once: A1, A0 and the stack
+    (D2, D1, D0), unreduced, where c's entries at the index arrays left and
+    right, of shape (8, ...), are the factors of D's eight products (see
+    _split_masks).  c holds residues: int64 below 2**30, so that no sum of
+    products reaches 2**62, or Python ints in an object array."""
+    L = c.take(left, axis=0)
+    products = L * c.take(right, axis=0)
+    products *= _SPLIT_SIGNS.reshape((8,) + (1,) * (products.ndim - 1))
+    return L[0], L[3], np.add.reduceat(products, _SPLIT_STARTS, axis=0)
 
 
 def _commutator_codes(c, x: int, y: int, p: int) -> Dict[int, int]:
@@ -359,29 +522,52 @@ def witness_is_zero(P: MPoly, i: int, j: int,
 def _probe_value(P: MPoly, i: int, j: int, m: Optional[int]) -> int:
     """W(x, y) at a fixed probe pair, in O(1) from P's memoized tables.
 
-    x reads _PROBE from entry 0 and y from entry n.  m = None probes J = {}:
-    W = D(x)*S(y) - S(x)*D(y) with D = P*S - d_iP*d_jP at each point.
-    Otherwise m is the free slot of J = rest - {m}: D and S ignore slots i
-    and j, so y differs from x only in slot m, by delta = y_m - x_m; with
-    the pair split of P's shift to x in (i, j) along m (_pair_split),
-    W = delta*(A1*D0 - A0*D1) - delta^2*A0*D2.
+    x reads _PROBE from entry 0 and y from entry n; the first probe of P
+    evaluates its Taylor plan once, at x and y as the two columns of one
+    array, and keeps the two tables as lists in the rows of _subsets(n).
+    m = None probes J = {}: W = D(x)*S(y) - S(x)*D(y) with
+    D = P*S - d_iP*d_jP at each point.  Otherwise m is the free slot of
+    J = rest - {m}: D and S ignore slots i and j, so y differs from x only
+    in slot m, by delta = y_m - x_m; with the pair split of P's shift to x
+    in (i, j) along m (_pair_split), W = delta*(A1*D0 - A0*D1) -
+    delta^2*A0*D2.
     """
     n, p = P.arity, P.ctx.p
     memo = _probe_memo(P)
     if memo.tables is None:
         x = [_PROBE[k % len(_PROBE)] % p for k in range(n)]
         y = [_PROBE[(n + k) % len(_PROBE)] % p for k in range(n)]
-        memo.tables = x, y, _shifted_coefficients(P, x), _shifted_coefficients(P, y)
+        memo.tables = (x, y, *_taylor_table(P, list(zip(x, y))).T.tolist())
     x, y, tx, ty = memo.tables
+    rows = _subsets(n).rows
     bi, bj = 1 << i, 1 << j
+    ri, rj, rij = rows[bi], rows[bj], rows[bi | bj]
     if m is None:
-        sx, sy = tx[bi | bj], ty[bi | bj]
-        dx = tx[0] * sx - tx[bi] * tx[bj]
-        dy = ty[0] * sy - ty[bi] * ty[bj]
+        sx, sy = tx[rij], ty[rij]
+        dx = tx[0] * sx - tx[ri] * tx[rj]
+        dy = ty[0] * sy - ty[ri] * ty[rj]
         return (dx * sy - sx * dy) % p
-    A1, A0, D2, D1, D0 = _pair_split(tx, bi, bj, 1 << m)
+    bm = 1 << m
+    c = (tx[0], tx[ri], tx[rj], tx[rij], tx[rows[bm]], tx[rows[bi | bm]], tx[rows[bj | bm]],
+         tx[rows[bi | bj | bm]])
+    A1, A0, D2, D1, D0 = _pair_split(c, 1, 2, 4)
     delta = y[m] - x[m]
     return (delta * (A1 * D0 - A0 * D1) - delta * delta * A0 * D2) % p
+
+
+@functools.lru_cache(maxsize=64)
+def _pair_layout(n: int):
+    """Every pair split in n slots, as GoodnessChecker reads them: the table
+    rows (left, right) of each split's factors (_split_masks), one column
+    per split, the three splits of _SPLITS for each triple, split by split;
+    and a map from each split's (i, j, m), for its pair i < j and free slot
+    m, to its column."""
+    sub = _subsets(n)
+    left, right = (sub.triple_rows[masks].reshape(8, -1) for masks in _split_masks(_SPLITS))
+    triples = sub.triples.tolist()
+    splits = ([(a, b, c) for a, b, c in triples] + [(a, c, b) for a, b, c in triples]
+              + [(b, c, a) for a, b, c in triples])
+    return left, right, {key: k for k, key in enumerate(splits)}
 
 
 # ---- gate graph ----
@@ -511,24 +697,32 @@ def _trivariate_rop(c, x: int, y: int, z: int, p: int):
     read-once?
 
     c maps a bit mask to the coefficient of that monomial in x, y and z (the
-    one-bit masks of the three slots), as _pair_split reads it: residues,
-    unreduced Python ints, or int64 arrays of residues below 2**30 (object
-    arrays above), one entry per polynomial.  P is read-once iff at least two
-    of the three pair witnesses vanish identically.  For a pair (x, y) write
-    P = A*x*y + B*x + C*y + E with A, B, C, E affine in z, A = A1*z + A0 and
-    so on; then D = A*E - B*C = D2*z^2 + D1*z + D0, and the witness
+    one-bit masks of the three slots), as _pair_split reads it: residues or
+    unreduced Python ints, or an array whose first axis is the mask, holding
+    residues as _pair_splits reads them, one polynomial per entry of its
+    other axes.  P is read-once iff at least two of the three pair witnesses
+    vanish identically.  For a pair (x, y) write P = A*x*y + B*x + C*y + E
+    with A, B, C, E affine in z, A = A1*z + A0 and so on; then
+    D = A*E - B*C = D2*z^2 + D1*z + D0, and the witness
     D(z)*A(z') - A(z)*D(z') vanishes iff A == 0, or D2 == 0 and
     D1*A0 == D0*A1, that is, D is a constant multiple of A.  With a slot
     absent, both pairs through it have A == 0 and the third has D2 == 0 and
     D1 == 0, so every polynomial in at most two of the slots is read-once.
-    Returns a bool, or a bool array for arrays.
+    An array's three pair splits run at once, on one stack of their factors
+    (_pair_splits).  Returns a bool, or a bool array for arrays.
     """
+    if isinstance(c, np.ndarray):
+        A1, A0, D = _pair_splits(c, *_split_masks(((x, y, z), (x, z, y), (y, z, x))))
+        # reducing each D first keeps the products of residues below 2**60
+        D %= p
+        zeros = (A1 == 0) & (A0 == 0) | (D[0] == 0) & ((D[1] * A0 - D[2] * A1) % p == 0)
+        return zeros.sum(axis=0) >= 2
     zeros = 0
     for a, b, m in ((x, y, z), (x, z, y), (y, z, x)):
         A1, A0, D2, D1, D0 = _pair_split(c, a, b, m)
-        # reducing each D first keeps the products of residues below 2**60
-        zeros = zeros + ((A1 % p == 0) & (A0 % p == 0)
-                         | (D2 % p == 0) & ((D1 % p * A0 - D0 % p * A1) % p == 0))
+        # reducing each D first keeps the products of residues small
+        zeros += ((A1 % p == 0) and (A0 % p == 0)
+                  or (D2 % p == 0) and ((D1 % p * A0 - D0 % p * A1) % p == 0))
     return zeros >= 2
 
 

@@ -390,9 +390,9 @@ class MPoly:
 
     First partials are memoized per slot on the polynomial, so every caller
     that asks for d_i(P) of one P shares a single computation.  _probe holds
-    decomp's memo of P: its multilinearity and its Taylor tables at the fixed
-    witness probe points.  _plan holds the evaluation plan, compiled on the
-    first evaluation.
+    decomp's memo of P: its multilinearity, its Taylor plan and its Taylor
+    tables at the fixed witness probe points.  _plan holds the evaluation
+    plan, compiled on the first evaluation.
     """
 
     __slots__ = ("ctx", "arity", "terms", "_partials", "_probe", "_plan")
@@ -805,41 +805,42 @@ def parse_poly_file(text: str) -> MPoly:
 
 # ---- interpolation ----
 
-@functools.lru_cache(maxsize=64)
-def _basis_matrix(p: int, xs: Tuple[int, ...]) -> np.ndarray:
-    """M with M[t][k] = coefficient of X^t in the Lagrange basis poly L_k.
+def _basis_matrices(p: int, nodes) -> np.ndarray:
+    """The Lagrange bases of k node tuples at once, as a (k, L, L) array M.
 
-    Then for values f(xs[k]), coefficient t of the interpolant is
-    sum_k M[t][k] * f(xs[k]).  A row times a column of residues sums len(xs)
-    products of two residues; int64 holds that sum exactly below 2**62, and
-    above it M is an object array of Python ints.  Memoized per (p, nodes),
-    since the testers interpolate many grids on the same nodes (every subset
-    of read_once_test, every subset of a property round); the returned array
-    is read-only.
+    nodes is a (k, L) array of residues, L distinct ones in each row g, and
+    M[g][t][r] is the coefficient of X^t in the basis polynomial that is 1
+    at nodes[g][r] and 0 at the row's other nodes.  So for samples f at the
+    nodes, coefficient t of the interpolant is sum_r M[g][t][r] * f_r.  The
+    numerators prod_{j != r} (X - x_j) are the quotients of each row's full
+    product prod_j (X - x_j) by X - x_r, found for every r by one synthetic
+    division, and the denominators are those quotients at x_r, by Horner's
+    rule.  Below _NUMPY_P_LIMIT every step multiplies two residues in
+    int64, and Python ints in object arrays above it.  A row of M times a
+    column of residues sums L products of two residues; M is int64 where
+    that stays below 2**62 and an object array of Python ints otherwise.
     """
-    m = len(xs)
-    M = [[0] * m for _ in range(m)]
-    for k in range(m):
-        num = [1]
-        for j in range(m):
-            if j == k:
-                continue
-            xj = xs[j]
-            nxt = [0] * (len(num) + 1)
-            for t, c in enumerate(num):
-                nxt[t] = (nxt[t] - c * xj) % p
-                nxt[t + 1] = (nxt[t + 1] + c) % p
-            num = nxt
-        denom = 1
-        for j in range(m):
-            if j != k:
-                denom = denom * (xs[k] - xs[j]) % p
-        dinv = pow(denom, p - 2, p)
-        for t in range(m):
-            M[t][k] = num[t] * dinv % p
-    out = np.array(M, dtype=np.int64 if m * (p - 1) * (p - 1) < 2**62 else object)
-    out.flags.writeable = False
-    return out
+    dtype = np.int64 if p < _NUMPY_P_LIMIT else object
+    x = np.asarray(nodes, dtype=dtype)
+    k, L = x.shape
+    # full[:, t] is the coefficient of X^t in prod_j (X - x_j)
+    full = np.zeros((k, L + 1), dtype=dtype)
+    full[:, 0] = 1
+    for j in range(L):
+        full[:, 1:] = (full[:, :-1] - x[:, j:j + 1] * full[:, 1:]) % p
+        full[:, 0] = -x[:, j] * full[:, 0] % p
+    # q[g, r, t] is the coefficient of X^t in prod_{j != r} (X - x_j)
+    q = np.empty((k, L, L), dtype=dtype)
+    q[:, :, L - 1] = 1
+    for t in range(L - 1, 0, -1):
+        q[:, :, t - 1] = (full[:, t:t + 1] + x * q[:, :, t]) % p
+    denominators = q[:, :, L - 1]
+    for t in range(L - 2, -1, -1):
+        denominators = (denominators * x + q[:, :, t]) % p
+    inverses = np.array([pow(v, -1, p) for v in denominators.ravel().tolist()],
+                        dtype=dtype).reshape(k, L, 1)
+    M = (q * inverses % p).transpose(0, 2, 1)
+    return M.astype(np.int64 if L * (p - 1) * (p - 1) < 2**62 else object)
 
 
 def _residues(values, p: int) -> np.ndarray:
@@ -861,22 +862,21 @@ def _residues(values, p: int) -> np.ndarray:
     return out
 
 
-def _interpolate_stack(p: int, axes: Sequence[Sequence[Tuple[int, ...]]],
-                       C: np.ndarray) -> np.ndarray:
+def _interpolate_stack(p: int, bases: Sequence[np.ndarray], C: np.ndarray) -> np.ndarray:
     """Coefficients of k grid interpolants at once.
 
     C has shape (k, L_1, ..., L_m) and holds each grid's samples as int64
-    residues, in itertools.product order; axes[t] lists the k grids' node
-    tuples along axis t, distinct residues each.  Entry [g, e_1, ..., e_m] of
-    the result is grid g's coefficient of x_1^e_1 ... x_m^e_m, reduced mod p,
-    int64 where _basis_matrix is and object above its bound.
+    residues, in itertools.product order; bases[t] holds the Lagrange basis
+    of axis t (_basis_matrices): one (L_t, L_t) matrix that every grid
+    shares, or a (k, L_t, L_t) stack, one per grid.  Entry
+    [g, e_1, ..., e_m] of the result is grid g's coefficient of
+    x_1^e_1 ... x_m^e_m, reduced mod p, int64 where the bases are and object
+    where they are not.
     """
     k, dims = C.shape[0], C.shape[1:]
     # transform the leading axis, then rotate it to the back; after one step
     # per axis the axes are back in order
-    for L, nodes in zip(dims, axes):
-        mats = [_basis_matrix(p, xs) for xs in nodes]
-        M = mats[0] if all(m is mats[0] for m in mats) else np.stack(mats)
+    for L, M in zip(dims, bases):
         C = (M @ C.reshape(k, L, -1) % p).transpose(0, 2, 1)
     return C.reshape(k, *dims)
 
@@ -906,7 +906,7 @@ def interpolate_grid(ctx: FieldCtx, axes: Sequence[Sequence[int]],
         raise IncompleteGrid(
             f"{len(values)} samples for a grid of {math.prod(dims)} points")
     C = _residues(values, p).reshape(1, *dims)
-    C = _interpolate_stack(p, [[nodes] for nodes in ax], C)[0]
+    C = _interpolate_stack(p, [_basis_matrices(p, [nodes])[0] for nodes in ax], C)[0]
     # np.nonzero lists indices in row-major order, which fixes the term order
     nonzero = np.nonzero(C)
     terms: Dict[Mono, int] = {}

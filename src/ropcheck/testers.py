@@ -46,7 +46,7 @@ from .errors import (
     TooFewVariables,
     guard_scale,
 )
-from .mpoly import _NUMPY_P_LIMIT, _interpolate_stack
+from .mpoly import _NUMPY_P_LIMIT, _basis_matrices, _interpolate_stack
 from .rof import Oracle
 
 YES = "YES"
@@ -179,13 +179,15 @@ def _stored_values(oracle: Oracle, points, shared, store) -> np.ndarray:
     return values
 
 
-def _check_batch(oracle: Oracle, batch, store):
+def _check_batch(oracle: Oracle, batch, store, basis=None):
     """Query the batch's grids, interpolate them and classify each restriction.
 
     Returns (I, kind) of the first failing grid in batch order, or None: a
     restriction fails when it is not multilinear, or when its 8 multilinear
     coefficients are not read-once.  The points and the oracle's answers
-    stay int64 arrays.
+    stay int64 arrays.  basis, when given, is the Lagrange basis of an axis
+    that every axis of every grid shares; otherwise the bases of the
+    batch's distinct node tuples are built at once.
     """
     p, n = oracle.ctx.p, oracle.arity
     k = len(batch)
@@ -197,8 +199,15 @@ def _check_batch(oracle: Oracle, batch, store):
         values = _stored_values(oracle, points, shared.reshape(-1), store)
     # free the points before the transform: a degree-124 grid holds 2 M rows
     del points
-    nodes = [[tuple(axes[t]) for _, _, axes in batch] for t in range(len(dims))]
-    C = _interpolate_stack(p, nodes, values.reshape((k,) + dims))
+    if basis is None:
+        distinct = {}
+        which = [distinct.setdefault(tuple(nodes), len(distinct))
+                 for _, _, axes in batch for nodes in axes]
+        stack = _basis_matrices(p, list(distinct))[np.array(which).reshape(k, len(dims))]
+        bases = [stack[:, t] for t in range(len(dims))]
+    else:
+        bases = [basis] * len(dims)
+    C = _interpolate_stack(p, bases, values.reshape((k,) + dims))
     lin = C[(slice(None),) + (slice(0, 2),) * len(dims)].reshape(k, -1)
     failing = np.count_nonzero(C.reshape(k, -1), axis=1) > np.count_nonzero(lin, axis=1)
     nonml = failing.copy()
@@ -215,7 +224,7 @@ def _check_batch(oracle: Oracle, batch, store):
     return batch[g][1], NOT_MULTILINEAR if nonml[g] else NOT_ROP
 
 
-def _scan(oracle: Oracle, grids, store, seed, repeats) -> TestReport:
+def _scan(oracle: Oracle, grids, store, seed, repeats, basis=None) -> TestReport:
     """Query and decide grids in doubling batches; NO at the first failing one.
 
     grids yields (base, I, axes) in scan order, every grid of one shape.
@@ -223,7 +232,8 @@ def _scan(oracle: Oracle, grids, store, seed, repeats) -> TestReport:
     grid alone is larger, so each oracle call and numpy step covers many
     small grids while a scan that fails early queries fewer than about twice
     the grids a one-at-a-time scan would.  store, when given, keeps the
-    values of points that another grid can hold across batches.
+    values of points that another grid can hold across batches.  basis,
+    when given, is the Lagrange basis of the one axis all grids share.
     """
     start = oracle.query_count
     grids = iter(grids)
@@ -234,7 +244,7 @@ def _scan(oracle: Oracle, grids, store, seed, repeats) -> TestReport:
             return TestReport(YES, None, None, oracle.query_count - start, seed, repeats)
         if limit is None:
             limit = max(1, _BATCH_POINTS // math.prod(map(len, batch[0][2])))
-        failure = _check_batch(oracle, batch, store)
+        failure = _check_batch(oracle, batch, store, basis)
         if failure is not None:
             return TestReport(NO, *failure, oracle.query_count - start, seed, repeats)
         size = min(2 * size, limit)
@@ -261,8 +271,9 @@ def read_once_test(oracle: Oracle, n: int, d: int, epsilon: float = 0.25,
     rng, seed = _rng_and_seed(rng)
     base = [rng.randrange(p) for _ in range(n)]
     axis = tuple(range(d + 1))
+    # every grid shares the axis 0..d, so the scan builds its basis once
     return _scan(oracle, ((base, I, [axis] * len(I)) for I in _subsets(n)),
-                 {} if cache else None, seed, 1)
+                 {} if cache else None, seed, 1, _basis_matrices(p, [axis])[0])
 
 
 def recommended_field_size(n: int, d: int, epsilon: float) -> float:

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from ropcheck import charax, decomp
@@ -14,7 +15,6 @@ from ropcheck.charax import (
     GoodnessReport,
     certificate_multiplicands,
     characterize,
-    is_good_assignment,
     is_locally_rop,
 )
 from ropcheck.decomp import brute_force_is_rop, gate_graph
@@ -64,7 +64,7 @@ def test_multiplicands_fully_zero_for_linear():
 
 def test_goodness_simple_positive():
     P = parse_terms(GF101, 3, "x1*x2 + x3")
-    rep = is_good_assignment(P, (1, 1, 1))
+    rep = GoodnessChecker(P).check((1, 1, 1))
     assert rep.good
     assert rep.skipped_zero == 4
     assert rep.violations == []
@@ -72,7 +72,7 @@ def test_goodness_simple_positive():
 
 def test_goodness_detects_vanishing_first_partial():
     P = parse_terms(GF101, 3, "x1*x2 + x3")
-    rep = is_good_assignment(P, (1, 0, 1))
+    rep = GoodnessChecker(P).check((1, 0, 1))
     assert not rep.good
     kinds = {(m.kind, m.index) for m, _ in rep.violations}
     assert ("first_partial", (0,)) in kinds
@@ -81,7 +81,7 @@ def test_goodness_detects_vanishing_first_partial():
 def test_goodness_detects_vanishing_second_partial():
     # dd_12 of x1*x2*x3 is x3, which vanishes at a3 = 0.
     P = parse_terms(GF101, 3, "x1*x2*x3")
-    rep = is_good_assignment(P, (1, 1, 0))
+    rep = GoodnessChecker(P).check((1, 1, 0))
     assert not rep.good
     kinds = {(m.kind, m.index) for m, _ in rep.violations}
     assert ("second_partial", (0, 1)) in kinds
@@ -190,14 +190,16 @@ def test_is_locally_rop_matches_restriction_reference(p):
                 got = is_locally_rop(P, a)
                 assert got == _locally_rop_by_restriction(P, a)
                 rejected += not got[0]
-                # the triples are decided on the mixed partials d_T P(a)
-                table = charax._shifted_coefficients(P, [v % p for v in a])
+                # the triples are decided on the mixed partials d_T P(a),
+                # which P's Taylor plan evaluates
+                table = decomp._taylor_table(P, [v % p for v in a])
+                rows = decomp._subsets(n).rows
                 for k in range(4):
                     for T in itertools.combinations(range(n), k):
                         D = P
                         for v in T:
                             D = D.partial(v)
-                        assert table.get(sum(1 << v for v in T), 0) % p == D.evaluate(a)
+                        assert table[rows[sum(1 << v for v in T)]] == D.evaluate(a)
     assert rejected > 0
 
 
@@ -289,22 +291,23 @@ def test_characterize_exact_at_arity_11_and_12():
 
 
 def test_characterize_builds_one_table_per_attempt(monkeypatch):
-    # the witness probes build P's tables at their two points; a certified
-    # first attempt then builds one table at its assignment, which both the
-    # certificate check and the triple scan read
-    build = decomp._shifted_coefficients
+    # the witness probes evaluate P's Taylor plan once, at their two points
+    # as one K = 2 array; a certified first attempt then evaluates it once
+    # at its assignment, and both the certificate check and the triple scan
+    # read that table
+    table = decomp._TaylorPlan.table
     calls = []
 
-    def counted(P, a):
-        calls.append(tuple(a))
-        return build(P, a)
+    def counted(plan, a):
+        calls.append(np.asarray(a, dtype=object).tolist())
+        return table(plan, a)
 
-    monkeypatch.setattr(decomp, "_shifted_coefficients", counted)
-    monkeypatch.setattr(charax, "_shifted_coefficients", counted)
+    monkeypatch.setattr(decomp._TaylorPlan, "table", counted)
     rep = characterize(q_n(6, GF1009), 3)
     assert rep.attempts == 1 and rep.verdict == READ_MANY
-    assert len(calls) == 3
-    assert calls[-1] == rep.assignment
+    assert len(calls) == 2
+    assert [len(column) for column in calls[0]] == [2] * 6
+    assert calls[-1] == list(rep.assignment)
 
 
 def test_characterize_requires_multilinear():

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +12,10 @@ from ropcheck.decomp import (
     _PROBE,
     GateGraph,
     _probe_value,
-    _shifted_coefficients,
     _slot_vanishes,
+    _subsets,
+    _taylor_table,
+    _TaylorPlan,
     _trivariate_rop,
     additive_split,
     brute_force_is_rop,
@@ -300,11 +304,11 @@ def _taylor_input(ctx, kind, n):
     return random_rof(ctx, n, rng).expand()
 
 
-@pytest.mark.parametrize("p", [2, 3, 1009, 2**31 - 1])
+@pytest.mark.parametrize("p", [2, 3, 1009, 2**31 - 1, 2**61 - 1])
 @pytest.mark.parametrize("kind, n", [("monomial", 20), ("monomial", 30), ("monomial", 46),
                                      ("sparse", 20), ("sparse", 46), ("rof", 20)])
 def test_taylor_table_matches_partial_chains_past_n8(p, kind, n):
-    # every entry d_T P(a), |T| <= 3, of the truncated shift against chains of
+    # every entry d_T P(a), |T| <= 3, of P's Taylor plan against chains of
     # P.partial evaluated at a; the reference never reads the table
     ctx = FieldCtx(p)
     P = _taylor_input(ctx, kind, n)
@@ -318,16 +322,42 @@ def test_taylor_table_matches_partial_chains_past_n8(p, kind, n):
             a[k] = p * rng.choice((0, -1, 3))
         points.append(a)
     assert any(v != 0 and v % p == 0 for a in points for v in a)
-    tables = [_shifted_coefficients(P, [v % p for v in a]) for a in points]
-    assert all(bin(mask).count("1") <= 3 for table in tables for mask in table)
+    tables = [_taylor_table(P, [v % p for v in a]).tolist() for a in points]
+    rows = _subsets(n).rows
+    assert all(len(table) == len(rows) for table in tables)
     for k in range(4):
         for T in itertools.combinations(range(n), k):
             D = P
             for v in T:
                 D = D.partial(v)
-            mask = sum(1 << v for v in T)
+            row = rows[sum(1 << v for v in T)]
             for a, table in zip(points, tables):
-                assert table.get(mask, 0) % p == D.evaluate(a), (T, a)
+                assert table[row] == D.evaluate(a), (T, a)
+
+
+@pytest.mark.parametrize("p", [2, 5, 1009, 2**61 - 1])
+def test_taylor_tables_of_k_columns_match_k_single_tables(p):
+    # an (n, K) evaluation is K single evaluations side by side, on columns
+    # with 0, 1, 3, 4 and n zero coordinates, in one array
+    ctx = FieldCtx(p)
+    rng = random.Random(p + 3)
+    for n in (4, 7, 9):
+        for P in (q_n(n, ctx), random_rof(ctx, n, rng).expand(),
+                  random_multilinear(ctx, n, rng), MPoly.constant(ctx, n, 1),
+                  MPoly.zero(ctx, n)):
+            columns = []
+            for zeros in (0, 1, 3, 4, n):
+                a = [rng.randrange(1, p) for _ in range(n)]
+                for k in rng.sample(range(n), zeros):
+                    a[k] = 0
+                columns.append(a)
+            singles = [_taylor_table(P, a).tolist() for a in columns]
+            stacked = _taylor_table(P, np.array(columns, dtype=object).T.tolist())
+            assert stacked.shape == (_subsets(n).size, len(columns))
+            assert stacked.T.tolist() == singles
+            # every column alone, as an (n, 1) array, reads the same
+            for a, single in zip(columns, singles):
+                assert _taylor_table(P, [[v] for v in a])[:, 0].tolist() == single
 
 
 def _affine_product(ctx, n, rng):
@@ -590,6 +620,49 @@ def test_closed_form_on_int64_columns_below_2_30():
     got = _trivariate_rop(np.array(vectors, dtype=np.int64).T, 1, 2, 4, ctx.p)
     assert got.tolist() == want
     assert all(want[::3]) and not all(want)
+
+
+@pytest.mark.parametrize("slots", [(1, 2, 4), (4, 2, 1)])
+@pytest.mark.parametrize("p", [3, 1009, 2**30 - 35, 2**61 - 1])
+def test_stacked_closed_form_matches_the_scalar_form(p, slots):
+    # an array's three pair splits run on one stack of their factors; the
+    # scalar form runs _pair_split three times on Python ints.  int64
+    # columns hold residues below 2**30, object columns any residues
+    ctx = FieldCtx(p)
+    rng = random.Random(p + slots[0])
+    monos = [tuple((v, 1) for v in range(3) if mask >> v & 1) for mask in range(8)]
+    vectors = []
+    for _ in range(200):
+        terms = random_rof(ctx, 3, rng).expand().terms
+        c = [terms.get(m, 0) for m in monos]
+        near = list(c)
+        near[rng.randrange(8)] = rng.randrange(p)
+        sparse = [v if rng.random() < 0.4 else 0 for v in c]
+        vectors += [c, near, sparse, [rng.randrange(p) for _ in range(8)]]
+    # reorder each vector so that mask b of slots reads monomial b
+    columns = np.zeros((8, len(vectors)), dtype=object)
+    for b in range(8):
+        mask = sum(slots[t] for t in range(3) if b >> t & 1)
+        columns[mask] = [c[b] for c in vectors]
+    want = [_trivariate_rop(column, *slots, p) for column in columns.T.tolist()]
+    assert _trivariate_rop(columns, *slots, p).tolist() == want
+    if p < 2**30:
+        got = _trivariate_rop(columns.astype(np.int64), *slots, p)
+        assert got.dtype == bool and got.tolist() == want
+    assert any(want) and not all(want)
+
+
+def test_building_a_benchmark_pool_compiles_no_taylor_plan(monkeypatch):
+    # the pools hold polynomials and formulas; their Taylor plans are
+    # compiled inside the timed operations, never while a pool is built
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    compiled = []
+    monkeypatch.setattr(_TaylorPlan, "__init__", lambda plan, P: compiled.append(P))
+    for name in workloads.NAMES:
+        assert workloads.build(name, 41).ops
+    assert compiled == []
 
 
 def test_brute_force_known_cases():

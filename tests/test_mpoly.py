@@ -26,6 +26,7 @@ from ropcheck.mpoly import (
     _PROD_ACC,
     _REDUCE,
     MPoly,
+    _basis_matrices,
     _residues,
     interpolate_grid,
     parse_header,
@@ -512,6 +513,43 @@ def test_interpolation_round_trip():
         shifted = [v - 3 * ctx.p for v in values]
         assert interpolate_grid(ctx, axes, shifted) == P
         assert interpolate_grid(ctx, axes, np.array(shifted, dtype=np.int64)) == P
+
+
+def _lagrange_basis(p, xs):
+    """M[t][k] = coefficient of X^t in the Lagrange basis polynomial of node
+    k, by expanding prod_{j != k} (X - x_j) one factor at a time."""
+    m = len(xs)
+    M = [[0] * m for _ in range(m)]
+    for k in range(m):
+        num = [1]
+        for j in range(m):
+            if j != k:
+                num = [((num[t - 1] if t else 0) - xs[j] * (num[t] if t < len(num) else 0)) % p
+                       for t in range(len(num) + 1)]
+        denom = 1
+        for j in range(m):
+            if j != k:
+                denom = denom * (xs[k] - xs[j]) % p
+        for t in range(m):
+            M[t][k] = num[t] * pow(denom, p - 2, p) % p
+    return M
+
+
+@pytest.mark.parametrize("p", [3, 5, 1009, 2**30 - 35, 2**31 - 1, 2**61 - 1])
+def test_basis_matrices_match_lagrange_expansion(p):
+    # one call builds the bases of many node tuples; each must equal the
+    # one-tuple expansion, with int64 entries only where a row times a
+    # column of residues stays below 2**62
+    rng = random.Random(p)
+    for L in range(1, min(p, 9) + 1):
+        nodes = [rng.sample(range(p), L) if p < 10**6 else
+                 [rng.randrange(p) for _ in range(L)] for _ in range(6)]
+        nodes = [xs for xs in nodes if len(set(xs)) == L]
+        M = _basis_matrices(p, np.array(nodes, dtype=np.int64))
+        assert M.shape == (len(nodes), L, L)
+        assert M.dtype == (np.int64 if L * (p - 1) ** 2 < 2**62 else object)
+        for xs, got in zip(nodes, M.tolist()):
+            assert got == _lagrange_basis(p, xs)
 
 
 def test_interpolation_reduces_samples_beyond_int64():
