@@ -30,14 +30,7 @@ from .decomp import (
 )
 from .errors import Error
 from .ff import MAX_PRIME, FieldCtx, is_prime
-from .hardcases import (
-    BoolFn,
-    boolean_f,
-    boolean_g,
-    boolean_is_read_once,
-    local_rop_fraction,
-    q_n,
-)
+from .hardcases import local_rop_fraction, q_n
 from .mpoly import MPoly, interpolate_grid, parse_poly_file, random_multilinear
 from .rof import Oracle, Rof, as_oracle, corrupt_oracle, random_rof
 from .testers import (
@@ -52,11 +45,10 @@ from .testers import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoolFn", "CharacterizeReport", "Error", "FieldCtx",
+    "CharacterizeReport", "Error", "FieldCtx",
     "GoodnessChecker", "INDETERMINATE", "MAX_PRIME", "MPoly", "NO", "Oracle",
     "READ_MANY", "ROP", "Rof", "TestReport", "YES",
-    "additive_split", "as_oracle", "boolean_f", "boolean_g",
-    "boolean_is_read_once", "brute_force_is_rop", "certificate_multiplicands",
+    "additive_split", "as_oracle", "brute_force_is_rop", "certificate_multiplicands",
     "characterize", "commutator", "corrupt_oracle", "decomp_witness",
     "decompose", "gate_graph", "interpolate_grid", "is_additively_separable",
     "is_locally_rop", "is_prime", "local_rop_fraction",

@@ -15,7 +15,6 @@ INDETERMINATE, never a wrong verdict.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -23,8 +22,8 @@ from typing import FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
-from .decomp import (_is_multilinear, _pair_layout, _pair_splits, _subsets, _taylor_table,
-                     _trivariate_rop, witness_is_zero)
+from .decomp import (_certificate_tags, _is_multilinear, _pair_layout, _pair_splits, _subsets,
+                     _taylor_table, _trivariate_rop)
 # bound here for bench/tracer.py, which wraps charax's binding of it
 from .decomp import trivariate_is_rop  # noqa: F401
 from .errors import (ArityMismatch, FieldTooSmall, InvalidParams, NotMultilinear,
@@ -74,28 +73,29 @@ def certificate_multiplicands(P: MPoly) -> List[Multiplicand]:
     """Enumerate every certificate multiplicand with exact zero tags.
 
     Each witness term of a pair glues all but one of the remaining indices.
-    Raises ScaleGuardExceeded when the certificate would exceed the
-    desk-scale limit.
+    Every tag is decided once, all in bulk (decomp._certificate_tags): the
+    partials and the witnesses of pairs that share no monomial from which
+    slots P's monomials hold; most live witnesses from one stacked probe;
+    the pairs across the blocks of one verified factorization of P - c as
+    zero; and what is left by the exact tests.  Raises ScaleGuardExceeded
+    when the certificate would exceed the desk-scale limit, before any tag
+    is decided.
     """
     _require_multilinear(P)
     n = P.arity
     # the full certificate stores C(n,2)*(n-2) witness multiplicands, each
     # gluing n-3 slots: 1,958,220 glue-set entries at n = 46, 2,140,380 at 47
     guard_scale(math.comb(n, 2) * (n - 2) * (n - 3), "certificate glue-set entries")
-    out: List[Multiplicand] = []
-    for t in range(n):
-        out.append(Multiplicand(FIRST_PARTIAL, (t,), None, P.partial(t).is_zero()))
-    for i, j in itertools.combinations(range(n), 2):
-        out.append(Multiplicand(SECOND_PARTIAL, (i, j), None,
-                                P.partial2(i, j).is_zero()))
-    for i, j in itertools.combinations(range(n), 2):
-        rest = [k for k in range(n) if k not in (i, j)]
-        # the unglued witness vanishing forces every glued one to vanish
-        base_zero = witness_is_zero(P, i, j, frozenset())
-        for m in rest:
-            shared = frozenset(k for k in rest if k != m)
-            zero = base_zero or witness_is_zero(P, i, j, shared)
-            out.append(Multiplicand(WITNESS, (i, j), shared, zero))
+    first, second, witness = _certificate_tags(P)
+    pairs = _pair_layout(n).pairs
+    out = [Multiplicand(FIRST_PARTIAL, (t,), None, zero)
+           for t, zero in enumerate(first.tolist())]
+    out += [Multiplicand(SECOND_PARTIAL, pair, None, zero)
+            for pair, zero in zip(pairs, second.tolist())]
+    for (i, j), zeros in zip(pairs, witness.tolist()):
+        rest = frozenset(range(n)) - {i, j}
+        out += [Multiplicand(WITNESS, (i, j), rest - {m}, zero)
+                for m, zero in zip(sorted(rest), zeros)]
     return out
 
 
@@ -125,25 +125,17 @@ class GoodnessChecker:
         # every live multiplicand with its violation, in certificate order,
         # which lists the partials before the witnesses, and the table rows
         # each reads: a partial's entry, or the factors of a witness's pair
-        # split of (i, j) along its free slot (decomp._pair_layout)
-        self._live = []
-        rows = _subsets(P.arity).rows
-        left, right, columns = _pair_layout(P.arity)
-        partials, splits = [], []
-        for m in self.multiplicands:
-            if m.identically_zero:
-                continue
-            if m.kind == WITNESS:
-                i, j = m.index
-                free = next(k for k in range(P.arity)
-                            if k not in m.shared and k != i and k != j)
-                splits.append(columns[i, j, free])
-                self._live.append((m, "vanishes identically in the free variables"))
-            else:
-                partials.append(rows[sum(1 << t for t in m.index)])
-                self._live.append((m, "evaluates to 0 at the assignment"))
-        self._partial_rows = np.array(partials, dtype=np.intp)
-        self._left, self._right = left[:, splits], right[:, splits]
+        # split of (i, j) along its free slot, in the order of
+        # decomp._pair_layout's witness columns
+        self._live = [(m, "vanishes identically in the free variables" if m.kind == WITNESS
+                       else "evaluates to 0 at the assignment")
+                      for m in self.multiplicands if not m.identically_zero]
+        lay = _pair_layout(P.arity)
+        live = ~np.array([m.identically_zero for m in self.multiplicands], dtype=bool)
+        rows = np.concatenate([lay.single_rows, lay.pair_rows[2]])
+        self._partial_rows = rows[live[:len(rows)]]
+        splits = lay.witness_columns.ravel()[live[len(rows):]]
+        self._left, self._right = lay.left[:, splits], lay.right[:, splits]
 
     def check(self, assignment) -> GoodnessReport:
         P = self.P

@@ -15,16 +15,24 @@ The central objects:
   identically exactly when dd_ij(P) is zero or P splits for some constant.
   A shared index set J glues y_k := x_k for k in J;
 * the pair split along a third slot z, P = A*x_i*x_j + B*x_i + C*x_j + E
-  with A..E affine in z.  On scalars it reads the witness probes; on arrays
-  it runs many splits at once for the certificate checks and the
-  trivariate decisions (_pair_splits); on P's coded cofactors it decides
-  every witness with J != {} exactly (_slot_vanishes, see witness_is_zero);
+  with A..E affine in z.  On arrays it runs many splits at once for the
+  witness probes, the certificate checks and the trivariate decisions
+  (_pair_splits); on P's coded cofactors it decides every witness with
+  J != {} exactly (_slot_vanishes, see witness_is_zero);
 * the order-3 Taylor table of P at a point a: the mixed partials d_T P(a),
   |T| <= 3, one row per T (_subsets).  A Taylor plan compiled once per
   polynomial (_TaylorPlan) evaluates it at the columns of an (n, K) array
   of points in a few numpy steps, from P's terms as slot arrays and, for
-  each T, the terms that contain it.  The witness's fixed probe and the
+  each T, the terms that contain it.  The witness probes and the
   certificate's checks read every point value they need from such tables;
+* the certificate's zero tags, all decided at once (_certificate_tags):
+  which slots and pairs P's monomials hold (the subsets its plan lists),
+  every witness at two fixed probe pairs from one evaluation of the plan
+  (_Probes), and one verified factorization of P - c over candidate
+  blocks (_block_splits).  Following Shpilka-Volkovich, a pair splits
+  P = h*g + c exactly when P - c factors with the pair's two variables in
+  different factors, so that factorization proves every pair across two
+  blocks at once.  Only what these leave open reaches the exact tests;
 * the gate graph: edge (i, j) iff dd_ij(P) != 0; connected components are
   exactly the additive pieces of P;
 * exact splitting routines and a brute-force read-once decider used as the
@@ -36,6 +44,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -54,24 +63,24 @@ from .errors import (
 )
 from .mpoly import _NUMPY_P_LIMIT, MPoly, _code_products, _coded_cofactors, _product_run
 
-# The exact witness test's probe point pair, drawn once from a fixed seed so
-# that no call seeds or consumes a random stream: slot k of the x-point reads
-# entry k, slot k of the y-point entry n + k, cyclically, reduced mod p.
-_PROBE = tuple(map(random.Random(0).getrandbits, [64] * 64))
+# The exact witness test's two probe point pairs, drawn once from fixed seeds
+# so that no call seeds or consumes a random stream: slot k of pair t's
+# x-point reads entry k of _PROBES[t], slot k of its y-point entry n + k,
+# cyclically, reduced mod p.
+_PROBES = tuple(tuple(map(random.Random(seed).getrandbits, [64] * 64)) for seed in (0, 1))
 
 
 class _Probe:
     """What this module memoizes on a polynomial P (MPoly._probe): whether P
     is multilinear, its Taylor plan once a table is asked for (_TaylorPlan),
-    and, once a witness is probed, the probe points x and y (the J = {}
-    pair) with P's Taylor tables at them.  P never changes, so neither does
-    its memo."""
-    __slots__ = ("multilinear", "taylor", "tables")
+    and, once a witness is probed, the witnesses at the probe pairs
+    (_Probes).  P never changes, so neither does its memo."""
+    __slots__ = ("multilinear", "taylor", "probes")
 
     def __init__(self, P: MPoly):
         self.multilinear = P.is_multilinear()
         self.taylor = None
-        self.tables = None
+        self.probes = None
 
 
 def _probe_memo(P: MPoly) -> _Probe:
@@ -273,14 +282,19 @@ class _TaylorPlan:
         return out[:, 0] if column else out
 
 
-def _taylor_table(P: MPoly, a) -> np.ndarray:
-    """P's order-3 Taylor tables at the columns of a, through P's plan
-    (_TaylorPlan.table), compiled at the first table and memoized on P.
+def _taylor_plan(P: MPoly) -> _TaylorPlan:
+    """P's Taylor plan, compiled at the first request and memoized on P.
     P must be multilinear."""
     memo = _probe_memo(P)
     if memo.taylor is None:
         memo.taylor = _TaylorPlan(P)
-    return memo.taylor.table(a)
+    return memo.taylor
+
+
+def _taylor_table(P: MPoly, a) -> np.ndarray:
+    """P's order-3 Taylor tables at the columns of a, through P's plan
+    (_TaylorPlan.table).  P must be multilinear."""
+    return _taylor_plan(P).table(a)
 
 
 def _pair_split(c, x: int, y: int, z: int):
@@ -482,9 +496,9 @@ def witness_is_zero(P: MPoly, i: int, j: int,
     Write P = A*x_i*x_j + B*x_i + C*x_j + E; then S = dd_ij(P) = A and
     D = AE - BC, neither involving x_i or x_j, and
     W(x, y) = D(x) * S(y) - S(x) * D(y) with y_k = x_k for k in J.  W == 0
-    when S == 0; otherwise W is first read at fixed pseudo-random point
-    pairs from P's Taylor tables at the probe points, memoized on P (see
-    _probe_value), and a nonzero value proves W != 0.
+    when S == 0, that is when no monomial of P holds both x_i and x_j;
+    otherwise W is first read at two fixed pseudo-random point pairs, from
+    P's memoized probes (_Probes), and a nonzero value proves W != 0.
 
     J = {} is then decompose's test, D = c * S for a constant c.  For
     J = rest - {m}, split S = A1*x_m + A0 and D = D2*x_m^2 + D1*x_m + D0
@@ -494,7 +508,8 @@ def witness_is_zero(P: MPoly, i: int, j: int,
     W == 0 iff D2 == 0 and A1*D0 == A0*D1.  Any other J reduces to these:
     W_J == 0 iff D/S is free of every unglued slot m, which is
     W_{rest - {m}} == 0, so every unglued slot is probed before any is
-    tested.  This holds over every field, GF(2) included.
+    tested.  This holds over every field, GF(2) included.  The certificate
+    decides all its tags at once with the same probes (_certificate_tags).
     """
     shared = frozenset(shared)
     if i == j:
@@ -507,67 +522,204 @@ def witness_is_zero(P: MPoly, i: int, j: int,
         if not 0 <= k < n:
             raise IndexOverlap(f"shared index {k} outside arity {n}")
 
-    if P.partial(i).partial(j).is_zero():
+    i, j = min(i, j), max(i, j)
+    if not _probes(P).shares[_pair_layout(n).index[i, j]]:
         return True
     if not shared:
-        return not _probe_value(P, i, j, None) and decompose(P, i, j).decomposable
+        return not any(_probe_values(P, i, j, None)) and decompose(P, i, j).decomposable
     unglued = [k for k in range(n) if k not in shared and k != i and k != j]
-    if any(_probe_value(P, i, j, m) for m in unglued):
+    if any(any(_probe_values(P, i, j, m)) for m in unglued):
         return False
     bi, bj, p = 1 << i, 1 << j, P.ctx.p
     return all(_slot_vanishes(_coded_cofactors(P, (i, j, m)), bi, bj, 1 << m, p)
                for m in unglued)
 
 
-def _probe_value(P: MPoly, i: int, j: int, m: Optional[int]) -> int:
-    """W(x, y) at a fixed probe pair, in O(1) from P's memoized tables.
+@functools.lru_cache(maxsize=64)
+def _pair_layout(n: int) -> "_PairLayout":
+    """The pairs and pair splits of n slots, built once per n."""
+    return _PairLayout(n)
 
-    x reads _PROBE from entry 0 and y from entry n; the first probe of P
-    evaluates its Taylor plan once, at x and y as the two columns of one
-    array, and keeps the two tables as lists in the rows of _subsets(n).
-    m = None probes J = {}: W = D(x)*S(y) - S(x)*D(y) with
-    D = P*S - d_iP*d_jP at each point.  Otherwise m is the free slot of
-    J = rest - {m}: D and S ignore slots i and j, so y differs from x only
-    in slot m, by delta = y_m - x_m; with the pair split of P's shift to x
-    in (i, j) along m (_pair_split), W = delta*(A1*D0 - A0*D1) -
-    delta^2*A0*D2.
+
+class _PairLayout:
+    """Every pair and every pair split in n slots, as the certificate reads
+    them from order-3 Taylor tables (in the rows of _subsets(n)).
+
+    pairs lists the pairs (i, j), i < j, in lexicographic order, index maps
+    each to its position and pair_slots holds them as two rows of slots;
+    single_rows holds the row of each {t}, and pair_rows the rows of {i},
+    {j} and {i, j}, one column per pair.  left and right hold the rows of
+    each split's factors (_split_masks), one column per split: the three
+    splits of _SPLITS for each triple, split by split.  columns maps each
+    split's (i, j, m), for its pair i < j and free slot m, to its column,
+    and split_free holds each column's m.  witness_columns lists, pair by
+    pair, the columns of the pair's splits along each other slot m in
+    increasing order: the order in which the certificate lists the pair's
+    witnesses glued on rest - {m}.
+    """
+    __slots__ = ("pairs", "index", "pair_slots", "single_rows", "pair_rows", "left", "right",
+                 "columns", "split_free", "witness_columns")
+
+    def __init__(self, n: int):
+        sub = _subsets(n)
+        rows = sub.rows
+        self.pairs = list(itertools.combinations(range(n), 2))
+        self.index = {pair: q for q, pair in enumerate(self.pairs)}
+        self.pair_slots = np.array(self.pairs, dtype=np.intp).reshape(-1, 2).T
+        self.single_rows = np.array([rows[1 << t] for t in range(n)], dtype=np.intp)
+        self.pair_rows = np.array([[rows[1 << i], rows[1 << j], rows[1 << i | 1 << j]]
+                                   for i, j in self.pairs], dtype=np.intp).reshape(-1, 3).T
+        self.left, self.right = (sub.triple_rows[masks].reshape(8, -1)
+                                 for masks in _split_masks(_SPLITS))
+        triples = sub.triples.tolist()
+        splits = ([(a, b, c) for a, b, c in triples] + [(a, c, b) for a, b, c in triples]
+                  + [(b, c, a) for a, b, c in triples])
+        self.columns = {key: k for k, key in enumerate(splits)}
+        self.split_free = np.array([m for _, _, m in splits], dtype=np.intp)
+        self.witness_columns = np.array(
+            [self.columns[i, j, m] for i, j in self.pairs for m in range(n) if m != i and m != j],
+            dtype=np.intp).reshape(len(self.pairs), max(n - 2, 0))
+
+
+def _probes(P: MPoly) -> "_Probes":
+    """P's witness probes, computed at the first request and memoized on P.
+    P must be multilinear."""
+    memo = _probe_memo(P)
+    if memo.probes is None:
+        memo.probes = _Probes(P)
+    return memo.probes
+
+
+class _Probes:
+    """P's witnesses at the two fixed probe pairs, for every pair and every
+    glue set the certificate lists, and which slots and pairs P's monomials
+    hold.
+
+    present[t] tells whether a monomial of P holds slot t, and shares[q]
+    whether one holds both slots of pair q (_PairLayout.pairs), that is
+    whether S = dd_ij(P) != 0: both read from the subsets that P's Taylor
+    plan lists, with no evaluation.  One evaluation of the plan, at the x
+    and y points of both probe pairs as the columns x0, y0, x1, y1 of one
+    array, gives every value.  S and D = P*S - d_iP*d_jP hold each pair's
+    values at the four points.  base holds J = {}:
+    W = D(x)*S(y) - S(x)*D(y) at both pairs.  slots holds J = rest - {m} at
+    both pairs, one row per split column of _pair_layout: D and S ignore
+    slots i and j, so y differs from x only in slot m, by
+    delta = y_m - x_m; with the pair split of P's shift to x in (i, j)
+    along m (_pair_split), W = delta*(A1*D0 - A0*D1) - delta^2*A0*D2.
+    """
+    __slots__ = ("present", "shares", "S", "D", "base", "slots")
+
+    def __init__(self, P: MPoly):
+        n, p = P.arity, P.ctx.p
+        lay = _pair_layout(n)
+        plan = _taylor_plan(P)
+        contained = np.zeros(plan.size, dtype=bool)
+        contained[plan.live] = True
+        self.present = contained.take(lay.single_rows)
+        self.shares = contained.take(lay.pair_rows[2])
+        points = [[probe[(h * n + k) % len(probe)] % p for probe in _PROBES for h in (0, 1)]
+                  for k in range(n)]
+        table = plan.table(points) if n else np.zeros((plan.size, 4), dtype=plan.dtype)
+        ri, rj, rij = lay.pair_rows
+        S = self.S = table.take(rij, axis=0)
+        D = self.D = (table[0] * S - table.take(ri, axis=0) * table.take(rj, axis=0)) % p
+        self.base = (D[:, 0::2] * S[:, 1::2] - S[:, 0::2] * D[:, 1::2]) % p
+        # products of residues stay below 2**60 once every factor is reduced
+        A1, A0, Dm = _pair_splits(table[:, 0::2], lay.left, lay.right)
+        Dm %= p
+        xy = np.array(points, dtype=plan.dtype).reshape(n, 4)
+        delta = ((xy[:, 1::2] - xy[:, 0::2]) % p).take(lay.split_free, axis=0)
+        self.slots = (delta * ((A1 * Dm[2] - A0 * Dm[1]) % p)
+                      - delta * delta % p * (A0 * Dm[0] % p)) % p
+
+
+def _probe_values(P: MPoly, i: int, j: int, m: Optional[int]) -> Tuple[int, int]:
+    """W at the two probe pairs for the pair (i, j), i < j, and J = {}
+    (m None) or J = rest - {m}, read from P's memoized probes (_Probes)."""
+    lay, probes = _pair_layout(P.arity), _probes(P)
+    row = probes.base[lay.index[i, j]] if m is None else probes.slots[lay.columns[i, j, m]]
+    return tuple(row.tolist())
+
+
+def _certificate_tags(P: MPoly) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every zero tag of P's goodness certificate, each decided once, in
+    bulk: bool arrays of its first partials (one per slot), its second
+    partials (one per pair of _pair_layout) and its witnesses, one row per
+    pair with the witnesses glued on rest - {m}, m increasing.
+
+    A first partial vanishes iff no monomial of P holds its slot, and a
+    second partial iff no monomial holds both slots; then every witness of
+    the pair vanishes too.  For the other pairs a nonzero probe, at either
+    probe pair (_Probes), proves a witness live.  A pair that splits P has
+    every witness zero, since each glues its vanishing J = {} witness; one
+    verified block factorization proves it for many pairs at once
+    (_block_splits).  What is left goes to the exact tests: decompose for
+    J = {} and _slot_vanishes for each slot m.
     """
     n, p = P.arity, P.ctx.p
-    memo = _probe_memo(P)
-    if memo.tables is None:
-        x = [_PROBE[k % len(_PROBE)] % p for k in range(n)]
-        y = [_PROBE[(n + k) % len(_PROBE)] % p for k in range(n)]
-        memo.tables = (x, y, *_taylor_table(P, list(zip(x, y))).T.tolist())
-    x, y, tx, ty = memo.tables
-    rows = _subsets(n).rows
-    bi, bj = 1 << i, 1 << j
-    ri, rj, rij = rows[bi], rows[bj], rows[bi | bj]
-    if m is None:
-        sx, sy = tx[rij], ty[rij]
-        dx = tx[0] * sx - tx[ri] * tx[rj]
-        dy = ty[0] * sy - ty[ri] * ty[rj]
-        return (dx * sy - sx * dy) % p
-    bm = 1 << m
-    c = (tx[0], tx[ri], tx[rj], tx[rij], tx[rows[bm]], tx[rows[bi | bm]], tx[rows[bj | bm]],
-         tx[rows[bi | bj | bm]])
-    A1, A0, D2, D1, D0 = _pair_split(c, 1, 2, 4)
-    delta = y[m] - x[m]
-    return (delta * (A1 * D0 - A0 * D1) - delta * delta * A0 * D2) % p
+    lay, probes = _pair_layout(n), _probes(P)
+    second = ~probes.shares
+    live = probes.base.any(axis=1)
+    split = second.copy()
+    undecided = ~second & ~live
+    if undecided.any():
+        split |= undecided & _block_splits(P, lay, probes, live)
+        for q in (undecided & ~split).nonzero()[0].tolist():
+            split[q] = decompose(P, *lay.pairs[q]).decomposable
+    witness = split.repeat(lay.witness_columns.shape[1]).reshape(lay.witness_columns.shape)
+    slot_live = probes.slots.take(lay.witness_columns, axis=0).any(axis=-1)
+    for q, r in zip(*(~witness & ~slot_live).nonzero()):
+        i, j = lay.pairs[q]
+        m = int(lay.split_free[lay.witness_columns[q, r]])
+        witness[q, r] = _slot_vanishes(_coded_cofactors(P, (i, j, m)), 1 << i, 1 << j,
+                                       1 << m, p)
+    return ~probes.present, second, witness
 
 
-@functools.lru_cache(maxsize=64)
-def _pair_layout(n: int):
-    """Every pair split in n slots, as GoodnessChecker reads them: the table
-    rows (left, right) of each split's factors (_split_masks), one column
-    per split, the three splits of _SPLITS for each triple, split by split;
-    and a map from each split's (i, j, m), for its pair i < j and free slot
-    m, to its column."""
-    sub = _subsets(n)
-    left, right = (sub.triple_rows[masks].reshape(8, -1) for masks in _split_masks(_SPLITS))
-    triples = sub.triples.tolist()
-    splits = ([(a, b, c) for a, b, c in triples] + [(a, c, b) for a, b, c in triples]
-              + [(b, c, a) for a, b, c in triples])
-    return left, right, {key: k for k, key in enumerate(splits)}
+def _block_splits(P: MPoly, lay: _PairLayout, probes: _Probes, live) -> np.ndarray:
+    """Which pairs split P as h*g + c, proved for every pair across the
+    candidate blocks by one verified factorization of P - c; none when the
+    candidate proves nothing.
+
+    Two slots that P's monomials hold are joined unless they share a
+    monomial and their J = {} probes vanish (live is False); the candidate
+    blocks are the connected components.  A pair across two blocks shares a
+    monomial, so S != 0, and c is read as D/S at a probe point where S != 0:
+    if P - c factors over the blocks, D = c*S there.  Let Q = P - c,
+    w = find_nonzero_point(Q) and k the number of blocks.  If the product
+    over the blocks b of Q restricted at w outside b equals Q(w)^(k-1) * Q,
+    then Q is that product over Q(w)^(k-1) != 0, a product of factors on
+    disjoint blocks, so every pair across two blocks splits P.
+    """
+    n, p = P.arity, P.ctx.p
+    none = np.zeros(len(lay.pairs), dtype=bool)
+    slots = probes.present.nonzero()[0].tolist()
+    uf = _UnionFind(slots)
+    for q in (~probes.shares | live).nonzero()[0].tolist():
+        i, j = lay.pairs[q]
+        if probes.present[i] and probes.present[j]:
+            uf.union(i, j)
+    block = np.full(n, -1)
+    roots: Dict[int, int] = {}
+    for t in slots:
+        block[t] = roots.setdefault(uf.find(t), len(roots))
+    a, b = block.take(lay.pair_slots)
+    cross = (a != b) & (a >= 0) & (b >= 0)
+    S, D = probes.S[cross], probes.D[cross]
+    hits = (S != 0).nonzero()
+    if not len(hits[0]):
+        return none
+    q, col = hits[0][0], hits[1][0]
+    c = int(D[q, col]) * pow(int(S[q, col]), -1, p) % p
+    Q = P - MPoly.constant(P.ctx, n, c)
+    w = find_nonzero_point(Q)
+    k = len(roots)
+    product = functools.reduce(operator.mul, (Q.restrict_many((block != t).nonzero()[0].tolist(), w)
+                                              for t in range(k)))
+    if product != Q.scale(pow(Q.terms[min(Q.terms, key=len)], k - 1, p)):
+        return none
+    return cross
 
 
 # ---- gate graph ----

@@ -2,10 +2,7 @@
 
 The polynomial family prod(x_i - 1) + prod(x_i) is never read-once for
 n >= 3, yet over GF(2) every assignment makes all trivariate restrictions
-read-once, so local tests cannot distinguish it.  The Boolean pair
-(AND of all) OR (AND of all negations), and its monotone variant, play the
-same role for {AND, OR} formulas: read-many, but every single-variable
-restriction is read-once.
+read-once, so local tests cannot distinguish it.
 """
 
 from __future__ import annotations
@@ -14,11 +11,9 @@ import math
 import os
 import random
 from dataclasses import dataclass
-from typing import Tuple
 
 from .charax import is_locally_rop
-from .errors import (EXHAUSTIVE_LIMIT, InvalidParams, TooFewVariables, TooManyVariables,
-                     guard_scale)
+from .errors import EXHAUSTIVE_LIMIT, InvalidParams, TooFewVariables, guard_scale
 from .ff import FieldCtx
 from .mpoly import MPoly
 
@@ -133,157 +128,3 @@ def local_rop_fraction(P: MPoly, samples: int, seed,
     if exhaustive:
         return SweepRow(p, n, samples, frac, 0.0)
     return SweepRow(p, n, samples, frac, math.sqrt(frac * (1.0 - frac) / samples))
-
-
-# ---- Boolean counterparts ----
-
-@dataclass(frozen=True)
-class BoolFn:
-    """Truth table over n bits; index bit i carries the value of x_i."""
-    n: int
-    table: Tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.table) != 1 << self.n:
-            raise InvalidParams(
-                f"table length {len(self.table)} != 2**{self.n}")
-        if any(v not in (0, 1) for v in self.table):
-            raise InvalidParams("table entries must be 0/1")
-
-    def evaluate(self, bits) -> int:
-        if len(bits) != self.n:
-            raise InvalidParams(f"need {self.n} bits, got {len(bits)}")
-        idx = 0
-        for i, b in enumerate(bits):
-            if b not in (0, 1):
-                raise InvalidParams(f"bit {i} is {b!r}, not 0/1")
-            idx |= b << i
-        return self.table[idx]
-
-    def restrict(self, i: int, bit: int) -> "BoolFn":
-        """Fix x_i := bit; remaining variables close ranks (slot i removed)."""
-        if not 0 <= i < self.n:
-            raise InvalidParams(f"variable {i} outside arity {self.n}")
-        if bit not in (0, 1):
-            raise InvalidParams(f"bit must be 0/1, got {bit!r}")
-        m = self.n - 1
-        low = (1 << i) - 1
-        out = []
-        for idx in range(1 << m):
-            full = (idx & low) | (bit << i) | ((idx & ~low) << 1)
-            out.append(self.table[full])
-        return BoolFn(m, tuple(out))
-
-    def depends_on(self, i: int) -> bool:
-        step = 1 << i
-        return any(self.table[idx] != self.table[idx | step]
-                   for idx in range(1 << self.n) if not idx & step)
-
-    def support(self) -> Tuple[int, ...]:
-        return tuple(i for i in range(self.n) if self.depends_on(i))
-
-
-def boolean_f(n: int) -> BoolFn:
-    """1 exactly on the all-ones and all-zeros inputs."""
-    if n < 2:
-        raise InvalidParams(f"need n >= 2, got {n}")
-    full = (1 << n) - 1
-    return BoolFn(n, tuple(1 if idx in (0, full) else 0 for idx in range(1 << n)))
-
-
-def boolean_g(n: int) -> BoolFn:
-    """(y AND (x_1 OR ... OR x_n)) OR (x_1 AND ... AND x_n); y is the last slot."""
-    if n < 2:
-        raise InvalidParams(f"need n >= 2, got {n}")
-    full = (1 << n) - 1
-    out = []
-    for idx in range(1 << (n + 1)):
-        xs = idx & full
-        y = idx >> n & 1
-        out.append(1 if (y and xs) or xs == full else 0)
-    return BoolFn(n + 1, tuple(out))
-
-
-def _project(table: Tuple[int, ...], m: int) -> Tuple[Tuple[int, ...], int]:
-    """Drop dead variables; returns (table2, m2) over the live ones."""
-    live = []
-    for i in range(m):
-        step = 1 << i
-        if any(table[idx] != table[idx | step]
-               for idx in range(1 << m) if not idx & step):
-            live.append(i)
-    m2 = len(live)
-    out = []
-    for idx2 in range(1 << m2):
-        idx = 0
-        for t, i in enumerate(live):
-            if idx2 >> t & 1:
-                idx |= 1 << i
-        out.append(table[idx])
-    return tuple(out), m2
-
-
-def _split_tables(table, m, mask, op):
-    """Candidate factors of table = g OP h across the bipartition (mask, rest).
-
-    AND factors are recovered by OR-projection onto each side, OR factors by
-    AND-projection; returns (g, h, reconstruction matches) with g on the
-    mask side.
-    """
-    s_bits = [i for i in range(m) if mask >> i & 1]
-    t_bits = [i for i in range(m) if not mask >> i & 1]
-
-    def project(idx, bits):
-        return sum(1 << t for t, i in enumerate(bits) if idx >> i & 1)
-
-    pairs = [(project(idx, s_bits), project(idx, t_bits)) for idx in range(1 << m)]
-    agg = max if op == "and" else min
-    g = [None] * (1 << len(s_bits))
-    h = [None] * (1 << len(t_bits))
-    for (ia, ib), v in zip(pairs, table):
-        g[ia] = v if g[ia] is None else agg(g[ia], v)
-        h[ib] = v if h[ib] is None else agg(h[ib], v)
-    for (ia, ib), v in zip(pairs, table):
-        combined = (g[ia] & h[ib]) if op == "and" else (g[ia] | h[ib])
-        if combined != v:
-            return None
-    return tuple(g), tuple(h)
-
-
-def boolean_is_read_once(f: BoolFn) -> bool:
-    """Is f a formula over {AND, OR} with distinct (possibly negated) leaves?
-
-    Recursive bipartition search: constants and single live variables are
-    read-once; otherwise f must factor as g AND h or g OR h across some
-    bipartition of its live variables with both factors read-once.
-    """
-    if f.n > 10:
-        raise TooManyVariables(f"truth-table search is limited to 10 variables")
-    memo: dict = {}
-
-    def rec(table: Tuple[int, ...], m: int) -> bool:
-        table, m = _project(table, m)
-        if m <= 1:
-            return True
-        key = table
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        out = False
-        for mask in range(1, 1 << m, 2):       # var 0 stays on the g side
-            if mask == (1 << m) - 1:
-                continue
-            for op in ("and", "or"):
-                split = _split_tables(table, m, mask, op)
-                if split is None:
-                    continue
-                g, h = split
-                if rec(g, bin(mask).count("1")) and rec(h, m - bin(mask).count("1")):
-                    out = True
-                    break
-            if out:
-                break
-        memo[key] = out
-        return out
-
-    return rec(f.table, f.n)

@@ -291,10 +291,10 @@ def test_characterize_exact_at_arity_11_and_12():
 
 
 def test_characterize_builds_one_table_per_attempt(monkeypatch):
-    # the witness probes evaluate P's Taylor plan once, at their two points
-    # as one K = 2 array; a certified first attempt then evaluates it once
-    # at its assignment, and both the certificate check and the triple scan
-    # read that table
+    # the witness probes evaluate P's Taylor plan once, at the x and y
+    # points of both probe pairs as one K = 4 array; a certified first
+    # attempt then evaluates it once at its assignment, and both the
+    # certificate check and the triple scan read that table
     table = decomp._TaylorPlan.table
     calls = []
 
@@ -306,7 +306,7 @@ def test_characterize_builds_one_table_per_attempt(monkeypatch):
     rep = characterize(q_n(6, GF1009), 3)
     assert rep.attempts == 1 and rep.verdict == READ_MANY
     assert len(calls) == 2
-    assert [len(column) for column in calls[0]] == [2] * 6
+    assert [len(column) for column in calls[0]] == [4] * 6
     assert calls[-1] == list(rep.assignment)
 
 
@@ -349,15 +349,17 @@ def test_certified_assignment_preserves_gate_graph_under_restriction():
 
 def test_exact_guard_in_certificates(monkeypatch):
     # C(n,2)*(n-2)*(n-3) glue-set entries: 1,958,220 at n = 46 pass the
-    # 2,000,000 limit, 2,140,380 at n = 47 do not
+    # 2,000,000 limit and reach the tag work, 2,140,380 at n = 47 raise
+    # before it
     class Tagged(Exception):
         pass
 
     def tag(*args):
         raise Tagged
 
-    monkeypatch.setattr(charax, "witness_is_zero", tag)
+    monkeypatch.setattr(charax, "_certificate_tags", tag)
     with pytest.raises(Tagged):
         certificate_multiplicands(parse_terms(GF1009, 46, "x1*x46"))
     with pytest.raises(ScaleGuardExceeded):
         certificate_multiplicands(parse_terms(GF1009, 47, "x1*x47"))
+

@@ -8,10 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ropcheck import decomp
+from ropcheck.charax import certificate_multiplicands
 from ropcheck.decomp import (
-    _PROBE,
+    _PROBES,
     GateGraph,
-    _probe_value,
+    _probe_values,
     _slot_vanishes,
     _subsets,
     _taylor_table,
@@ -205,12 +207,11 @@ def test_witness_is_zero_small_field_path():
             assert witness_is_zero(P, i, j, J) == want
 
 
-def _probe_pair(n, p):
-    """The witness probe pair for J = {}: x reads _PROBE from entry 0, y from
-    entry n, cyclically, reduced mod p."""
-    x = [_PROBE[k % len(_PROBE)] % p for k in range(n)]
-    y = [_PROBE[(n + k) % len(_PROBE)] % p for k in range(n)]
-    return x, y
+def _probe_pairs(n, p):
+    """The two witness probe pairs (x, y) for J = {}: pair t's x reads
+    _PROBES[t] from entry 0, its y from entry n, cyclically, reduced mod p."""
+    return [([probe[k % len(probe)] % p for k in range(n)],
+             [probe[(n + k) % len(probe)] % p for k in range(n)]) for probe in _PROBES]
 
 
 def _certificate_glue_sets(n):
@@ -224,20 +225,22 @@ def _certificate_glue_sets(n):
 
 @pytest.mark.parametrize("p", [3, 5, 101])
 def test_probe_value_from_tables_matches_materialized_witness(p):
-    # the probe reads P's Taylor tables at x and y; the materialized witness
-    # on 2n slots is evaluated directly at x in the x-block, y in the y-block
+    # the probes read P's Taylor tables at both pairs' x and y; the
+    # materialized witness on 2n slots is evaluated directly at x in the
+    # x-block, y in the y-block
     ctx = FieldCtx(p)
     rng = random.Random(p + 41)
     zero_coordinates = 0
     for n in range(3, 7):
-        x, y = _probe_pair(n, p)
-        zero_coordinates += (x + y).count(0)
+        pairs = _probe_pairs(n, p)
+        zero_coordinates += sum((x + y).count(0) for x, y in pairs)
         polys = [q_n(n, ctx), random_rof(ctx, n, rng).expand(),
                  random_rof(ctx, n, rng).expand(), random_multilinear(ctx, n, rng)]
         for P in polys:
             for i, j, J, m in _certificate_glue_sets(n):
                 W = decomp_witness(P, i, j, J).value
-                assert _probe_value(P, i, j, m) == W.eval_raw(x + y), (n, i, j, J)
+                want = tuple(W.eval_raw(x + y) for x, y in pairs)
+                assert _probe_values(P, i, j, m) == want, (n, i, j, J)
     if p == 3:
         # probe coordinates that are 0 take the tables' zero-slot branch
         assert zero_coordinates > 0
@@ -247,7 +250,7 @@ def test_probe_memo_belongs_to_its_polynomial():
     rng = random.Random(13)
     n = 5
     for ctx in (GF3, GF101):
-        x, y = _probe_pair(n, ctx.p)
+        pairs = _probe_pairs(n, ctx.p)
         P = random_rof(ctx, n, rng).expand()
         Q = random_multilinear(ctx, n, rng)
         cases = list(_certificate_glue_sets(n))
@@ -255,7 +258,7 @@ def test_probe_memo_belongs_to_its_polynomial():
         # Q has P's arity, so the same probe points, but tables of its own
         for i, j, J, m in cases:
             W = decomp_witness(Q, i, j, J).value
-            assert _probe_value(Q, i, j, m) == W.eval_raw(x + y)
+            assert _probe_values(Q, i, j, m) == tuple(W.eval_raw(x + y) for x, y in pairs)
         assert Q._probe is not P._probe
         copy = MPoly(ctx, n, dict(P.terms))
         assert copy._probe is None
@@ -270,14 +273,17 @@ def test_probe_memo_belongs_to_its_polynomial():
 
 
 def test_probe_misses_on_q10_are_decided_exactly():
-    # the fixed probe pair reads 0 on two certificate glue sets of q_10 over
-    # GF(1009), so both reach the exact slot test, which must find W != 0
+    # the first probe pair reads 0 on two certificate glue sets of q_10 over
+    # GF(1009); the second refutes both, and the exact slot test, called
+    # directly, must find W != 0 as well
     P = q_n(10, FieldCtx(1009))
     rng = random.Random(10)
     for i, j, m in ((4, 6, 0), (5, 7, 4)):
         J = frozenset(range(10)) - {i, j, m}
-        assert _probe_value(P, i, j, m) == 0
+        first, second = _probe_values(P, i, j, m)
+        assert first == 0 and second != 0
         assert not witness_is_zero(P, i, j, J)
+        assert not _slot_vanishes(_coded_cofactors(P, (i, j, m)), 1 << i, 1 << j, 1 << m, 1009)
         # W != 0 at a second point pair, through D = P*S - d_iP*d_jP
         S, Pi, Pj = P.partial(i).partial(j), P.partial(i), P.partial(j)
 
@@ -438,6 +444,76 @@ def test_glue_set_reduces_to_its_unglued_slots(p):
                         assert want == all(slot_zero[m] for m in rest - set(J))
                         outcomes.add(want)
     assert outcomes == {True, False}
+
+
+def _materialized_tags(P):
+    """The certificate's zero tags from materialized polynomials: the
+    partials, and each witness by decomp_witness on 2n slots, which builds
+    the commutator through MPoly products."""
+    n = P.arity
+    pairs = list(itertools.combinations(range(n), 2))
+    tags = [P.partial(t).is_zero() for t in range(n)]
+    tags += [P.partial2(i, j).is_zero() for i, j in pairs]
+    for i, j in pairs:
+        rest = frozenset(range(n)) - {i, j}
+        tags += [decomp_witness(P, i, j, rest - {m}).value.is_zero() for m in sorted(rest)]
+    return tags
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 1009, 2**31 - 1])
+def test_certificate_tags_match_materialized_witnesses(p, monkeypatch):
+    # every certificate tag, decided in bulk (probes, one block
+    # factorization, exact tests), against the materialized partials and
+    # witnesses; p = 2**31 - 1 runs the probes on object arrays.  Over
+    # GF(3) some candidate blocks fail their check, and their pairs fall
+    # back to the exact tests.
+    ctx = FieldCtx(p)
+    rng = random.Random(p + 5)
+    checks = []
+    block_splits, find = decomp._block_splits, decomp.find_nonzero_point
+
+    def counted_find(Q):
+        checks[-1][0] += 1
+        return find(Q)
+
+    def counted_block_splits(*args):
+        checks.append([0, False])
+        out = block_splits(*args)
+        checks[-1][1] = bool(out.any())
+        return out
+
+    monkeypatch.setattr(decomp, "_block_splits", counted_block_splits)
+    monkeypatch.setattr(decomp, "find_nonzero_point", counted_find)
+    for n in range(3, 7):
+        absent = random_rof(ctx, n - 1, rng).expand().embed(n, {t: t + (t > 0)
+                                                                for t in range(n - 1)})
+        polys = [q_n(n, ctx), random_rof(ctx, n, rng).expand(),
+                 random_rof(ctx, n, rng).expand(), random_multilinear(ctx, n, rng),
+                 random_multilinear(ctx, n, rng), _split_product(ctx, n, rng),
+                 _affine_product(ctx, n, rng), absent,
+                 MPoly.constant(ctx, n, rng.randrange(1, p)), MPoly.zero(ctx, n)]
+        for P in polys:
+            tags = [m.identically_zero for m in certificate_multiplicands(P)]
+            assert tags == _materialized_tags(P), P
+    assert any(proved for _, proved in checks)
+    if p == 3:
+        assert any(checked and not proved for checked, proved in checks)
+
+
+def test_product_of_affine_leaves_needs_no_commutator(monkeypatch):
+    # the expansion of 7 affine leaves under * gates: every pair splits it,
+    # and one verified factorization over its 7 one-slot blocks proves all
+    # 21 pairs, so no commutator is summed, not even inside a slot test
+    P = _affine_product(FieldCtx(1009), 7, random.Random(3))
+    assert len(P.terms) == 128
+
+    def no_commutator(*args):
+        raise AssertionError("a commutator was summed")
+
+    monkeypatch.setattr(decomp, "_commutator_codes", no_commutator)
+    ms = certificate_multiplicands(P)
+    assert [m.identically_zero for m in ms if m.kind != "witness"] == [False] * 28
+    assert all(m.identically_zero for m in ms if m.kind == "witness")
 
 
 def test_witness_examples():

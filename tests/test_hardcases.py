@@ -1,6 +1,5 @@
-"""Stress families: the product-plus-product polynomials and Boolean analogues."""
+"""Stress family: the product-plus-product polynomials q_n and their locality sweeps."""
 
-import itertools
 import random
 
 import pytest
@@ -8,15 +7,10 @@ import pytest
 from ropcheck.charax import is_locally_rop
 from ropcheck import hardcases
 from ropcheck.decomp import brute_force_is_rop
-from ropcheck.errors import (InvalidParams, ScaleGuardExceeded, TooFewVariables,
-                             TooManyVariables)
+from ropcheck.errors import InvalidParams, ScaleGuardExceeded, TooFewVariables
 from ropcheck.ff import FieldCtx
 from ropcheck.hardcases import (
     SWEEP_CSV_HEADER,
-    BoolFn,
-    boolean_f,
-    boolean_g,
-    boolean_is_read_once,
     local_rop_fraction,
     q_n,
 )
@@ -143,89 +137,3 @@ def test_sweep_row_csv():
     row = SweepRow(5, 4, 625, 16 / 625, 0.0)
     assert row.to_csv_row() == "5,4,625,0.025600,0.000000"
     assert SWEEP_CSV_HEADER == "p,n,samples,good_fraction,stderr"
-
-
-def test_boolfn_basics():
-    f = boolean_f(3)
-    assert f.n == 3
-    assert f.table == (1, 0, 0, 0, 0, 0, 0, 1)
-    assert f.evaluate((1, 1, 1)) == 1
-    assert f.evaluate((0, 0, 0)) == 1
-    assert f.evaluate((1, 0, 1)) == 0
-    assert f.depends_on(0) and f.support() == (0, 1, 2)
-
-
-def test_boolfn_restrict():
-    f = boolean_f(3)
-    r = f.restrict(0, 1)
-    assert r.n == 2
-    # all-ones-or-all-zeros with x1 fixed to 1 collapses to x2 AND x3
-    assert r.table == (0, 0, 0, 1)
-    assert f.restrict(0, 0).table == (1, 0, 0, 0)
-
-
-def test_boolfn_validation():
-    with pytest.raises(InvalidParams):
-        BoolFn(2, (0, 1, 0))
-    with pytest.raises(InvalidParams):
-        BoolFn(2, (0, 1, 2, 0))
-
-
-def test_boolean_g_is_monotone():
-    for n in (2, 3, 4):
-        g = boolean_g(n)
-        assert g.n == n + 1
-        for bits in itertools.product((0, 1), repeat=g.n):
-            for i in range(g.n):
-                if bits[i] == 0:
-                    up = bits[:i] + (1,) + bits[i + 1:]
-                    assert g.evaluate(bits) <= g.evaluate(up)
-
-
-def test_boolean_g_values():
-    g = boolean_g(2)
-    # (y and (x1 or x2)) or (x1 and x2), y in the last slot
-    assert g.evaluate((0, 0, 1)) == 0
-    assert g.evaluate((1, 0, 1)) == 1
-    assert g.evaluate((1, 1, 0)) == 1
-    assert g.evaluate((1, 0, 0)) == 0
-
-
-def test_boolean_read_once_basics():
-    x_and_y = BoolFn(2, (0, 0, 0, 1))
-    assert boolean_is_read_once(x_and_y)
-    xor = BoolFn(2, (0, 1, 1, 0))
-    assert not boolean_is_read_once(xor)
-    majority = BoolFn(3, (0, 0, 0, 1, 0, 1, 1, 1))
-    assert not boolean_is_read_once(majority)
-    single = BoolFn(1, (1, 0))
-    assert boolean_is_read_once(single)
-    nested = BoolFn(3, tuple(int(b0 or (b1 and b2))
-                             for b2 in (0, 1) for b1 in (0, 1) for b0 in (0, 1)))
-    assert boolean_is_read_once(nested)
-
-
-def test_boolean_families_break_local_to_global():
-    # Both families are read-many yet every single-variable restriction is
-    # read-once, for every variable and both constants.
-    for n in range(3, 7):
-        f = boolean_f(n)
-        assert not boolean_is_read_once(f)
-        for i in range(f.n):
-            for b in (0, 1):
-                assert boolean_is_read_once(f.restrict(i, b))
-    for n in range(2, 6):
-        g = boolean_g(n)
-        assert not boolean_is_read_once(g)
-        for i in range(g.n):
-            for b in (0, 1):
-                assert boolean_is_read_once(g.restrict(i, b))
-
-
-def test_boolean_guard():
-    with pytest.raises(TooManyVariables):
-        boolean_is_read_once(BoolFn(11, tuple([0] * 2048)))
-    with pytest.raises(InvalidParams):
-        boolean_f(1)
-    with pytest.raises(InvalidParams):
-        boolean_g(1)
