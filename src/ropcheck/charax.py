@@ -22,8 +22,8 @@ from typing import FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
-from .decomp import (_certificate_tags, _is_multilinear, _pair_layout, _pair_splits, _subsets,
-                     _taylor_table, _trivariate_rop)
+from .decomp import (_is_multilinear, _pair_layout, _pair_splits, _probes, _subsets,
+                     _taylor_table, _trivariate_rop, witness_is_zero)
 # bound here for bench/tracer.py, which wraps charax's binding of it
 from .decomp import trivariate_is_rop  # noqa: F401
 from .errors import (ArityMismatch, FieldTooSmall, InvalidParams, NotMultilinear,
@@ -73,29 +73,38 @@ def certificate_multiplicands(P: MPoly) -> List[Multiplicand]:
     """Enumerate every certificate multiplicand with exact zero tags.
 
     Each witness term of a pair glues all but one of the remaining indices.
-    Every tag is decided once, all in bulk (decomp._certificate_tags): the
-    partials and the witnesses of pairs that share no monomial from which
-    slots P's monomials hold; most live witnesses from one stacked probe;
-    the pairs across the blocks of one verified factorization of P - c as
-    zero; and what is left by the exact tests.  Raises ScaleGuardExceeded
-    when the certificate would exceed the desk-scale limit, before any tag
-    is decided.
+    A first partial vanishes iff no monomial of P holds its slot, and a
+    second partial iff no monomial holds both slots of its pair, and then
+    every witness of the pair vanishes too: all read from the subsets that
+    P's Taylor plan lists (decomp._Probes), with no partial polynomial
+    built.  The other witnesses are tagged by witness_is_zero, which reads
+    P's bulk tags, decided once from one stacked probe and one verified
+    factorization of P - c over candidate blocks (decomp._WitnessTags), and
+    runs the exact tests only on what they leave open.  Raises
+    ScaleGuardExceeded when the certificate would exceed the desk-scale
+    limit, before any tag is decided.
     """
     _require_multilinear(P)
     n = P.arity
     # the full certificate stores C(n,2)*(n-2) witness multiplicands, each
     # gluing n-3 slots: 1,958,220 glue-set entries at n = 46, 2,140,380 at 47
     guard_scale(math.comb(n, 2) * (n - 2) * (n - 3), "certificate glue-set entries")
-    first, second, witness = _certificate_tags(P)
-    pairs = _pair_layout(n).pairs
-    out = [Multiplicand(FIRST_PARTIAL, (t,), None, zero)
-           for t, zero in enumerate(first.tolist())]
-    out += [Multiplicand(SECOND_PARTIAL, pair, None, zero)
-            for pair, zero in zip(pairs, second.tolist())]
-    for (i, j), zeros in zip(pairs, witness.tolist()):
-        rest = frozenset(range(n)) - {i, j}
-        out += [Multiplicand(WITNESS, (i, j), rest - {m}, zero)
-                for m, zero in zip(sorted(rest), zeros)]
+    probes = _probes(P)
+    pairs, shares = _pair_layout(n).pairs, probes.shares.tolist()
+    out = [Multiplicand(FIRST_PARTIAL, (t,), None, not held)
+           for t, held in enumerate(probes.present.tolist())]
+    out += [Multiplicand(SECOND_PARTIAL, pair, None, not held)
+            for pair, held in zip(pairs, shares)]
+    everything = frozenset(range(n))
+    for (i, j), held in zip(pairs, shares):
+        rest = everything - {i, j}
+        # S == 0 makes every witness of the pair vanish, and so does the
+        # unglued witness vanishing
+        base_zero = not held or witness_is_zero(P, i, j, frozenset())
+        for m in sorted(rest):
+            shared = rest - {m}
+            out.append(Multiplicand(WITNESS, (i, j), shared,
+                                    base_zero or witness_is_zero(P, i, j, shared)))
     return out
 
 

@@ -25,14 +25,15 @@ The central objects:
   of points in a few numpy steps, from P's terms as slot arrays and, for
   each T, the terms that contain it.  The witness probes and the
   certificate's checks read every point value they need from such tables;
-* the certificate's zero tags, all decided at once (_certificate_tags):
-  which slots and pairs P's monomials hold (the subsets its plan lists),
-  every witness at two fixed probe pairs from one evaluation of the plan
-  (_Probes), and one verified factorization of P - c over candidate
-  blocks (_block_splits).  Following Shpilka-Volkovich, a pair splits
-  P = h*g + c exactly when P - c factors with the pair's two variables in
-  different factors, so that factorization proves every pair across two
-  blocks at once.  Only what these leave open reaches the exact tests;
+* the witness zero tags, decided in bulk once per polynomial
+  (_WitnessTags) and read by witness_is_zero: which pairs P's monomials
+  hold (the subsets its plan lists), every witness at two fixed probe
+  pairs from one evaluation of the plan (_Probes), and one verified
+  factorization of P - c over candidate blocks (_block_splits).
+  Following Shpilka-Volkovich, a pair splits P = h*g + c exactly when
+  P - c factors with the pair's two variables in different factors, so
+  that factorization proves every pair across two blocks at once.  Only
+  what these leave open reaches the exact tests;
 * the gate graph: edge (i, j) iff dd_ij(P) != 0; connected components are
   exactly the additive pieces of P;
 * exact splitting routines and a brute-force read-once decider used as the
@@ -52,6 +53,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (
+    ArityMismatch,
     IndexOverlap,
     InvalidParams,
     NotDecomposable,
@@ -73,14 +75,16 @@ _PROBES = tuple(tuple(map(random.Random(seed).getrandbits, [64] * 64)) for seed 
 class _Probe:
     """What this module memoizes on a polynomial P (MPoly._probe): whether P
     is multilinear, its Taylor plan once a table is asked for (_TaylorPlan),
-    and, once a witness is probed, the witnesses at the probe pairs
-    (_Probes).  P never changes, so neither does its memo."""
-    __slots__ = ("multilinear", "taylor", "probes")
+    and, once a witness is asked for, the witnesses at the probe pairs
+    (_Probes) and the witness zero tags (_WitnessTags).  P never changes,
+    so neither does its memo."""
+    __slots__ = ("multilinear", "taylor", "probes", "tags")
 
     def __init__(self, P: MPoly):
         self.multilinear = P.is_multilinear()
         self.taylor = None
         self.probes = None
+        self.tags = None
 
 
 def _probe_memo(P: MPoly) -> _Probe:
@@ -498,9 +502,13 @@ def witness_is_zero(P: MPoly, i: int, j: int,
     W(x, y) = D(x) * S(y) - S(x) * D(y) with y_k = x_k for k in J.  W == 0
     when S == 0, that is when no monomial of P holds both x_i and x_j;
     otherwise W is first read at two fixed pseudo-random point pairs, from
-    P's memoized probes (_Probes), and a nonzero value proves W != 0.
+    P's memoized probes (_Probes), and a nonzero value proves W != 0.  One
+    verified block factorization of P - c proves many pairs split at once
+    (_block_splits).  These bulk tags are decided once per polynomial
+    (_WitnessTags).
 
-    J = {} is then decompose's test, D = c * S for a constant c.  For
+    What they leave open goes to the exact tests, whose outcomes join the
+    tags.  J = {} is decompose's test, D = c * S for a constant c.  For
     J = rest - {m}, split S = A1*x_m + A0 and D = D2*x_m^2 + D1*x_m + D0
     with coefficients in the ring R of the other slots (_slot_vanishes on the
     cofactors of P in x_i, x_j, x_m).  W's coefficients in x_m and y_m are
@@ -508,31 +516,44 @@ def witness_is_zero(P: MPoly, i: int, j: int,
     W == 0 iff D2 == 0 and A1*D0 == A0*D1.  Any other J reduces to these:
     W_J == 0 iff D/S is free of every unglued slot m, which is
     W_{rest - {m}} == 0, so every unglued slot is probed before any is
-    tested.  This holds over every field, GF(2) included.  The certificate
-    decides all its tags at once with the same probes (_certificate_tags).
+    tested.  This holds over every field, GF(2) included.
     """
     shared = frozenset(shared)
+    n = P.arity
+    for t in (i, j):
+        if not 0 <= t < n:
+            raise ArityMismatch(f"variable {t} outside arity {n}")
     if i == j:
         raise SameVariable(f"need two distinct variables, got {i} twice")
     if i in shared or j in shared:
         raise IndexOverlap(f"shared set {sorted(shared)} overlaps the pair ({i}, {j})")
     _require_multilinear(P)
-    n = P.arity
     for k in shared:
         if not 0 <= k < n:
             raise IndexOverlap(f"shared index {k} outside arity {n}")
 
-    i, j = min(i, j), max(i, j)
-    if not _probes(P).shares[_pair_layout(n).index[i, j]]:
-        return True
+    if i > j:
+        i, j = j, i
+    tags = _witness_tags(P)
+    zero = tags.pair[i, j]
     if not shared:
-        return not any(_probe_values(P, i, j, None)) and decompose(P, i, j).decomposable
-    unglued = [k for k in range(n) if k not in shared and k != i and k != j]
-    if any(any(_probe_values(P, i, j, m)) for m in unglued):
+        if zero is None:
+            zero = tags.pair[i, j] = decompose(P, i, j).decomposable
+        return zero
+    if zero:
+        return True
+    row = tags.slot[i, j]
+    unglued = [m for m in row if m not in shared]
+    known = [row[m] for m in unglued]
+    if False in known:
         return False
     bi, bj, p = 1 << i, 1 << j, P.ctx.p
-    return all(_slot_vanishes(_coded_cofactors(P, (i, j, m)), bi, bj, 1 << m, p)
-               for m in unglued)
+    for m, zero in zip(unglued, known):
+        if zero is None:
+            zero = row[m] = _slot_vanishes(_coded_cofactors(P, (i, j, m)), bi, bj, 1 << m, p)
+            if not zero:
+                return False
+    return True
 
 
 @functools.lru_cache(maxsize=64)
@@ -642,39 +663,47 @@ def _probe_values(P: MPoly, i: int, j: int, m: Optional[int]) -> Tuple[int, int]
     return tuple(row.tolist())
 
 
-def _certificate_tags(P: MPoly) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every zero tag of P's goodness certificate, each decided once, in
-    bulk: bool arrays of its first partials (one per slot), its second
-    partials (one per pair of _pair_layout) and its witnesses, one row per
-    pair with the witnesses glued on rest - {m}, m increasing.
+def _witness_tags(P: MPoly) -> "_WitnessTags":
+    """P's witness zero tags, decided in bulk at the first request and
+    memoized on P.  P must be multilinear."""
+    memo = _probe_memo(P)
+    if memo.tags is None:
+        memo.tags = _WitnessTags(P)
+    return memo.tags
 
-    A first partial vanishes iff no monomial of P holds its slot, and a
-    second partial iff no monomial holds both slots; then every witness of
-    the pair vanishes too.  For the other pairs a nonzero probe, at either
-    probe pair (_Probes), proves a witness live.  A pair that splits P has
-    every witness zero, since each glues its vanishing J = {} witness; one
-    verified block factorization proves it for many pairs at once
-    (_block_splits).  What is left goes to the exact tests: decompose for
-    J = {} and _slot_vanishes for each slot m.
+
+class _WitnessTags:
+    """Which witnesses of P vanish, as far as the bulk steps decide it;
+    witness_is_zero fills in the rest with the exact tests.
+
+    pair maps each pair (i, j), i < j, to whether its J = {} witness
+    vanishes, that is whether the pair splits P, and then every witness of
+    the pair vanishes.  For a pair not known to split, slot[i, j] maps each
+    slot m outside the pair, in increasing order, to whether its witness
+    glued on rest - {m} vanishes; None marks a tag not decided yet.  A pair
+    whose slots share no monomial has S == 0, so all its witnesses vanish;
+    so do those of every pair across the blocks of one verified
+    factorization of P - c (_block_splits).  A nonzero value at either
+    probe pair (_Probes) proves a witness live.
     """
-    n, p = P.arity, P.ctx.p
-    lay, probes = _pair_layout(n), _probes(P)
-    second = ~probes.shares
-    live = probes.base.any(axis=1)
-    split = second.copy()
-    undecided = ~second & ~live
-    if undecided.any():
-        split |= undecided & _block_splits(P, lay, probes, live)
-        for q in (undecided & ~split).nonzero()[0].tolist():
-            split[q] = decompose(P, *lay.pairs[q]).decomposable
-    witness = split.repeat(lay.witness_columns.shape[1]).reshape(lay.witness_columns.shape)
-    slot_live = probes.slots.take(lay.witness_columns, axis=0).any(axis=-1)
-    for q, r in zip(*(~witness & ~slot_live).nonzero()):
-        i, j = lay.pairs[q]
-        m = int(lay.split_free[lay.witness_columns[q, r]])
-        witness[q, r] = _slot_vanishes(_coded_cofactors(P, (i, j, m)), 1 << i, 1 << j,
-                                       1 << m, p)
-    return ~probes.present, second, witness
+    __slots__ = ("pair", "slot")
+
+    def __init__(self, P: MPoly):
+        n = P.arity
+        lay, probes = _pair_layout(n), _probes(P)
+        live = probes.base.any(axis=1)
+        split = ~probes.shares
+        undecided = ~split & ~live
+        if undecided.any():
+            split |= undecided & _block_splits(P, lay, probes, live)
+        slot_live = probes.slots.take(lay.witness_columns, axis=0).any(axis=-1)
+        self.pair, self.slot = {}, {}
+        for (i, j), zero, known, row in zip(lay.pairs, split.tolist(), live.tolist(),
+                                            slot_live.tolist()):
+            self.pair[i, j] = True if zero else False if known else None
+            if not zero:
+                rest = [m for m in range(n) if m != i and m != j]
+                self.slot[i, j] = {m: False if k else None for m, k in zip(rest, row)}
 
 
 def _block_splits(P: MPoly, lay: _PairLayout, probes: _Probes, live) -> np.ndarray:
@@ -717,7 +746,10 @@ def _block_splits(P: MPoly, lay: _PairLayout, probes: _Probes, live) -> np.ndarr
     k = len(roots)
     product = functools.reduce(operator.mul, (Q.restrict_many((block != t).nonzero()[0].tolist(), w)
                                               for t in range(k)))
-    if product != Q.scale(pow(Q.terms[min(Q.terms, key=len)], k - 1, p)):
+    # Q(w), the constant left by restricting every slot, without compiling
+    # an evaluation plan for Q
+    value = Q.restrict_many(range(n), w).terms.get((), 0)
+    if product != Q.scale(pow(value, k - 1, p)):
         return none
     return cross
 

@@ -349,17 +349,16 @@ def test_certified_assignment_preserves_gate_graph_under_restriction():
 
 def test_exact_guard_in_certificates(monkeypatch):
     # C(n,2)*(n-2)*(n-3) glue-set entries: 1,958,220 at n = 46 pass the
-    # 2,000,000 limit and reach the tag work, 2,140,380 at n = 47 raise
-    # before it
+    # 2,000,000 limit and reach the witness tags, 2,140,380 at n = 47
+    # raise before any tag is decided
     class Tagged(Exception):
         pass
 
     def tag(*args):
         raise Tagged
 
-    monkeypatch.setattr(charax, "_certificate_tags", tag)
+    monkeypatch.setattr(charax, "witness_is_zero", tag)
     with pytest.raises(Tagged):
         certificate_multiplicands(parse_terms(GF1009, 46, "x1*x46"))
     with pytest.raises(ScaleGuardExceeded):
         certificate_multiplicands(parse_terms(GF1009, 47, "x1*x47"))
-

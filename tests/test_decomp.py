@@ -32,6 +32,8 @@ from ropcheck.decomp import (
     witness_is_zero,
 )
 from ropcheck.errors import (
+    ArityMismatch,
+    Error,
     IndexOverlap,
     InvalidParams,
     NotDecomposable,
@@ -162,6 +164,17 @@ def test_witness_shared_glues_slots():
         decomp_witness(E2, 0, 1, shared={0})
     with pytest.raises(IndexOverlap):
         decomp_witness(E2, 0, 1, shared={5})
+
+
+def test_witness_is_zero_rejects_slots_outside_the_arity():
+    # a pair slot outside [0, n) is the library's ArityMismatch, as it is
+    # for P.partial, not a lookup error from the pair tables
+    for i, j in ((0, 3), (3, 0), (0, -1), (-1, 2)):
+        with pytest.raises(ArityMismatch) as info:
+            witness_is_zero(E2, i, j)
+        assert isinstance(info.value, Error)
+        with pytest.raises(ArityMismatch):
+            witness_is_zero(E2, i, j, shared={1})
 
 
 def test_witness_restriction_identity():
