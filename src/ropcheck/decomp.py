@@ -655,14 +655,6 @@ class _Probes:
                       - delta * delta % p * (A0 * Dm[0] % p)) % p
 
 
-def _probe_values(P: MPoly, i: int, j: int, m: Optional[int]) -> Tuple[int, int]:
-    """W at the two probe pairs for the pair (i, j), i < j, and J = {}
-    (m None) or J = rest - {m}, read from P's memoized probes (_Probes)."""
-    lay, probes = _pair_layout(P.arity), _probes(P)
-    row = probes.base[lay.index[i, j]] if m is None else probes.slots[lay.columns[i, j, m]]
-    return tuple(row.tolist())
-
-
 def _witness_tags(P: MPoly) -> "_WitnessTags":
     """P's witness zero tags, decided in bulk at the first request and
     memoized on P.  P must be multilinear."""

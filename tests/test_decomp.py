@@ -13,7 +13,6 @@ from ropcheck.charax import certificate_multiplicands
 from ropcheck.decomp import (
     _PROBES,
     GateGraph,
-    _probe_values,
     _slot_vanishes,
     _subsets,
     _taylor_table,
@@ -225,6 +224,14 @@ def _probe_pairs(n, p):
     _PROBES[t] from entry 0, its y from entry n, cyclically, reduced mod p."""
     return [([probe[k % len(probe)] % p for k in range(n)],
              [probe[(n + k) % len(probe)] % p for k in range(n)]) for probe in _PROBES]
+
+
+def _probe_values(P, i, j, m):
+    """W at the two probe pairs for the pair (i, j), i < j, and J = {}
+    (m None) or J = rest - {m}, read from P's memoized probes."""
+    lay, probes = decomp._pair_layout(P.arity), decomp._probes(P)
+    row = probes.base[lay.index[i, j]] if m is None else probes.slots[lay.columns[i, j, m]]
+    return tuple(row.tolist())
 
 
 def _certificate_glue_sets(n):
