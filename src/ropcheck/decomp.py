@@ -105,6 +105,22 @@ def _require_multilinear(P: MPoly):
 
 
 @functools.lru_cache(maxsize=64)
+def _triples(n: int) -> np.ndarray:
+    """The 3-subsets {a < b < c} of n slots in lexicographic order, as a
+    (C(n,3), 3) array in the smallest signed type that holds n, built once
+    per n.  The triples that start at a end in the pairs b < c above a,
+    which are the last C(n-1-a, 2) of the n slots' lexicographic pairs."""
+    b, c = np.triu_indices(n, 1)
+    above = np.array([math.comb(n - 1 - a, 2) for a in range(n)], dtype=np.intp)
+    # the run of triples at a starts at cumsum(above)[a] - above[a], its
+    # pairs at len(b) - above[a]
+    shift = np.repeat(len(b) - np.cumsum(above), above)
+    pair = np.arange(len(shift)) + shift
+    return np.stack([np.repeat(np.arange(n), above), b[pair], c[pair]],
+                    axis=1).astype(np.min_scalar_type(-n)).reshape(-1, 3)
+
+
+@functools.lru_cache(maxsize=64)
 def _subsets(n: int) -> "_Subsets":
     """The row layout of order-3 Taylor tables in n slots, built once per n."""
     return _Subsets(n)
@@ -138,8 +154,7 @@ class _Subsets:
             for T in itertools.combinations(range(n), k):
                 row = self.rows[sum(1 << v for v in T)] = sum(w[t][v] for t, v in enumerate(T))
                 self.slots[row, :k] = T
-        self.triples = np.array(list(itertools.combinations(range(n), 3)),
-                                dtype=np.intp).reshape(-1, 3)
+        self.triples = _triples(n)
         w0, w1, w2 = np.array(w, dtype=np.intp)
         a, b, c = self.triples.T
         self.triple_rows = np.array([np.zeros_like(a), w0[a], w0[b], w0[a] + w1[b], w0[c],

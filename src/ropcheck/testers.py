@@ -10,17 +10,17 @@ Two algorithms:
   coordinate give 27-point grids; the wrapper repeats the round enough
   times for the distance parameter.
 
-Both scan their grids in lexicographic subset order (round by round for
-property_test) and query and decide them in doubling batches of 1, 2, 4,
-... grids, up to _BATCH_POINTS points: one oracle call, one stacked
-interpolation and one vectorized closed-form decision per batch.  A batch
-stays in int64 arrays from grid to verdict: its points are built in the
-column layout the oracle's plan reads, Oracle._query_array answers them
-as an int64 array of residues (no list in between, no second % p), and
-the interpolation reads that array.  YES reports count the same queries as
-a one-grid-at-a-time scan.  A NO report counts every point of the batches
-it queried, fewer than about twice the points up to the failing grid, plus
-one batch.
+A scan is held as arrays: rounds of a base point and per-slot node rows
+(one round of nodes 0..d for read_once_test), each round's Lagrange bases
+built once, and one lexicographic 3-subset table, so grid q is round
+q // C(n,3) on subset q % C(n,3).  Grids are queried and decided in
+doubling batches of 1, 2, 4, ... grids, up to _BATCH_POINTS points: a
+batch's points and bases are gathered from those arrays by fancy indexing
+and stay int64 arrays through one oracle call (Oracle._query_array), one
+stacked interpolation and one vectorized closed-form decision.  YES
+reports count the same queries as a one-grid-at-a-time scan.  A NO report
+counts every point of the batches it queried, fewer than about twice the
+points up to the failing grid, plus one batch.
 
 tau_estimate measures the aligned-triple statistic: the fraction of random
 axis triples whose univariate interpolant is not affine.
@@ -37,7 +37,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .decomp import _trivariate_rop
+from .decomp import _triples, _trivariate_rop
 from .errors import (
     ArityMismatch,
     DegreeTooSmall,
@@ -109,45 +109,30 @@ def _require_coordinates(oracle: Oracle, n: int):
         raise TooFewVariables(f"the testers need at least one coordinate, got n={n}")
 
 
-def _subsets(n: int):
-    """3-subsets in lex order; below 3 coordinates, one grid over all of them.
+def _grid_points(base, axes, I, marked: bool):
+    """The batch's grids as one (N, n) int64 array of points and, when
+    marked, which of them another grid of the scan can also hold (else None).
 
-    The literal subset family is empty for n < 3, which would accept any
-    oracle; testing the full coordinate set instead keeps the multilinearity
-    check meaningful there.
+    Grid g is base[g] (k, n) with slot I[g, t] (I is (k, m)) running over
+    axes[g, t] (axes is (k, m, L)), in itertools.product order, and the
+    grids follow each other.  The array is the transpose of an (n, N) one,
+    so each slot's column is contiguous, as the oracle's plan reads it.
+    shared has the batch's grid shape (k, L, ..., L).  Two grids share a
+    point only if it agrees with the common base point on their symmetric
+    difference, so one of the point's I-coordinates equals the base point's.
     """
-    if n >= 3:
-        return itertools.combinations(range(n), 3)
-    return [tuple(range(n))]
-
-
-def _grid_points(batch, n: int):
-    """The batch's grids as one (N, n) int64 array of points, and which of
-    them another grid of the scan can also hold.
-
-    Each grid is its base point with the I columns running over its axes, in
-    itertools.product(*axes) order, and the grids follow each other.  The
-    array is the transpose of an (n, N) one, so each slot's column is
-    contiguous, as the oracle's plan reads it.  shared has the batch's grid
-    shape (k, L_1, ..., L_m).  Two grids share a point only if it agrees
-    with the common base point on their symmetric difference, so one of the
-    point's I-coordinates equals the base point's.
-    """
-    k = len(batch)
-    dims = tuple(len(axis) for axis in batch[0][2])
-    bases = np.array([base for base, _, _ in batch], dtype=np.int64)
-    pts = np.empty((n, k) + dims, dtype=np.int64)
-    pts[...] = bases.T.reshape((n, k) + (1,) * len(dims))
-    shared = np.zeros((k,) + dims, dtype=bool)
+    (k, n), (m, L) = base.shape, axes.shape[1:]
+    pts = np.empty((n, k) + (L,) * m, dtype=np.int64)
+    pts[...] = base.T.reshape((n, k) + (1,) * m)
+    shared = np.zeros((k,) + (L,) * m, dtype=bool) if marked else None
     rows = np.arange(k)
-    for t, L in enumerate(dims):
-        slots = np.array([I[t] for _, I, _ in batch])
-        column = np.array([axes[t] for _, _, axes in batch], dtype=np.int64)
-        shape = [k] + [1] * len(dims)
+    for t in range(m):
+        shape = [k] + [1] * m
         shape[t + 1] = L
-        column = column.reshape(shape)
-        pts[slots, rows] = column
-        shared |= column == bases[rows, slots].reshape([k] + [1] * len(dims))
+        column = axes[:, t].reshape(shape)
+        pts[I[:, t], rows] = column
+        if marked:
+            shared |= column == base[rows, I[:, t]].reshape([k] + [1] * m)
     return pts.reshape(n, -1).T, shared
 
 
@@ -179,34 +164,25 @@ def _stored_values(oracle: Oracle, points, shared, store) -> np.ndarray:
     return values
 
 
-def _check_batch(oracle: Oracle, batch, store, basis=None):
+def _check_batch(oracle: Oracle, base, axes, I, bases, store):
     """Query the batch's grids, interpolate them and classify each restriction.
 
+    The grids are base, axes and I as in _grid_points, and bases[t] is the
+    Lagrange basis of axis t, one (L, L) matrix or a (k, L, L) stack.
     Returns (I, kind) of the first failing grid in batch order, or None: a
     restriction fails when it is not multilinear, or when its 8 multilinear
     coefficients are not read-once.  The points and the oracle's answers
-    stay int64 arrays.  basis, when given, is the Lagrange basis of an axis
-    that every axis of every grid shares; otherwise the bases of the
-    batch's distinct node tuples are built at once.
+    stay int64 arrays.
     """
-    p, n = oracle.ctx.p, oracle.arity
-    k = len(batch)
-    points, shared = _grid_points(batch, n)
-    dims = shared.shape[1:]
+    p, k = oracle.ctx.p, len(base)
+    points, shared = _grid_points(base, axes, I, store is not None)
+    dims = (axes.shape[2],) * I.shape[1]
     if store is None:
         values = oracle._query_array(points)
     else:
         values = _stored_values(oracle, points, shared.reshape(-1), store)
     # free the points before the transform: a degree-124 grid holds 2 M rows
     del points
-    if basis is None:
-        distinct = {}
-        which = [distinct.setdefault(tuple(nodes), len(distinct))
-                 for _, _, axes in batch for nodes in axes]
-        stack = _basis_matrices(p, list(distinct))[np.array(which).reshape(k, len(dims))]
-        bases = [stack[:, t] for t in range(len(dims))]
-    else:
-        bases = [basis] * len(dims)
     C = _interpolate_stack(p, bases, values.reshape((k,) + dims))
     lin = C[(slice(None),) + (slice(0, 2),) * len(dims)].reshape(k, -1)
     failing = np.count_nonzero(C.reshape(k, -1), axis=1) > np.count_nonzero(lin, axis=1)
@@ -221,33 +197,57 @@ def _check_batch(oracle: Oracle, batch, store, basis=None):
     if not failing.any():
         return None
     g = int(np.argmax(failing))
-    return batch[g][1], NOT_MULTILINEAR if nonml[g] else NOT_ROP
+    return tuple(I[g].tolist()), NOT_MULTILINEAR if nonml[g] else NOT_ROP
 
 
-def _scan(oracle: Oracle, grids, store, seed, repeats, basis=None) -> TestReport:
-    """Query and decide grids in doubling batches; NO at the first failing one.
+def _scan(oracle: Oracle, n: int, draw, repeats: int, store, seed, basis=None) -> TestReport:
+    """Query and decide a scan's grids in doubling batches; NO at the first
+    failing one.
 
-    grids yields (base, I, axes) in scan order, every grid of one shape.
-    Batches hold 1, 2, 4, ... grids, up to _BATCH_POINTS points unless one
-    grid alone is larger, so each oracle call and numpy step covers many
-    small grids while a scan that fails early queries fewer than about twice
-    the grids a one-at-a-time scan would.  store, when given, keeps the
-    values of points that another grid can hold across batches.  basis,
-    when given, is the Lagrange basis of the one axis all grids share.
+    The scan runs `repeats` rounds, each a base point (n,) and per-slot node
+    rows (n, L); draw(k) returns the next k rounds as (k, n) and (k, n, L)
+    arrays when the scan reaches their first grids.  Grid q is round q // G
+    on row q % G of _triples(n), the G = C(n,3) slot triples; below 3 slots
+    a round is one grid over all of them, since the empty triple family
+    would accept any oracle.  Batches hold 1, 2, 4, ... grids, up to
+    _BATCH_POINTS points unless one grid alone is larger, so each oracle
+    call and numpy step covers many small grids while a scan that fails
+    early queries fewer than about twice the grids a one-at-a-time scan
+    would.  store, when given, keeps the values of points that another grid
+    can hold across batches.  basis, when given, is the Lagrange basis of
+    the one node row all slots share; otherwise each round's (n, L, L)
+    bases are built once, when it is drawn.
     """
-    start = oracle.query_count
-    grids = iter(grids)
-    size, limit = 1, None
-    while True:
-        batch = list(itertools.islice(grids, size))
-        if not batch:
-            return TestReport(YES, None, None, oracle.query_count - start, seed, repeats)
-        if limit is None:
-            limit = max(1, _BATCH_POINTS // math.prod(map(len, batch[0][2])))
-        failure = _check_batch(oracle, batch, store, basis)
+    subsets = _triples(n) if n >= 3 else np.arange(n).reshape(1, n)
+    G, m = subsets.shape
+    start, q, size = oracle.query_count, 0, 1
+    # base points, node rows and bases of the drawn rounds from round `first` on
+    held, first = None, 0
+    while q < repeats * G:
+        r, s = np.divmod(np.arange(q, min(q + size, repeats * G)), G)
+        more = int(r[-1]) + 1 - first - (0 if held is None else len(held[0]))
+        if more > 0:
+            new = draw(more)
+            if basis is None:
+                L = new[1].shape[2]
+                lagrange = _basis_matrices(oracle.ctx.p, new[1].reshape(-1, L))
+                new += (lagrange.reshape(more, n, L, L),)
+            # a later batch reaches no round before this batch's first
+            held = new if held is None else [np.concatenate([a[r[0] - first:], b])
+                                             for a, b in zip(held, new)]
+            first = int(r[0])
+        r, I = r - first, subsets[s]
+        if basis is None:
+            stack = held[2][r[:, None], I]
+            bases = [stack[:, t] for t in range(m)]
+        else:
+            bases = [basis] * m
+        failure = _check_batch(oracle, held[0][r], held[1][r[:, None], I], I, bases, store)
         if failure is not None:
             return TestReport(NO, *failure, oracle.query_count - start, seed, repeats)
-        size = min(2 * size, limit)
+        q += len(r)
+        size = min(2 * size, max(1, _BATCH_POINTS // held[1].shape[2] ** m))
+    return TestReport(YES, None, None, oracle.query_count - start, seed, repeats)
 
 
 def read_once_test(oracle: Oracle, n: int, d: int, epsilon: float = 0.25,
@@ -269,11 +269,11 @@ def read_once_test(oracle: Oracle, n: int, d: int, epsilon: float = 0.25,
     if not 0 < epsilon < 1:
         raise InvalidParams(f"epsilon must be in (0, 1), got {epsilon}")
     rng, seed = _rng_and_seed(rng)
-    base = [rng.randrange(p) for _ in range(n)]
-    axis = tuple(range(d + 1))
-    # every grid shares the axis 0..d, so the scan builds its basis once
-    return _scan(oracle, ((base, I, [axis] * len(I)) for I in _subsets(n)),
-                 {} if cache else None, seed, 1, _basis_matrices(p, [axis])[0])
+    base = np.array([[rng.randrange(p) for _ in range(n)]], dtype=np.int64)
+    axis = np.arange(d + 1)
+    # every slot shares the nodes 0..d, so the scan builds one basis
+    return _scan(oracle, n, lambda k: (base, np.tile(axis, (1, n, 1))), 1,
+                 {} if cache else None, seed, _basis_matrices(p, [axis])[0])
 
 
 def recommended_field_size(n: int, d: int, epsilon: float) -> float:
@@ -293,16 +293,14 @@ def _distinct_residues(p: int, rng) -> Tuple[int, int, int]:
     return x, y, z
 
 
-def _round_grids(n: int, p: int, rng):
-    """The grids of one property round, its triples drawn at the first grid.
-
-    Each coordinate gets three distinct values; the first ones form the base
-    point and the three of each coordinate in I form its axis.
-    """
-    triples = [_distinct_residues(p, rng) for _ in range(n)]
-    base = [t[0] for t in triples]
-    for I in _subsets(n):
-        yield base, I, [triples[i] for i in I]
+def _property_rounds(n: int, p: int, rng):
+    """draw for _scan: k property rounds, each coordinate's three distinct
+    values drawn in turn; the first ones form the base point."""
+    def draw(k):
+        nodes = np.array([_distinct_residues(p, rng) for _ in range(k * n)],
+                         dtype=np.int64).reshape(k, n, 3)
+        return nodes[:, :, 0], nodes
+    return draw
 
 
 def property_test_once(oracle: Oracle, n: int, rng=0) -> TestReport:
@@ -313,7 +311,7 @@ def property_test_once(oracle: Oracle, n: int, rng=0) -> TestReport:
     if p < 3:
         raise FieldTooSmall("aligned triples need p >= 3")
     rng, seed = _rng_and_seed(rng)
-    return _scan(oracle, _round_grids(n, p, rng), None, seed, 1)
+    return _scan(oracle, n, _property_rounds(n, p, rng), 1, None, seed)
 
 
 def property_test(oracle: Oracle, n: int, delta: float, rng=0) -> TestReport:
@@ -334,8 +332,7 @@ def property_test(oracle: Oracle, n: int, delta: float, rng=0) -> TestReport:
     if p < 3:
         raise FieldTooSmall("aligned triples need p >= 3")
     rng, seed = _rng_and_seed(rng)
-    rounds = itertools.chain.from_iterable(_round_grids(n, p, rng) for _ in range(R))
-    return _scan(oracle, rounds, None, seed, R)
+    return _scan(oracle, n, _property_rounds(n, p, rng), R, None, seed)
 
 
 def draw_aligned_triple(ctx, n: int, rng, coordinate: Optional[int] = None) -> AlignedTriple:
@@ -368,16 +365,19 @@ def tau_estimate(oracle: Oracle, n: int, samples: int, rng=0,
     if p < 3:
         raise FieldTooSmall("aligned triples need p >= 3")
     rng, _ = _rng_and_seed(rng)
-    hits = 0
-    for _ in range(samples):
+    # each sample's base point, coordinate and three values, drawn in turn
+    draws = np.empty((samples, n + 4), dtype=np.int64)
+    for row in draws:
         trip = draw_aligned_triple(ctx, n, rng, coordinate)
-        x0, x1, x2 = trip.values
-        pts = []
-        for v in trip.values:
-            pt = list(trip.base)
-            pt[trip.coordinate] = v
-            pts.append(tuple(pt))
-        f0, f1, f2 = oracle.query_many(pts)
+        row[:] = trip.base + (trip.coordinate,) + trip.values
+    # the samples' points as the (n, 3 * samples) columns the oracle's plan
+    # reads, answered in one oracle call
+    values, pts = draws[:, n + 1:], np.repeat(draws[:, :n].T, 3, axis=1)
+    pts[np.repeat(draws[:, n], 3), np.arange(3 * samples)] = values.ravel()
+    answers = iter(oracle.query_many(pts.T))
+    hits = 0
+    for x0, x1, x2 in values.tolist():
+        f0, f1, f2 = next(answers), next(answers), next(answers)
         d01 = (f1 - f0) * ctx.inv_raw(x1 - x0) % p
         d12 = (f2 - f1) * ctx.inv_raw(x2 - x1) % p
         if (d12 - d01) * ctx.inv_raw(x2 - x0) % p:

@@ -1,9 +1,11 @@
 """Black-box testers: one-sidedness, rejection, query accounting, determinism."""
 
 import itertools
+import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from ropcheck import errors, testers
@@ -18,7 +20,13 @@ from ropcheck.errors import (
 )
 from ropcheck.ff import FieldCtx
 from ropcheck.hardcases import q_n
-from ropcheck.mpoly import MPoly, interpolate_grid, parse_terms, random_multilinear
+from ropcheck.mpoly import (
+    MPoly,
+    _basis_matrices,
+    interpolate_grid,
+    parse_terms,
+    random_multilinear,
+)
 from ropcheck.rof import Oracle, as_oracle, corrupt_oracle, random_rof
 from ropcheck.testers import (
     NO,
@@ -146,6 +154,15 @@ def test_cache_queries_the_grid_union_once_in_one_grid_batches(monkeypatch):
     _assert_cache_queries_the_grid_union_once()
 
 
+def _batch_args(p, base, axis, subsets):
+    """_check_batch's arrays for grids on base over the same axis in every
+    slot of each subset, with that axis's one Lagrange basis over GF(p)."""
+    I = np.array(subsets).reshape(-1, 3)
+    k = len(I)
+    return (np.tile(base, (k, 1)), np.tile(axis, (k, 3, 1)), I,
+            [_basis_matrices(p, [axis])[0]] * 3)
+
+
 def test_cache_stores_only_points_another_grid_can_hold():
     p, n, d = 7, 6, 4
     orc = as_oracle(random_rof(FieldCtx(p), n, 8))
@@ -154,7 +171,7 @@ def test_cache_stores_only_points_another_grid_can_hold():
     store = {}
     for I in itertools.combinations(range(n), 3):
         before = set(store)
-        assert testers._check_batch(orc, [(base, I, [axis] * 3)], store) is None
+        assert testers._check_batch(orc, *_batch_args(p, base, axis, [I]), store) is None
         new = set(store) - before
         assert all(any(pt[i] == base[i] for i in I) for pt in new)
     assert store
@@ -163,8 +180,8 @@ def test_cache_stores_only_points_another_grid_can_hold():
     # queries each of them once
     batched = {}
     orc = as_oracle(random_rof(FieldCtx(p), n, 8))
-    grids = [(base, I, [axis] * 3) for I in itertools.combinations(range(n), 3)]
-    assert testers._check_batch(orc, grids, batched) is None
+    grids = _batch_args(p, base, axis, list(itertools.combinations(range(n), 3)))
+    assert testers._check_batch(orc, *grids, batched) is None
     assert batched == store
     assert orc.query_count == len(_grid_union(n, d, base))
 
@@ -309,6 +326,54 @@ def test_corrupted_oracle_scans_match_the_sequential_scan(p):
             assert orc.query_count == rep.queries
             verdicts.add(rep.verdict)
     assert verdicts == {YES, NO}
+
+
+def test_property_test_leaves_the_generator_as_the_sequential_scan_on_yes():
+    # a YES run draws every round's triples once, in order, whatever batches
+    # its grids ran in, so a caller's generator ends where the one-round-at-
+    # a-time scan leaves it
+    for p, n, delta in ((1009, 8, 0.5), (5, 6, 0.2), (7, 3, 0.1), (101, 2, 0.5), (3, 1, 1.0)):
+        F = random_rof(FieldCtx(p), n, p + n)
+        R = math.ceil(3 / (delta + float(n) ** -4))
+        for seed in range(3):
+            mine, theirs = random.Random(seed), random.Random(seed)
+            rep = property_test(as_oracle(F), n, delta, mine)
+            want = _sequential_property_test(as_oracle(F), n, R, theirs)
+            assert rep.verdict == YES
+            _assert_matches_sequential(rep, want, 27)
+            assert mine.getstate() == theirs.getstate()
+
+
+def test_no_in_a_batch_that_spans_two_rounds_matches_the_sequential_scan():
+    # q_10 over GF(5): 120 grids a round and batches of 1, 2, ..., 64, 128
+    # grids, so grids 127..254 form one batch across rounds 1 and 2.  Round
+    # 1's subset {x1, x3, x4} fails at seed 2 and {x1, x7, x10} at seed 3,
+    # so the batch has drawn round 2 as well: the caller's generator is one
+    # round past the sequential scan's
+    orc = as_oracle(q_n(10, FieldCtx(5)))
+    for seed, I in ((2, (0, 2, 3)), (3, (0, 6, 9))):
+        mine, theirs = random.Random(seed), random.Random(seed)
+        rep = property_test(orc, 10, 0.1, mine)
+        want = _sequential_property_test(orc, 10, rep.repeats, theirs)
+        _assert_matches_sequential(rep, want, 27)
+        assert (rep.failing_I, rep.failure_kind, rep.queries) == (I, NOT_ROP, 255 * 27)
+        # the failing grid, the last the sequential scan queried, is in round 1
+        assert want[1] // 27 - 1 == 120 + _lex_subsets(10).index(I)
+        for _ in range(10):
+            testers._distinct_residues(5, theirs)
+        assert mine.getstate() == theirs.getstate()
+
+
+def test_no_report_json_holds_python_ints():
+    orc = as_oracle(q_n(10, FieldCtx(5)))
+    for rep in (property_test(orc, 10, 0.1, 3), read_once_test(orc, 10, 1, 0.25, 3),
+                property_test_once(as_oracle(E2), 3, 5)):
+        assert rep.verdict == NO
+        assert all(type(t) is int for t in rep.failing_I)
+        assert json.loads(rep.to_json())["failing_I"] == [t + 1 for t in rep.failing_I]
+    assert json.loads(read_once_test(orc, 10, 1, 0.25, 3).to_json()) == {
+        "verdict": NO, "failing_I": [1, 4, 9], "failure_kind": NOT_ROP, "queries": 232,
+        "seed": 3, "repeats": 1}
 
 
 def test_parameter_validation():
@@ -459,6 +524,44 @@ def test_tau_positive_on_corrupted_oracle():
     est = tau_estimate(orc, 5, 500, 2)
     assert est.fraction > 0.4
     assert 0.0 < est.stderr < 0.05
+
+
+def _sequential_tau(oracle, n, samples, rng, coordinate=None):
+    """tau_estimate's fraction with one oracle call per sample, each decided
+    by interpolating the sample's three values."""
+    hits = 0
+    for _ in range(samples):
+        trip = draw_aligned_triple(oracle.ctx, n, rng, coordinate)
+        pts = []
+        for v in trip.values:
+            pt = list(trip.base)
+            pt[trip.coordinate] = v
+            pts.append(pt)
+        Q = interpolate_grid(oracle.ctx, [trip.values], oracle.query_many(pts))
+        hits += not Q.is_multilinear()
+    return hits / samples
+
+
+@pytest.mark.parametrize("p", [1009, 2**31 - 1])
+def test_tau_matches_the_per_sample_estimate(p):
+    ctx = FieldCtx(p)
+    rng = random.Random(p)
+    fractions = set()
+    for n in (1, 4, 8):
+        F = random_rof(ctx, n, rng)
+        square = F.expand() + MPoly(ctx, n, {((rng.randrange(n), 2),): 1})
+        key = rng.randrange(1 << 30)
+        for make in (lambda: as_oracle(F), lambda: as_oracle(square),
+                     lambda: corrupt_oracle(as_oracle(F), 0.2, key)):
+            for samples, seed, coordinate in ((1, 0, None), (400, 5, None), (200, 6, n - 1)):
+                orc, ref = make(), make()
+                est = tau_estimate(orc, n, samples, seed, coordinate)
+                want = _sequential_tau(ref, n, samples, random.Random(seed), coordinate)
+                assert (est.fraction, est.samples) == (want, samples)
+                assert est.stderr == math.sqrt(want * (1.0 - want) / samples)
+                assert orc.query_count == ref.query_count == 3 * samples
+                fractions.add(want)
+    assert 0.0 in fractions and any(0.0 < f < 1.0 for f in fractions)
 
 
 def test_tau_validation():
