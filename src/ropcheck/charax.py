@@ -78,11 +78,11 @@ def certificate_multiplicands(P: MPoly) -> List[Multiplicand]:
     every witness of the pair vanishes too: all read from the subsets that
     P's Taylor plan lists (decomp._Probes), with no partial polynomial
     built.  The other witnesses are tagged by witness_is_zero, which reads
-    P's bulk tags, decided once from one stacked probe and one verified
-    factorization of P - c over candidate blocks (decomp._WitnessTags), and
-    runs the exact tests only on what they leave open.  Raises
-    ScaleGuardExceeded when the certificate would exceed the desk-scale
-    limit, before any tag is decided.
+    P's bulk tags, decided once from one stacked probe and a structural
+    proof over P's additive pieces and verified factor blocks, recursively
+    (decomp._WitnessTags), and runs the exact tests only on what they leave
+    open.  Raises ScaleGuardExceeded when the certificate would exceed the
+    desk-scale limit, before any tag is decided.
     """
     _require_multilinear(P)
     n = P.arity

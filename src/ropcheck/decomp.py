@@ -26,14 +26,18 @@ The central objects:
   each T, the terms that contain it.  The witness probes and the
   certificate's checks read every point value they need from such tables;
 * the witness zero tags, decided in bulk once per polynomial
-  (_WitnessTags) and read by witness_is_zero: which pairs P's monomials
-  hold (the subsets its plan lists), every witness at two fixed probe
-  pairs from one evaluation of the plan (_Probes), and one verified
-  factorization of P - c over candidate blocks (_block_splits).
-  Following Shpilka-Volkovich, a pair splits P = h*g + c exactly when
-  P - c factors with the pair's two variables in different factors, so
-  that factorization proves every pair across two blocks at once.  Only
-  what these leave open reaches the exact tests;
+  (_WitnessTags) and read by witness_is_zero: which slots and pairs P's
+  monomials hold (the subsets its plan lists), every witness at two fixed
+  probe pairs from one evaluation of the plan (_Probes), and a structural
+  proof (structure._Structure).  Following Shpilka-Volkovich, a read-once
+  polynomial splits into additive pieces and disjoint factors,
+  recursively; the proof recurses over P's pieces, exact from the pairs
+  its monomials hold, and over factorizations of a piece minus a constant,
+  each proposed by the probes and verified by a rank-one check on the
+  terms as bit masks.  A pair across two factors has a constant D/S in
+  that piece, so its witnesses glued on all but a slot of the piece
+  vanish, and at the top level the pair splits P.  Only what these leave
+  open reaches the exact tests;
 * the gate graph: edge (i, j) iff dd_ij(P) != 0; connected components are
   exactly the additive pieces of P;
 * exact splitting routines and a brute-force read-once decider used as the
@@ -45,7 +49,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -64,6 +67,7 @@ from .errors import (
     VariableNotPresent,
 )
 from .mpoly import _NUMPY_P_LIMIT, MPoly, _code_products, _coded_cofactors, _product_run
+from .structure import _Structure
 
 # The exact witness test's two probe point pairs, drawn once from fixed seeds
 # so that no call seeds or consumes a random stream: slot k of pair t's
@@ -517,10 +521,11 @@ def witness_is_zero(P: MPoly, i: int, j: int,
     W(x, y) = D(x) * S(y) - S(x) * D(y) with y_k = x_k for k in J.  W == 0
     when S == 0, that is when no monomial of P holds both x_i and x_j;
     otherwise W is first read at two fixed pseudo-random point pairs, from
-    P's memoized probes (_Probes), and a nonzero value proves W != 0.  One
-    verified block factorization of P - c proves many pairs split at once
-    (_block_splits).  These bulk tags are decided once per polynomial
-    (_WitnessTags).
+    P's memoized probes (_Probes), and a nonzero value proves W != 0.  A
+    structural proof over P's additive pieces and verified factor blocks,
+    recursively, proves many witnesses zero at once
+    (structure._Structure).  These bulk tags are decided once per
+    polynomial (_WitnessTags).
 
     What they leave open goes to the exact tests, whose outcomes join the
     tags.  J = {} is decompose's test, D = c * S for a constant c.  For
@@ -591,10 +596,10 @@ class _PairLayout:
     and split_free holds each column's m.  witness_columns lists, pair by
     pair, the columns of the pair's splits along each other slot m in
     increasing order: the order in which the certificate lists the pair's
-    witnesses glued on rest - {m}.
+    witnesses glued on rest - {m}; witness_free holds those m.
     """
     __slots__ = ("pairs", "index", "pair_slots", "single_rows", "pair_rows", "left", "right",
-                 "columns", "split_free", "witness_columns")
+                 "columns", "split_free", "witness_columns", "witness_free")
 
     def __init__(self, n: int):
         sub = _subsets(n)
@@ -615,6 +620,7 @@ class _PairLayout:
         self.witness_columns = np.array(
             [self.columns[i, j, m] for i, j in self.pairs for m in range(n) if m != i and m != j],
             dtype=np.intp).reshape(len(self.pairs), max(n - 2, 0))
+        self.witness_free = self.split_free.take(self.witness_columns)
 
 
 def _probes(P: MPoly) -> "_Probes":
@@ -688,77 +694,44 @@ class _WitnessTags:
     the pair vanishes.  For a pair not known to split, slot[i, j] maps each
     slot m outside the pair, in increasing order, to whether its witness
     glued on rest - {m} vanishes; None marks a tag not decided yet.  A pair
-    whose slots share no monomial has S == 0, so all its witnesses vanish;
-    so do those of every pair across the blocks of one verified
-    factorization of P - c (_block_splits).  A nonzero value at either
-    probe pair (_Probes) proves a witness live.
+    whose slots share no monomial has S == 0, so all its witnesses vanish,
+    and a witness glued on all but a slot that P does not hold vanishes
+    too.  A nonzero value at either probe pair (_Probes) proves a witness
+    live.  What these leave open goes to the structural proof over P's
+    additive pieces and verified factor blocks (structure._Structure).
     """
     __slots__ = ("pair", "slot")
 
     def __init__(self, P: MPoly):
         n = P.arity
         lay, probes = _pair_layout(n), _probes(P)
-        live = probes.base.any(axis=1)
-        split = ~probes.shares
-        undecided = ~split & ~live
-        if undecided.any():
-            split |= undecided & _block_splits(P, lay, probes, live)
-        slot_live = probes.slots.take(lay.witness_columns, axis=0).any(axis=-1)
+        live = probes.base.any(axis=1).tolist()
+        split = (~probes.shares).tolist()
+        # each pair's slots m whose witness glued on rest - {m} reads
+        # nonzero, as a bit mask
+        glued = np.zeros((len(lay.pairs), n), dtype=bool)
+        glued[np.arange(len(lay.pairs))[:, None], lay.witness_free] = (
+            probes.slots.take(lay.witness_columns, axis=0).any(axis=-1))
+        slot_live = _bit_rows(glued)
+        present = _bit_rows(probes.present[None])[0]
+        zero = [(1 << n) - 1 & ~present] * len(lay.pairs)
+        # the tags still open: glued on all but a slot that P holds
+        open_slots = [0 if s else present & ~(1 << i | 1 << j) & ~v
+                      for (i, j), s, v in zip(lay.pairs, split, slot_live)]
+        if any(open_slots) or not all(s or k for s, k in zip(split, live)):
+            _Structure(P, lay.pairs, present, live, slot_live, open_slots, split, zero)
         self.pair, self.slot = {}, {}
-        for (i, j), zero, known, row in zip(lay.pairs, split.tolist(), live.tolist(),
-                                            slot_live.tolist()):
-            self.pair[i, j] = True if zero else False if known else None
-            if not zero:
-                rest = [m for m in range(n) if m != i and m != j]
-                self.slot[i, j] = {m: False if k else None for m, k in zip(rest, row)}
+        for (i, j), s, known, v, z in zip(lay.pairs, split, live, slot_live, zero):
+            self.pair[i, j] = True if s else False if known else None
+            if not s:
+                self.slot[i, j] = {m: False if v >> m & 1 else True if z >> m & 1 else None
+                                   for m in range(n) if m != i and m != j}
 
 
-def _block_splits(P: MPoly, lay: _PairLayout, probes: _Probes, live) -> np.ndarray:
-    """Which pairs split P as h*g + c, proved for every pair across the
-    candidate blocks by one verified factorization of P - c; none when the
-    candidate proves nothing.
-
-    Two slots that P's monomials hold are joined unless they share a
-    monomial and their J = {} probes vanish (live is False); the candidate
-    blocks are the connected components.  A pair across two blocks shares a
-    monomial, so S != 0, and c is read as D/S at a probe point where S != 0:
-    if P - c factors over the blocks, D = c*S there.  Let Q = P - c,
-    w = find_nonzero_point(Q) and k the number of blocks.  If the product
-    over the blocks b of Q restricted at w outside b equals Q(w)^(k-1) * Q,
-    then Q is that product over Q(w)^(k-1) != 0, a product of factors on
-    disjoint blocks, so every pair across two blocks splits P.
-    """
-    n, p = P.arity, P.ctx.p
-    none = np.zeros(len(lay.pairs), dtype=bool)
-    slots = probes.present.nonzero()[0].tolist()
-    uf = _UnionFind(slots)
-    for q in (~probes.shares | live).nonzero()[0].tolist():
-        i, j = lay.pairs[q]
-        if probes.present[i] and probes.present[j]:
-            uf.union(i, j)
-    block = np.full(n, -1)
-    roots: Dict[int, int] = {}
-    for t in slots:
-        block[t] = roots.setdefault(uf.find(t), len(roots))
-    a, b = block.take(lay.pair_slots)
-    cross = (a != b) & (a >= 0) & (b >= 0)
-    S, D = probes.S[cross], probes.D[cross]
-    hits = (S != 0).nonzero()
-    if not len(hits[0]):
-        return none
-    q, col = hits[0][0], hits[1][0]
-    c = int(D[q, col]) * pow(int(S[q, col]), -1, p) % p
-    Q = P - MPoly.constant(P.ctx, n, c)
-    w = find_nonzero_point(Q)
-    k = len(roots)
-    product = functools.reduce(operator.mul, (Q.restrict_many((block != t).nonzero()[0].tolist(), w)
-                                              for t in range(k)))
-    # Q(w), the constant left by restricting every slot, without compiling
-    # an evaluation plan for Q
-    value = Q.restrict_many(range(n), w).terms.get((), 0)
-    if product != Q.scale(pow(value, k - 1, p)):
-        return none
-    return cross
+def _bit_rows(rows: np.ndarray) -> List[int]:
+    """Each row of a boolean array as the bit mask of its True columns."""
+    packed = np.packbits(rows, axis=1, bitorder="little").tolist()
+    return [int.from_bytes(bytes(row), "little") for row in packed]
 
 
 # ---- gate graph ----

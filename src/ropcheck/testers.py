@@ -349,13 +349,19 @@ def draw_aligned_triple(ctx, n: int, rng, coordinate: Optional[int] = None) -> A
     return AlignedTriple(base, i, _distinct_residues(p, rng))
 
 
+# samples tau_estimate draws and answers in one oracle call
+_TAU_CHUNK = 1 << 12
+
+
 def tau_estimate(oracle: Oracle, n: int, samples: int, rng=0,
                  coordinate: Optional[int] = None) -> TauEstimate:
     """Fraction of random aligned triples whose axis interpolant is not affine.
 
     The quadratic Newton coefficient (the second divided difference) of the
     three queried values is nonzero exactly when the interpolant has degree
-    2, so the per-sample test is exact.
+    2, so the per-sample test is exact.  Samples are drawn and answered in
+    chunks of _TAU_CHUNK, one oracle call each, so memory stays bounded
+    whatever the sample count.
     """
     _require_coordinates(oracle, n)
     if samples < 1:
@@ -365,23 +371,26 @@ def tau_estimate(oracle: Oracle, n: int, samples: int, rng=0,
     if p < 3:
         raise FieldTooSmall("aligned triples need p >= 3")
     rng, _ = _rng_and_seed(rng)
-    # each sample's base point, coordinate and three values, drawn in turn
-    draws = np.empty((samples, n + 4), dtype=np.int64)
-    for row in draws:
-        trip = draw_aligned_triple(ctx, n, rng, coordinate)
-        row[:] = trip.base + (trip.coordinate,) + trip.values
-    # the samples' points as the (n, 3 * samples) columns the oracle's plan
-    # reads, answered in one oracle call
-    values, pts = draws[:, n + 1:], np.repeat(draws[:, :n].T, 3, axis=1)
-    pts[np.repeat(draws[:, n], 3), np.arange(3 * samples)] = values.ravel()
-    answers = iter(oracle.query_many(pts.T))
     hits = 0
-    for x0, x1, x2 in values.tolist():
-        f0, f1, f2 = next(answers), next(answers), next(answers)
-        d01 = (f1 - f0) * ctx.inv_raw(x1 - x0) % p
-        d12 = (f2 - f1) * ctx.inv_raw(x2 - x1) % p
-        if (d12 - d01) * ctx.inv_raw(x2 - x0) % p:
-            hits += 1
+    for lo in range(0, samples, _TAU_CHUNK):
+        size = min(_TAU_CHUNK, samples - lo)
+        # each sample's base point, coordinate and three values, drawn in
+        # turn
+        draws = np.empty((size, n + 4), dtype=np.int64)
+        for row in draws:
+            trip = draw_aligned_triple(ctx, n, rng, coordinate)
+            row[:] = trip.base + (trip.coordinate,) + trip.values
+        # the chunk's points as the (n, 3 * size) columns the oracle's plan
+        # reads, answered in one oracle call
+        values, pts = draws[:, n + 1:], np.repeat(draws[:, :n].T, 3, axis=1)
+        pts[np.repeat(draws[:, n], 3), np.arange(3 * size)] = values.ravel()
+        answers = iter(oracle.query_many(pts.T))
+        for x0, x1, x2 in values.tolist():
+            f0, f1, f2 = next(answers), next(answers), next(answers)
+            d01 = (f1 - f0) * ctx.inv_raw(x1 - x0) % p
+            d12 = (f2 - f1) * ctx.inv_raw(x2 - x1) % p
+            if (d12 - d01) * ctx.inv_raw(x2 - x0) % p:
+                hits += 1
     frac = hits / samples
     stderr = math.sqrt(frac * (1.0 - frac) / samples)
     return TauEstimate(frac, stderr, samples)

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ropcheck import decomp
-from ropcheck.charax import certificate_multiplicands
+from ropcheck import decomp, structure
+from ropcheck.charax import certificate_multiplicands, characterize
 from ropcheck.decomp import (
     _PROBES,
     GateGraph,
@@ -47,6 +47,7 @@ from ropcheck.hardcases import q_n
 from ropcheck.mpoly import MPoly, _coded_cofactors, parse_terms, random_multilinear
 from ropcheck.rof import random_rof
 
+GF1009 = FieldCtx(1009)
 GF101 = FieldCtx(101)
 GF5 = FieldCtx(5)
 GF3 = FieldCtx(3)
@@ -480,30 +481,46 @@ def _materialized_tags(P):
     return tags
 
 
+def _rof_on(ctx, n, lo, k, rng, vars_used=None):
+    """The expansion of a random read-once formula in k slots, placed on the
+    slots lo..lo+k-1 of n."""
+    F = random_rof(ctx, k, rng, vars_used).expand()
+    return F.embed(n, {t: lo + t for t in range(k)})
+
+
+def _nested(ctx, n, rng):
+    """(F1 + F2)*F3 + F4 on four runs of slots, each F_k read-once."""
+    cuts = [0] + sorted(rng.sample(range(1, n), 3)) + [n]
+    F1, F2, F3, F4 = (_rof_on(ctx, n, lo, hi - lo, rng) for lo, hi in zip(cuts, cuts[1:]))
+    return (F1 + F2) * F3 + F4
+
+
+def _piece_with_absent_slot(ctx, n, rng):
+    """F1 + F2*F3 on three runs of slots, F1's run holding a slot that no
+    monomial holds."""
+    a, b = sorted(rng.sample(range(2, n), 2))
+    return (_rof_on(ctx, n, 0, a, rng, vars_used=a - 1)
+            + _rof_on(ctx, n, a, b - a, rng) * _rof_on(ctx, n, b, n - b, rng))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 1009, 2**31 - 1])
 def test_certificate_tags_match_materialized_witnesses(p, monkeypatch):
-    # every certificate tag, decided in bulk (probes, one block
-    # factorization, exact tests), against the materialized partials and
-    # witnesses; p = 2**31 - 1 runs the probes on object arrays.  Over
-    # GF(3) some candidate blocks fail their check, and their pairs fall
-    # back to the exact tests.
+    # every certificate tag, decided in bulk (probes, the structural proof
+    # over additive pieces and verified factor blocks, exact tests), against
+    # the materialized partials and witnesses; p = 2**31 - 1 runs the probes
+    # on object arrays.  Over GF(3) some candidate blocks fail their
+    # rank-one check, and their tags fall back to the exact tests.
     ctx = FieldCtx(p)
     rng = random.Random(p + 5)
     checks = []
-    block_splits, find = decomp._block_splits, decomp.find_nonzero_point
+    factor = structure._Structure.factor
 
-    def counted_find(Q):
-        checks[-1][0] += 1
-        return find(Q)
-
-    def counted_block_splits(*args):
-        checks.append([0, False])
-        out = block_splits(*args)
-        checks[-1][1] = bool(out.any())
+    def counted_factor(self, *args):
+        out = factor(self, *args)
+        checks.append(out is not None)
         return out
 
-    monkeypatch.setattr(decomp, "_block_splits", counted_block_splits)
-    monkeypatch.setattr(decomp, "find_nonzero_point", counted_find)
+    monkeypatch.setattr(structure._Structure, "factor", counted_factor)
     for n in range(3, 7):
         absent = random_rof(ctx, n - 1, rng).expand().embed(n, {t: t + (t > 0)
                                                                 for t in range(n - 1)})
@@ -512,28 +529,60 @@ def test_certificate_tags_match_materialized_witnesses(p, monkeypatch):
                  random_multilinear(ctx, n, rng), _split_product(ctx, n, rng),
                  _affine_product(ctx, n, rng), absent,
                  MPoly.constant(ctx, n, rng.randrange(1, p)), MPoly.zero(ctx, n)]
+        if n >= 4:
+            polys += [_nested(ctx, n, rng), _nested(ctx, n, rng),
+                      _piece_with_absent_slot(ctx, n, rng)]
         for P in polys:
             tags = [m.identically_zero for m in certificate_multiplicands(P)]
             assert tags == _materialized_tags(P), P
-    assert any(proved for _, proved in checks)
+    assert any(checks)
     if p == 3:
-        assert any(checked and not proved for checked, proved in checks)
+        assert not all(checks)
 
 
 def test_product_of_affine_leaves_needs_no_commutator(monkeypatch):
-    # the expansion of 7 affine leaves under * gates: every pair splits it,
-    # and one verified factorization over its 7 one-slot blocks proves all
-    # 21 pairs, so no commutator is summed, not even inside a slot test
-    P = _affine_product(FieldCtx(1009), 7, random.Random(3))
-    assert len(P.terms) == 128
-
+    # the expansion of 7 affine leaves under * gates, all, every other or
+    # none of them with a constant term: every pair splits it, and one
+    # verified factorization over its 7 one-slot blocks proves all 21
+    # pairs, so no commutator is summed, not even inside a slot test
     def no_commutator(*args):
         raise AssertionError("a commutator was summed")
 
     monkeypatch.setattr(decomp, "_commutator_codes", no_commutator)
-    ms = certificate_multiplicands(P)
-    assert [m.identically_zero for m in ms if m.kind != "witness"] == [False] * 28
-    assert all(m.identically_zero for m in ms if m.kind == "witness")
+    ctx, rng = FieldCtx(1009), random.Random(3)
+    for shifted in (range(7), range(0, 7, 2), ()):
+        P = MPoly.constant(ctx, 7, 1)
+        for k in range(7):
+            P = P * MPoly.affine(ctx, 7, k, rng.randrange(1, 1009),
+                                 rng.randrange(1, 1009) if k in shifted else 0)
+        assert len(P.terms) == 2 ** len(shifted)
+        ms = certificate_multiplicands(P)
+        assert [m.identically_zero for m in ms if m.kind != "witness"] == [False] * 28
+        assert all(m.identically_zero for m in ms if m.kind == "witness")
+
+
+@pytest.mark.parametrize("n, seed", [(11, 0), (12, 3), (20, 1)])
+def test_read_once_expansions_run_no_exact_test(n, seed, monkeypatch):
+    # the expansions of the n = 11, 12 and 20 formulas that CI checks (202,
+    # 441 and 870 terms): the probes prove every live tag and the
+    # structural proof every zero one, so neither exact test runs
+    def no_exact_test(*args):
+        raise AssertionError("an exact test ran")
+
+    monkeypatch.setattr(decomp, "_slot_vanishes", no_exact_test)
+    monkeypatch.setattr(decomp, "_commutator_codes", no_exact_test)
+    assert characterize(random_rof(GF1009, n, seed).expand(), 0).verdict == "ROP"
+
+
+def test_hard_family_reaches_no_rank_one_check(monkeypatch):
+    # q_10 .. q_14 propose no factorization at any level, so the structural
+    # proof codes none of their terms
+    def no_check(*args):
+        raise AssertionError("a rank-one check ran")
+
+    monkeypatch.setattr(structure._Structure, "factor", no_check)
+    for n in range(10, 15):
+        assert certificate_multiplicands(q_n(n, GF1009))
 
 
 def test_witness_examples():

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -562,6 +563,39 @@ def test_tau_matches_the_per_sample_estimate(p):
                 assert orc.query_count == ref.query_count == 3 * samples
                 fractions.add(want)
     assert 0.0 in fractions and any(0.0 < f < 1.0 for f in fractions)
+
+
+def test_tau_chunks_match_one_oracle_call(monkeypatch):
+    # chunks of 7 samples, three and a part, give the fraction, stderr and
+    # query count of one oracle call over every sample
+    F = random_rof(GF1009, 6, 7).expand()
+    square = F + MPoly(GF1009, 6, {((3, 2),): 1})
+    samples = 3 * 7 + 5
+    fractions = set()
+    for seed, coordinate in ((11, None), (12, None), (13, 3)):
+        monkeypatch.setattr(testers, "_TAU_CHUNK", 7)
+        chunked = as_oracle(square)
+        est = tau_estimate(chunked, 6, samples, seed, coordinate)
+        monkeypatch.setattr(testers, "_TAU_CHUNK", samples)
+        whole = as_oracle(square)
+        assert tau_estimate(whole, 6, samples, seed, coordinate) == est
+        assert chunked.query_count == whole.query_count == 3 * samples
+        fractions.add(est.fraction)
+    assert 1.0 in fractions and any(0.0 < f < 1.0 for f in fractions)
+
+
+def test_tau_memory_is_bounded_by_its_chunks():
+    # four chunks at n = 8: one oracle call over every sample peaked at
+    # about 9 MB traced
+    orc = as_oracle(random_rof(GF1009, 8, 7))
+    tracemalloc.start()
+    try:
+        tau_estimate(orc, 8, 4 * testers._TAU_CHUNK, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert orc.query_count == 12 * testers._TAU_CHUNK
+    assert peak < 5 * 2**20, peak
 
 
 def test_tau_validation():
