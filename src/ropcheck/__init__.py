@@ -1,9 +1,10 @@
 """Exact and randomized read-once tests for multilinear polynomials over GF(p).
 
-The package splits into arithmetic layers (ff, mpoly, rof), structural
-decomposition (decomp), the exact characterization built on certified
-assignments (charax), black-box testers (testers), known stress families
-(hardcases), and a CLI (cli).
+The package splits into arithmetic layers (ff, mpoly, rof), the fast path's
+witness tags and trivariate decider (decomp, structure), the exact
+characterization built on certified assignments (charax), black-box testers
+(testers), known stress families (hardcases), a CLI (cli), and the exact
+ground truths that these are checked against (reference).
 """
 
 from .charax import (
@@ -16,7 +17,12 @@ from .charax import (
     characterize,
     is_locally_rop,
 )
-from .decomp import (
+from .decomp import trivariate_is_rop, witness_is_zero
+from .errors import Error
+from .ff import MAX_PRIME, FieldCtx, is_prime
+from .hardcases import local_rop_fraction, q_n
+from .mpoly import MPoly, interpolate_grid, parse_poly_file, random_multilinear
+from .reference import (
     additive_split,
     brute_force_is_rop,
     commutator,
@@ -25,13 +31,7 @@ from .decomp import (
     gate_graph,
     is_additively_separable,
     multiplicative_split,
-    trivariate_is_rop,
-    witness_is_zero,
 )
-from .errors import Error
-from .ff import MAX_PRIME, FieldCtx, is_prime
-from .hardcases import local_rop_fraction, q_n
-from .mpoly import MPoly, interpolate_grid, parse_poly_file, random_multilinear
 from .rof import Oracle, Rof, as_oracle, corrupt_oracle, random_rof
 from .testers import (
     NO,

@@ -23,7 +23,7 @@ import random
 import sys
 
 from . import charax, hardcases, testers
-from .decomp import brute_force_is_rop, trivariate_is_rop
+from .decomp import trivariate_is_rop
 from .errors import (
     DegreeTooSmall,
     Error,
@@ -41,6 +41,7 @@ from .errors import (
 )
 from .ff import FieldCtx
 from .mpoly import MPoly, content_lines, parse_poly_file, random_multilinear
+from .reference import brute_force_is_rop
 from .rof import Rof, as_oracle, random_rof
 
 EXIT_YES = 0

@@ -1,24 +1,23 @@
-"""Decomposition structure of multilinear polynomials.
+"""The fast path's decomposition structure of multilinear polynomials: the
+witness zero tags that the certificate reads, and the trivariate decider.
 
 The central objects:
 
-* the pair commutator D(P) = P * dd_ij(P) - d_i(P) * d_j(P), whose being a
-  constant multiple of the mixed second partial dd_ij(P) characterizes
-  splitting P as h*g + c with x_i and x_j on opposite sides.  With
-  P = A*x_i*x_j + B*x_i + C*x_j + E it is D = AE - BC, which needs about a
-  quarter of the monomial products of the defining form and never forms the
-  terms of that form that always cancel.  The exact zero tests never build
-  D as a polynomial: they sum products of P's cofactors on integer monomial
-  codes (mpoly._code_products) and test that sum for zero;
-* the decomposition witness W(P): a polynomial in two copies of the
-  variables (x-block slots 0..n-1, y-block slots n..2n-1) that vanishes
-  identically exactly when dd_ij(P) is zero or P splits for some constant.
-  A shared index set J glues y_k := x_k for k in J;
+* the decomposition witness W(P) of a pair (i, j): with the mixed second
+  partial S = dd_ij(P) and the pair commutator
+  D = P * S - d_i(P) * d_j(P), W = D(x) * S(y) - S(x) * D(y) on two copies
+  of the variables, y_k := x_k for k in a shared index set J.  It vanishes
+  identically exactly when D/S is free of every slot that J leaves
+  unglued; with J = {}, when S is zero or P splits as h*g + c with x_i and
+  x_j on opposite sides.  With P = A*x_i*x_j + B*x_i + C*x_j + E it is
+  D = AE - BC;
 * the pair split along a third slot z, P = A*x_i*x_j + B*x_i + C*x_j + E
   with A..E affine in z.  On arrays it runs many splits at once for the
   witness probes, the certificate checks and the trivariate decisions
-  (_pair_splits); on P's coded cofactors it decides every witness with
-  J != {} exactly (_slot_vanishes, see witness_is_zero);
+  (_pair_splits); on P's coded cofactors it is the one exact witness test
+  (_slot_vanishes, see witness_is_zero), which sums products of P's
+  cofactors on integer monomial codes (mpoly._code_products) and never
+  builds D as a polynomial;
 * the order-3 Taylor table of P at a point a: the mixed partials d_T P(a),
   |T| <= 3, one row per T (_subsets).  A Taylor plan compiled once per
   polynomial (_TaylorPlan) evaluates it at the columns of an (n, K) array
@@ -37,11 +36,12 @@ The central objects:
   terms as bit masks.  A pair across two factors has a constant D/S in
   that piece, so its witnesses glued on all but a slot of the piece
   vanish, and at the top level the pair splits P.  Only what these leave
-  open reaches the exact tests;
-* the gate graph: edge (i, j) iff dd_ij(P) != 0; connected components are
-  exactly the additive pieces of P;
-* exact splitting routines and a brute-force read-once decider used as the
-  ground truth in tests.
+  open reaches the exact test;
+* the trivariate read-once decider in closed form (_trivariate_rop).
+
+The ground truths these are checked against live in ropcheck.reference,
+which imports nothing of the fast path; this module binds four of its
+names for the benchmark and calls none of them.
 """
 
 from __future__ import annotations
@@ -50,23 +50,16 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    ArityMismatch,
-    IndexOverlap,
-    InvalidParams,
-    NotDecomposable,
-    NotMultilinear,
-    NotSeparableAlongCut,
-    SameVariable,
-    TooManyVariables,
-    VariableNotPresent,
-)
+from .errors import ArityMismatch, IndexOverlap, NotMultilinear, SameVariable, TooManyVariables
 from .mpoly import _NUMPY_P_LIMIT, MPoly, _code_products, _coded_cofactors, _product_run
+# bound here, and never called here, for the benchmark: bench/tracer.py
+# wraps decomp.<name> for each of these, and bench/test_perfbench.py
+# imports decomp.brute_force_is_rop
+from .reference import brute_force_is_rop, commutator, decompose, find_nonzero_point  # noqa: F401
 from .structure import _Structure
 
 # The exact witness test's two probe point pairs, drawn once from fixed seeds
@@ -398,120 +391,6 @@ def _slot_vanishes(c, x: int, y: int, z: int, p: int) -> bool:
     return not _code_products(p, (1, A1, D0.items()), (-1, A0, D1.items()))
 
 
-def commutator(P: MPoly, i: int, j: int) -> MPoly:
-    """P * dd_ij(P) - d_i(P) * d_j(P); the pair commutator of slots i and j.
-
-    Built as AE - BC, where P = A*x_i*x_j + B*x_i + C*x_j + E: A = dd_ij(P),
-    E = P|x_i=x_j=0, B = d_i(P)|x_j=0 and C = d_j(P)|x_i=0.  Expanding
-    P*A - (A*x_j + B)(A*x_i + C) leaves exactly AE - BC, over every field.
-    """
-    if i == j:
-        raise SameVariable(f"need two distinct variables, got {i} twice")
-    _require_multilinear(P)
-    zeros = [0] * P.arity
-    E = P.restrict_many((i, j), zeros)
-    B = P.partial(i).restrict(j, 0)
-    C = P.partial(j).restrict(i, 0)
-    return P.partial2(i, j) * E - B * C
-
-
-def find_nonzero_point(P: MPoly) -> Tuple[int, ...]:
-    """A full-arity point where the multilinear P is nonzero.
-
-    The variables of a least-degree monomial m are set to 1 and every other
-    slot to 0.  A monomial survives that point only if its variables all lie
-    in m; no other monomial of P does, since none has lower degree, so P
-    takes the value of m's coefficient there.  Raises on the zero polynomial.
-    """
-    _require_multilinear(P)
-    if P.is_zero():
-        raise InvalidParams("the zero polynomial has no nonzero point")
-    point = [0] * P.arity
-    for v, _ in min(P.terms, key=len):
-        point[v] = 1
-    return tuple(point)
-
-
-@dataclass(frozen=True)
-class DecompResult:
-    """Outcome of a split test: P = h*g + c with i, j on opposite sides.
-
-    degenerate marks the case dd_ij(P) == 0, where no such split exists and
-    no constant is defined.
-    """
-    decomposable: bool
-    c: Optional[int]
-    degenerate: bool
-
-
-def decompose(P: MPoly, i: int, j: int) -> DecompResult:
-    """Exact split test for the pair (i, j).
-
-    P is decomposable iff D(P) = c * dd_ij(P) for the unique candidate
-    c = D(w) / dd_ij(P)(w) at any point w where the second partial is
-    nonzero.  With P = A*x_i*x_j + B*x_i + C*x_j + E, D = AE - BC is summed
-    on the cofactors' codes (_commutator_codes) and compared with c * A;
-    no polynomial is built.
-    """
-    if i == j:
-        raise SameVariable(f"need two distinct variables, got {i} twice")
-    _require_multilinear(P)
-    pv = P.variables()
-    for t in (i, j):
-        if t not in pv:
-            raise VariableNotPresent(f"x{t + 1} does not occur in the polynomial")
-    bi, bj, p = 1 << i, 1 << j, P.ctx.p
-    cof = _coded_cofactors(P, (i, j))
-    S = cof[bi | bj]
-    if not S:
-        return DecompResult(False, None, True)
-    # D = c * S forces c to the ratio of their coefficients at any monomial
-    # of S
-    D = _commutator_codes(cof, bi, bj, p)
-    k, s = S[0]
-    c = D.get(k, 0) * P.ctx.inv_raw(s) % p
-    if D == ({m: c * a % p for m, a in S} if c else {}):
-        return DecompResult(True, c, False)
-    return DecompResult(False, None, False)
-
-
-# ---- decomposition witness ----
-
-@dataclass(frozen=True)
-class WitnessPoly:
-    """Materialized witness: value lives on 2n slots (x-block then y-block)."""
-    i: int
-    j: int
-    shared: FrozenSet[int]
-    value: MPoly
-
-
-def decomp_witness(P: MPoly, i: int, j: int,
-                   shared: FrozenSet[int] | Sequence[int] = frozenset()) -> WitnessPoly:
-    """Build W(P) = D(x) * S(y) - S(x) * D(y) with y_k := x_k for k in shared.
-
-    D is the pair commutator and S the mixed second partial; the result has
-    arity 2n and individual degree at most 3 (at most 2 on unshared slots).
-    """
-    shared = frozenset(shared)
-    if i in shared or j in shared:
-        raise IndexOverlap(f"shared set {sorted(shared)} overlaps the pair ({i}, {j})")
-    _require_multilinear(P)
-    n = P.arity
-    for k in shared:
-        if not 0 <= k < n:
-            raise IndexOverlap(f"shared index {k} outside arity {n}")
-    D = commutator(P, i, j)
-    S = P.partial2(i, j)
-    x_map = {v: v for v in range(n)}
-    y_map = {v: (v if v in shared else v + n) for v in range(n)}
-    Dx = D.embed(2 * n, x_map)
-    Sx = S.embed(2 * n, x_map)
-    Dy = D.embed(2 * n, y_map)
-    Sy = S.embed(2 * n, y_map)
-    return WitnessPoly(i, j, shared, Dx * Sy - Sx * Dy)
-
-
 def witness_is_zero(P: MPoly, i: int, j: int,
                     shared: FrozenSet[int] | Sequence[int] = frozenset()) -> bool:
     """Decide W(P) == 0 for the pair (i, j) and a shared index set J.
@@ -527,16 +406,18 @@ def witness_is_zero(P: MPoly, i: int, j: int,
     (structure._Structure).  These bulk tags are decided once per
     polynomial (_WitnessTags).
 
-    What they leave open goes to the exact tests, whose outcomes join the
-    tags.  J = {} is decompose's test, D = c * S for a constant c.  For
-    J = rest - {m}, split S = A1*x_m + A0 and D = D2*x_m^2 + D1*x_m + D0
-    with coefficients in the ring R of the other slots (_slot_vanishes on the
-    cofactors of P in x_i, x_j, x_m).  W's coefficients in x_m and y_m are
-    +-D2*A1, +-D2*A0 and +-(A1*D0 - A0*D1); R has no zero divisors, so
-    W == 0 iff D2 == 0 and A1*D0 == A0*D1.  Any other J reduces to these:
-    W_J == 0 iff D/S is free of every unglued slot m, which is
-    W_{rest - {m}} == 0, so every unglued slot is probed before any is
-    tested.  This holds over every field, GF(2) included.
+    What they leave open goes to the one exact test, whose outcomes join
+    the tags.  For J = rest - {m}, split S = A1*x_m + A0 and
+    D = D2*x_m^2 + D1*x_m + D0 with coefficients in the ring R of the other
+    slots (_slot_vanishes on the cofactors of P in x_i, x_j, x_m).  W's
+    coefficients in x_m and y_m are +-D2*A1, +-D2*A0 and +-(A1*D0 - A0*D1);
+    R has no zero divisors, so W == 0 iff D2 == 0 and A1*D0 == A0*D1.
+    Every other J reduces to these: W_J == 0 iff D/S is free of every
+    unglued slot m, which is W_{rest - {m}} == 0, so every unglued slot is
+    probed before any is tested.  J = {} is the case with every slot
+    unglued: D/S is a constant, that is the pair splits P, iff it depends
+    on no slot, and its outcome is kept as the pair's tag.  This holds over
+    every field, GF(2) included.
     """
     shared = frozenset(shared)
     n = P.arity
@@ -556,24 +437,22 @@ def witness_is_zero(P: MPoly, i: int, j: int,
         i, j = j, i
     tags = _witness_tags(P)
     zero = tags.pair[i, j]
-    if not shared:
-        if zero is None:
-            zero = tags.pair[i, j] = decompose(P, i, j).decomposable
+    if zero or zero is not None and not shared:
         return zero
-    if zero:
-        return True
     row = tags.slot[i, j]
     unglued = [m for m in row if m not in shared]
     known = [row[m] for m in unglued]
-    if False in known:
-        return False
-    bi, bj, p = 1 << i, 1 << j, P.ctx.p
-    for m, zero in zip(unglued, known):
-        if zero is None:
-            zero = row[m] = _slot_vanishes(_coded_cofactors(P, (i, j, m)), bi, bj, 1 << m, p)
-            if not zero:
-                return False
-    return True
+    zero = False not in known
+    if zero and None in known:
+        bi, bj, p = 1 << i, 1 << j, P.ctx.p
+        for m, tag in zip(unglued, known):
+            if tag is None:
+                zero = row[m] = _slot_vanishes(_coded_cofactors(P, (i, j, m)), bi, bj, 1 << m, p)
+                if not zero:
+                    break
+    if not shared:
+        tags.pair[i, j] = zero
+    return zero
 
 
 @functools.lru_cache(maxsize=64)
@@ -734,126 +613,6 @@ def _bit_rows(rows: np.ndarray) -> List[int]:
     return [int.from_bytes(bytes(row), "little") for row in packed]
 
 
-# ---- gate graph ----
-
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
-@dataclass(frozen=True)
-class GateGraph:
-    """Variables of P with an edge wherever a mixed second partial is nonzero."""
-    vertices: FrozenSet[int]
-    edges: FrozenSet[Tuple[int, int]]  # each edge stored as (min, max)
-
-    def components(self) -> List[FrozenSet[int]]:
-        """Connected components, sorted by their smallest vertex."""
-        uf = _UnionFind(self.vertices)
-        for a, b in self.edges:
-            uf.union(a, b)
-        groups: Dict[int, set] = {}
-        for v in self.vertices:
-            groups.setdefault(uf.find(v), set()).add(v)
-        return sorted((frozenset(g) for g in groups.values()), key=min)
-
-    def is_connected(self) -> bool:
-        return len(self.components()) <= 1
-
-    def without_vertex(self, v: int) -> "GateGraph":
-        return GateGraph(self.vertices - {v},
-                         frozenset(e for e in self.edges if v not in e))
-
-
-def gate_graph(P: MPoly) -> GateGraph:
-    _require_multilinear(P)
-    vs = sorted(P.variables())
-    edges = set()
-    for a in range(len(vs)):
-        for b in range(a + 1, len(vs)):
-            if not P.partial2(vs[a], vs[b]).is_zero():
-                edges.add((vs[a], vs[b]))
-    return GateGraph(frozenset(vs), frozenset(edges))
-
-
-def is_additively_separable(P: MPoly) -> bool:
-    """True iff P = P1 + P2 on disjoint nonempty variable sets."""
-    _require_multilinear(P)
-    if len(P.variables()) < 2:
-        return False
-    return not gate_graph(P).is_connected()
-
-
-def additive_split(P: MPoly, part) -> Tuple[MPoly, MPoly]:
-    """Split P = P1 + P2 along the cut (part, rest); P1 keeps the constant.
-
-    part must be a nonempty proper subset of the support; the reconstruction
-    is verified and NotSeparableAlongCut raised when the cut crosses a term.
-    """
-    _require_multilinear(P)
-    vs = P.variables()
-    side = frozenset(part)
-    if not side or not side.issubset(vs) or side == vs:
-        raise InvalidParams(
-            f"cut {sorted(side)} is not a nonempty proper subset of {sorted(vs)}")
-    zeros = [0] * P.arity
-    P1 = P.restrict_many(vs - side, zeros)
-    # P1 keeps the constant term, which is P at 0
-    P2 = P.restrict_many(side, zeros) - MPoly.constant(P.ctx, P.arity, P.terms.get((), 0))
-    if P1 + P2 != P:
-        raise NotSeparableAlongCut(f"terms cross the cut {sorted(side)}")
-    return P1, P2
-
-
-def multiplicative_split(P: MPoly, i: int, j: int) -> Tuple[MPoly, MPoly, int]:
-    """Exact factors: P = h * g + c with x_i in h only and x_j in g only.
-
-    g collects exactly the irreducible factor of P - c containing x_j
-    together with nothing else; h is the product of the remaining factors,
-    normalized so its leading (graded-lex) coefficient is 1.  The
-    reconstruction h * g + c == P is verified before returning.
-    """
-    res = decompose(P, i, j)
-    if not res.decomposable:
-        raise NotDecomposable(f"pair ({i}, {j}) does not split this polynomial")
-    ctx = P.ctx
-    c = res.c
-    Pp = P - MPoly.constant(ctx, P.arity, c)
-    # variables tied to j: k stays with j iff the pair (k, j) does not split
-    # P - c with constant 0, i.e. its commutator is nonzero
-    right = {j}
-    for k in sorted(Pp.variables()):
-        if k != j and _commutator_codes(_coded_cofactors(Pp, (k, j)), 1 << k, 1 << j, ctx.p):
-            right.add(k)
-    left = sorted(Pp.variables() - right)
-    # Pp's value at w is the coefficient of the least-degree monomial that
-    # find_nonzero_point sets to 1
-    w = find_nonzero_point(Pp)
-    s = Pp.terms[min(Pp.terms, key=len)]
-    h_raw = Pp.restrict_many(sorted(right), w)   # h * g(w)
-    g_raw = Pp.restrict_many(left, w)            # h(w) * g
-    lc = h_raw.leading_coefficient()
-    h = h_raw.scale(ctx.inv_raw(lc))
-    g = g_raw.scale(lc * ctx.inv_raw(s) % ctx.p)
-    if h * g + MPoly.constant(ctx, P.arity, c) != P:
-        raise NotDecomposable(
-            f"pair ({i}, {j}) admits no variable-disjoint factorization")
-    return h, g, c
-
-
 # ---- read-once deciders ----
 
 def _trivariate_rop(c, x: int, y: int, z: int, p: int):
@@ -905,54 +664,3 @@ def trivariate_is_rop(P: MPoly) -> bool:
     for mono, coeff in P.terms.items():
         c[sum(bit[v] for v, _ in mono)] = coeff
     return _trivariate_rop(c, 1, 2, 4, P.ctx.p)
-
-
-def _canonical_key(P: MPoly, live: Sequence[int]):
-    rank = {v: t for t, v in enumerate(live)}
-    items = []
-    for mono, c in P.terms.items():
-        items.append((tuple((rank[v], e) for v, e in mono), c))
-    items.sort()
-    return (P.ctx.p, tuple(items))
-
-
-def brute_force_is_rop(P: MPoly, *, max_vars: int = 12) -> bool:
-    """Ground-truth read-once decider by recursive exact splitting.
-
-    Constants and single variables are read-once.  A disconnected gate graph
-    splits P additively; otherwise every variable pair is tried for a
-    multiplicative split and P is read-once iff some split yields two
-    read-once factors.  Results are memoized on the polynomial rewritten
-    over its live variables, so structurally equal subproblems are shared.
-    """
-    _require_multilinear(P)
-    if len(P.variables()) > max_vars:
-        raise TooManyVariables(
-            f"{len(P.variables())} live variables exceeds the guard {max_vars}")
-    memo: Dict = {}
-
-    def rec(Q: MPoly) -> bool:
-        live = sorted(Q.variables())
-        if len(live) <= 1:
-            return True
-        key = _canonical_key(Q, live)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        comps = gate_graph(Q).components()
-        if len(comps) > 1:
-            Q1, Q2 = additive_split(Q, comps[0])
-            out = rec(Q1) and rec(Q2)
-        else:
-            out = False
-            for a, b in itertools.combinations(live, 2):
-                r = decompose(Q, a, b)
-                if r.decomposable:
-                    h, g, _ = multiplicative_split(Q, a, b)
-                    if rec(h) and rec(g):
-                        out = True
-                        break
-        memo[key] = out
-        return out
-
-    return rec(P)

@@ -13,16 +13,11 @@ import pytest
 
 from ropcheck.charax import INDETERMINATE, ROP, GoodnessChecker, characterize, is_locally_rop
 from ropcheck.cli import _enum_worker
-from ropcheck.decomp import (
-    brute_force_is_rop,
-    decomp_witness,
-    decompose,
-    gate_graph,
-    witness_is_zero,
-)
+from ropcheck.decomp import witness_is_zero
 from ropcheck.ff import FieldCtx
 from ropcheck.hardcases import q_n
 from ropcheck.mpoly import MPoly, random_multilinear
+from ropcheck.reference import brute_force_is_rop, decomp_witness, decompose, gate_graph
 from ropcheck.rof import as_oracle, random_rof
 from ropcheck.testers import NO, YES, property_test, read_once_test
 

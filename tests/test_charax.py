@@ -17,12 +17,12 @@ from ropcheck.charax import (
     characterize,
     is_locally_rop,
 )
-from ropcheck.decomp import brute_force_is_rop, gate_graph
 from ropcheck.errors import (ArityMismatch, FieldTooSmall, InvalidParams, NotMultilinear,
                              ScaleGuardExceeded)
 from ropcheck.ff import FieldCtx
 from ropcheck.hardcases import q_n
 from ropcheck.mpoly import MPoly, parse_terms, random_multilinear
+from ropcheck.reference import brute_force_is_rop, gate_graph
 from ropcheck.rof import random_rof
 
 GF101 = FieldCtx(101)

@@ -12,21 +12,11 @@ from ropcheck import decomp, structure
 from ropcheck.charax import certificate_multiplicands, characterize
 from ropcheck.decomp import (
     _PROBES,
-    GateGraph,
     _slot_vanishes,
     _subsets,
     _taylor_table,
     _TaylorPlan,
     _trivariate_rop,
-    additive_split,
-    brute_force_is_rop,
-    commutator,
-    decomp_witness,
-    decompose,
-    find_nonzero_point,
-    gate_graph,
-    is_additively_separable,
-    multiplicative_split,
     trivariate_is_rop,
     witness_is_zero,
 )
@@ -45,6 +35,18 @@ from ropcheck.errors import (
 from ropcheck.ff import FieldCtx
 from ropcheck.hardcases import q_n
 from ropcheck.mpoly import MPoly, _coded_cofactors, parse_terms, random_multilinear
+from ropcheck.reference import (
+    GateGraph,
+    additive_split,
+    brute_force_is_rop,
+    commutator,
+    decomp_witness,
+    decompose,
+    find_nonzero_point,
+    gate_graph,
+    is_additively_separable,
+    multiplicative_split,
+)
 from ropcheck.rof import random_rof
 
 GF1009 = FieldCtx(1009)
@@ -583,6 +585,60 @@ def test_hard_family_reaches_no_rank_one_check(monkeypatch):
     monkeypatch.setattr(structure._Structure, "factor", no_check)
     for n in range(10, 15):
         assert certificate_multiplicands(q_n(n, GF1009))
+
+
+@pytest.mark.parametrize("p", [2, 3, 1009])
+def test_unglued_witness_is_decided_over_every_slot(p):
+    # J = {} is the exact loop with no slot glued: W == 0 iff the witness
+    # glued on all but m vanishes for every slot m outside the pair.
+    # Clearing the pair tags that the bulk steps decided forces that loop;
+    # clearing the slot tags too forces its exact slot tests
+    ctx = FieldCtx(p)
+    rng = random.Random(p + 21)
+    outcomes = set()
+    for n in range(3, 6):
+        polys = [q_n(n, ctx), random_rof(ctx, n, rng).expand(),
+                 random_multilinear(ctx, n, rng), _split_product(ctx, n, rng),
+                 _affine_product(ctx, n, rng)]
+        if n >= 4:
+            polys.append(_nested(ctx, n, rng))
+        for P in polys:
+            want = {(i, j): decomp_witness(P, i, j).value.is_zero()
+                    for i, j in itertools.combinations(range(n), 2)}
+            for clear_slots in (False, True):
+                # a fresh copy, whose tags are not memoized yet
+                Q = MPoly(ctx, n, dict(P.terms))
+                tags = decomp._witness_tags(Q)
+                for pair, row in tags.slot.items():
+                    tags.pair[pair] = None
+                    if clear_slots:
+                        row.update(dict.fromkeys(row))
+                for (i, j), zero in want.items():
+                    assert witness_is_zero(Q, i, j) == zero, (P, i, j)
+                    outcomes.add(zero)
+    assert outcomes == {True, False}
+
+
+def test_live_slot_probe_settles_the_unglued_witness(monkeypatch):
+    # for the pair (x1, x2) of x1*x2 + x3 + x4, D/S = x3 + x4 depends on x3
+    # and x4, and the probes read both slots' witnesses live: with the pair
+    # tag cleared, J = {} is settled with no exact test
+    calls = []
+    slot_vanishes = decomp._slot_vanishes
+
+    def counted(*args):
+        calls.append(args)
+        return slot_vanishes(*args)
+
+    monkeypatch.setattr(decomp, "_slot_vanishes", counted)
+    P = parse_terms(GF1009, 4, "x1*x2 + x3 + x4")
+    tags = decomp._witness_tags(P)
+    assert tags.slot[0, 1] == {2: False, 3: False}
+    tags.pair[0, 1] = None
+    assert not witness_is_zero(P, 0, 1)
+    assert tags.pair[0, 1] is False
+    assert not calls
+    assert not decomp_witness(P, 0, 1).value.is_zero()
 
 
 def test_witness_examples():

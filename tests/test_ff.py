@@ -5,9 +5,9 @@ import random
 import pytest
 
 from ropcheck.errors import DivisionByZero, FieldMismatch, NotPrime, OutOfRange
-from ropcheck.decomp import decompose, multiplicative_split
 from ropcheck.ff import MAX_PRIME, FieldCtx, is_prime
 from ropcheck.mpoly import MPoly
+from ropcheck.reference import decompose, multiplicative_split
 from ropcheck.rof import random_rof
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from ropcheck.charax import is_locally_rop
 from ropcheck import hardcases
-from ropcheck.decomp import brute_force_is_rop
 from ropcheck.errors import InvalidParams, ScaleGuardExceeded, TooFewVariables
 from ropcheck.ff import FieldCtx
 from ropcheck.hardcases import (
@@ -15,6 +14,7 @@ from ropcheck.hardcases import (
     q_n,
 )
 from ropcheck.mpoly import MPoly, parse_terms
+from ropcheck.reference import brute_force_is_rop
 from ropcheck.rof import random_rof
 
 GF2 = FieldCtx(2)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from ropcheck import errors
-from ropcheck.decomp import brute_force_is_rop
 from ropcheck.errors import (
     ArityMismatch,
     InvalidParams,
@@ -17,6 +16,7 @@ from ropcheck.errors import (
 )
 from ropcheck.ff import FieldCtx
 from ropcheck.mpoly import parse_terms
+from ropcheck.reference import brute_force_is_rop
 from ropcheck.rof import (
     Const,
     Gate,

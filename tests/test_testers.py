@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ropcheck import errors, testers
-from ropcheck.decomp import brute_force_is_rop, trivariate_is_rop
+from ropcheck.decomp import trivariate_is_rop
 from ropcheck.errors import (
     ArityMismatch,
     DegreeTooSmall,
@@ -28,6 +28,7 @@ from ropcheck.mpoly import (
     parse_terms,
     random_multilinear,
 )
+from ropcheck.reference import brute_force_is_rop
 from ropcheck.rof import Oracle, as_oracle, corrupt_oracle, random_rof
 from ropcheck.testers import (
     NO,
