@@ -7,6 +7,12 @@ partials, the n(n-1)/2 mixed second partials, and per pair (i,j) and per
 remaining index m one decomposition-witness term glued on the n-3 indices
 outside {i, j, m}.
 
+The certificate is held as one boolean mask of its zero tags, in that
+order (_certificate_zero).  A Multiplicand object is built only for a
+violation that a report names, from its index in the mask, or when the
+whole list is asked for (certificate_multiplicands,
+GoodnessChecker.multiplicands); a certified attempt builds none.
+
 characterize samples assignments, certifies one good, then reduces the
 global question to trivariate restrictions.  Every zero tag is exact, so
 every verdict is; when no good assignment is found it answers
@@ -69,10 +75,12 @@ def _require_multilinear(P: MPoly):
         raise NotMultilinear("certification needs a multilinear polynomial")
 
 
-def certificate_multiplicands(P: MPoly) -> List[Multiplicand]:
-    """Enumerate every certificate multiplicand with exact zero tags.
+def _certificate_zero(P: MPoly) -> np.ndarray:
+    """The zero tags of P's certificate as one boolean mask, in certificate
+    order: the n first partials, the C(n,2) second partials, then pair by
+    pair (_PairLayout.pairs) the pair's n-2 witnesses glued on rest - {m},
+    m in increasing order (_PairLayout.witness_free).
 
-    Each witness term of a pair glues all but one of the remaining indices.
     A first partial vanishes iff no monomial of P holds its slot, and a
     second partial iff no monomial holds both slots of its pair, and then
     every witness of the pair vanishes too: all read from the subsets that
@@ -86,31 +94,56 @@ def certificate_multiplicands(P: MPoly) -> List[Multiplicand]:
     """
     _require_multilinear(P)
     n = P.arity
-    # the full certificate stores C(n,2)*(n-2) witness multiplicands, each
+    # the full certificate lists C(n,2)*(n-2) witness multiplicands, each
     # gluing n-3 slots: 1,958,220 glue-set entries at n = 46, 2,140,380 at 47
     guard_scale(math.comb(n, 2) * (n - 2) * (n - 3), "certificate glue-set entries")
     probes = _probes(P)
-    pairs, shares = _pair_layout(n).pairs, probes.shares.tolist()
-    out = [Multiplicand(FIRST_PARTIAL, (t,), None, not held)
-           for t, held in enumerate(probes.present.tolist())]
-    out += [Multiplicand(SECOND_PARTIAL, pair, None, not held)
-            for pair, held in zip(pairs, shares)]
+    pairs = _pair_layout(n).pairs
+    witness = np.ones((len(pairs), max(n - 2, 0)), dtype=bool)
     everything = frozenset(range(n))
-    for (i, j), held in zip(pairs, shares):
-        rest = everything - {i, j}
-        # S == 0 makes every witness of the pair vanish, and so does the
-        # unglued witness vanishing
-        base_zero = not held or witness_is_zero(P, i, j, frozenset())
-        for m in sorted(rest):
-            shared = rest - {m}
-            out.append(Multiplicand(WITNESS, (i, j), shared,
-                                    base_zero or witness_is_zero(P, i, j, shared)))
-    return out
+    for q in probes.shares.nonzero()[0].tolist():
+        i, j = pairs[q]
+        # the unglued witness vanishing makes every witness of the pair vanish
+        if not witness_is_zero(P, i, j, frozenset()):
+            rest = everything - {i, j}
+            witness[q] = [witness_is_zero(P, i, j, rest - {m}) for m in sorted(rest)]
+    return np.concatenate([~probes.present, ~probes.shares, witness.ravel()])
+
+
+def _multiplicand(n: int, k: int, zero: bool) -> Multiplicand:
+    """Entry k of the certificate of an n-slot polynomial (in the order of
+    _certificate_zero), with the zero tag zero."""
+    if k < n:
+        return Multiplicand(FIRST_PARTIAL, (k,), None, zero)
+    lay = _pair_layout(n)
+    k -= n
+    if k < len(lay.pairs):
+        return Multiplicand(SECOND_PARTIAL, lay.pairs[k], None, zero)
+    q, r = divmod(k - len(lay.pairs), n - 2)
+    i, j = lay.pairs[q]
+    return Multiplicand(WITNESS, (i, j),
+                        frozenset(range(n)) - {i, j, int(lay.witness_free[q, r])}, zero)
+
+
+def _multiplicands(n: int, zero: np.ndarray) -> List[Multiplicand]:
+    return [_multiplicand(n, k, z) for k, z in enumerate(zero.tolist())]
+
+
+def certificate_multiplicands(P: MPoly) -> List[Multiplicand]:
+    """Every certificate multiplicand of P with its exact zero tag, in
+    certificate order, built from the mask of _certificate_zero.  Raises
+    ScaleGuardExceeded when the certificate would exceed the desk-scale
+    limit, before any tag is decided."""
+    return _multiplicands(P.arity, _certificate_zero(P))
 
 
 class GoodnessChecker:
     """Reusable certifier: zero tags once, then one check per assignment.
 
+    The certificate is held as its zero-tag mask (_certificate_zero), the
+    indices of its live entries and the table rows each live entry reads; a
+    Multiplicand is built only for a violation that a report names, from
+    its index alone, and multiplicands builds the whole list on request.
     No witness polynomial is built.  check evaluates the mixed partials
     d_T P(a), |T| <= 3, at the assignment a through P's Taylor plan (P's
     order-3 Taylor table, decomp._taylor_table) and decides every live
@@ -130,21 +163,25 @@ class GoodnessChecker:
         if P.ctx.p < 3:
             raise FieldTooSmall("goodness certification needs p >= 3")
         self.P = P
-        self.multiplicands = certificate_multiplicands(P)
-        # every live multiplicand with its violation, in certificate order,
-        # which lists the partials before the witnesses, and the table rows
-        # each reads: a partial's entry, or the factors of a witness's pair
-        # split of (i, j) along its free slot, in the order of
-        # decomp._pair_layout's witness columns
-        self._live = [(m, "vanishes identically in the free variables" if m.kind == WITNESS
-                       else "evaluates to 0 at the assignment")
-                      for m in self.multiplicands if not m.identically_zero]
+        self._zero = _certificate_zero(P)
+        live = ~self._zero
+        # the certificate indices of the live entries, which list the
+        # partials before the witnesses, and the table rows each reads: a
+        # partial's entry, or the factors of a witness's pair split of
+        # (i, j) along its free slot, in the order of decomp._pair_layout's
+        # witness columns
+        self._live = live.nonzero()[0]
         lay = _pair_layout(P.arity)
-        live = ~np.array([m.identically_zero for m in self.multiplicands], dtype=bool)
         rows = np.concatenate([lay.single_rows, lay.pair_rows[2]])
         self._partial_rows = rows[live[:len(rows)]]
         splits = lay.witness_columns.ravel()[live[len(rows):]]
         self._left, self._right = lay.left[:, splits], lay.right[:, splits]
+
+    @property
+    def multiplicands(self) -> List[Multiplicand]:
+        """Every certificate multiplicand with its zero tag, in certificate
+        order, built on each request."""
+        return _multiplicands(self.P.arity, self._zero)
 
     def check(self, assignment) -> GoodnessReport:
         P = self.P
@@ -156,14 +193,17 @@ class GoodnessChecker:
     def _check_table(self, table) -> GoodnessReport:
         """check on P's Taylor table at the assignment, a column of
         residues in the rows of decomp._subsets."""
-        p = self.P.ctx.p
+        n, p = self.P.arity, self.P.ctx.p
         A1, A0, D = _pair_splits(table, self._left, self._right)
         D %= p
         failed = np.concatenate([table.take(self._partial_rows) == 0,
                                  (A0 * D[0] % p == 0) & ((A1 * D[2] - A0 * D[1]) % p == 0)])
-        violations = [self._live[k] for k in failed.nonzero()[0].tolist()]
-        return GoodnessReport(not violations, violations,
-                              len(self.multiplicands) - len(self._live))
+        violations = []
+        for k in self._live[failed].tolist():
+            m = _multiplicand(n, k, False)
+            violations.append((m, "vanishes identically in the free variables"
+                               if m.kind == WITNESS else "evaluates to 0 at the assignment"))
+        return GoodnessReport(not violations, violations, len(self._zero) - len(self._live))
 
 
 def is_locally_rop(P: MPoly, a) -> Tuple[bool, Optional[Tuple[int, int, int]]]:

@@ -17,7 +17,9 @@ in its own bit field (_encode), wide enough for the largest exponent sum, so a
 monomial product is one integer addition.  _code_products sums such products
 into one dict and drops the codes whose sum vanishes; MPoly.__mul__ decodes
 its result in the order the codes first occur, which is the order the
-monomials first occur.
+monomials first occur.  Operands that share no slot skip the codes: each
+pair of their monomials gives its own product, the two tuples merged, in
+that same order.
 
 Restriction keeps the arity: substituting into slot i just removes i from the
 support, it never renumbers the remaining variables.
@@ -613,6 +615,8 @@ class MPoly:
         if not isinstance(other, MPoly):
             return NotImplemented
         self._check_compat(other)
+        if self.variables().isdisjoint(other.variables()):
+            return self._mul_disjoint(other)
         # fields one bit wider than the largest exponent of either operand
         # hold every exponent sum
         top = max((e for f in (self, other) for mono in f.terms for _, e in mono), default=0)
@@ -620,6 +624,24 @@ class MPoly:
         out = _code_products(self.ctx.p, (1, _encode(self.terms, w), _encode(other.terms, w)))
         return MPoly(self.ctx, self.arity, dict(zip(_decode_all(out, w), out.values())),
                      _canonical=True)
+
+    def _mul_disjoint(self, other: "MPoly") -> "MPoly":
+        """self * other for operands that share no slot.  Every pair of
+        monomials then gives its own product monomial, the two sorted tuples
+        merged, with a nonzero coefficient; the terms come in the order the
+        coded product lists them, self's terms major."""
+        p = self.ctx.p
+        out: Dict[Mono, int] = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                if not m1 or not m2 or m1[-1][0] < m2[0][0]:
+                    mono = m1 + m2
+                elif m2[-1][0] < m1[0][0]:
+                    mono = m2 + m1
+                else:
+                    mono = tuple(sorted(m1 + m2))
+                out[mono] = c1 * c2 % p
+        return MPoly(self.ctx, self.arity, out, _canonical=True)
 
     def scale(self, c) -> "MPoly":
         c = self.ctx.coerce(c)

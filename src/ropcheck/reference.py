@@ -79,8 +79,13 @@ def find_nonzero_point(P: MPoly) -> Tuple[int, ...]:
     _check_multilinear(P)
     if P.is_zero():
         raise InvalidParams("the zero polynomial has no nonzero point")
-    point = [0] * P.arity
-    for v, _ in min(P.terms, key=len):
+    return _ones_at(P.arity, min(P.terms, key=len))
+
+
+def _ones_at(n: int, mono) -> Tuple[int, ...]:
+    """The n-slot point with 1 at the slots of mono and 0 elsewhere."""
+    point = [0] * n
+    for v, _ in mono:
         point[v] = 1
     return tuple(point)
 
@@ -112,6 +117,11 @@ def decompose(P: MPoly, i: int, j: int) -> DecompResult:
     for t in (i, j):
         if t not in pv:
             raise VariableNotPresent(f"x{t + 1} does not occur in the polynomial")
+    return _decompose(P, i, j)
+
+
+def _decompose(P: MPoly, i: int, j: int) -> DecompResult:
+    """decompose on a multilinear P that holds both slots, unchecked."""
     bi, bj, p = 1 << i, 1 << j, P.ctx.p
     cof = _coded_cofactors(P, (i, j))
     S = cof[bi | bj]
@@ -210,7 +220,11 @@ class GateGraph:
 
 def gate_graph(P: MPoly) -> GateGraph:
     _check_multilinear(P)
-    vs = sorted(P.variables())
+    return _gate_graph(P, sorted(P.variables()))
+
+
+def _gate_graph(P: MPoly, vs: List[int]) -> GateGraph:
+    """gate_graph on a multilinear P whose slots are vs, in order."""
     edges = set()
     for a in range(len(vs)):
         for b in range(a + 1, len(vs)):
@@ -236,8 +250,11 @@ def additive_split(P: MPoly, part) -> Tuple[MPoly, MPoly]:
     is verified and NotSeparableAlongCut raised when the cut crosses a term.
     """
     _check_multilinear(P)
-    vs = P.variables()
-    side = frozenset(part)
+    return _additive_split(P, frozenset(part), P.variables())
+
+
+def _additive_split(P: MPoly, side: FrozenSet[int], vs: FrozenSet[int]) -> Tuple[MPoly, MPoly]:
+    """additive_split on a multilinear P whose slots are vs."""
     if not side or not side.issubset(vs) or side == vs:
         raise InvalidParams(
             f"cut {sorted(side)} is not a nonempty proper subset of {sorted(vs)}")
@@ -258,7 +275,16 @@ def multiplicative_split(P: MPoly, i: int, j: int) -> Tuple[MPoly, MPoly, int]:
     normalized so its leading (graded-lex) coefficient is 1.  The
     reconstruction h * g + c == P is verified before returning.
     """
-    res = decompose(P, i, j)
+    h, g, c, _ = _multiplicative_split(P, i, j, decompose(P, i, j), P.variables())
+    return h, g, c
+
+
+def _multiplicative_split(P: MPoly, i: int, j: int, res: DecompResult,
+                          vs: FrozenSet[int]) -> Tuple[MPoly, MPoly, int, FrozenSet[int]]:
+    """multiplicative_split on a multilinear P whose slots are vs, from the
+    pair's decompose result res; also returns h's slots.  Once h * g + c == P
+    is verified, h holds exactly those slots and g the rest of vs: each
+    holds no more, and their product holds every slot of P - c."""
     if not res.decomposable:
         raise NotDecomposable(f"pair ({i}, {j}) does not split this polynomial")
     ctx = P.ctx
@@ -267,23 +293,24 @@ def multiplicative_split(P: MPoly, i: int, j: int) -> Tuple[MPoly, MPoly, int]:
     # variables tied to j: k stays with j iff the pair (k, j) does not split
     # P - c with constant 0, i.e. its commutator is nonzero
     right = {j}
-    for k in sorted(Pp.variables()):
+    for k in sorted(vs):
         if k != j and _coded_commutator(_coded_cofactors(Pp, (k, j)), 1 << k, 1 << j, ctx.p):
             right.add(k)
-    left = sorted(Pp.variables() - right)
-    # Pp's value at w is the coefficient of the least-degree monomial that
-    # find_nonzero_point sets to 1
-    w = find_nonzero_point(Pp)
-    s = Pp.terms[min(Pp.terms, key=len)]
+    left = vs - right
+    # Pp's value at w is the coefficient s of the least-degree monomial that
+    # w sets to 1 (find_nonzero_point)
+    least = min(Pp.terms, key=len)
+    w = _ones_at(Pp.arity, least)
+    s = Pp.terms[least]
     h_raw = Pp.restrict_many(sorted(right), w)   # h * g(w)
-    g_raw = Pp.restrict_many(left, w)            # h(w) * g
+    g_raw = Pp.restrict_many(sorted(left), w)    # h(w) * g
     lc = h_raw.leading_coefficient()
     h = h_raw.scale(ctx.inv_raw(lc))
     g = g_raw.scale(lc * ctx.inv_raw(s) % ctx.p)
     if h * g + MPoly.constant(ctx, P.arity, c) != P:
         raise NotDecomposable(
             f"pair ({i}, {j}) admits no variable-disjoint factorization")
-    return h, g, c
+    return h, g, c, left
 
 
 # ---- read-once decider ----
@@ -298,24 +325,29 @@ def brute_force_is_rop(P: MPoly, *, max_vars: int = 12) -> bool:
     (Shpilka-Volkovich), and P is not read-once if no pair splits.  No
     other pair needs a try: the pair's c = D/S is unique, so h*g groups
     the irreducible factors of P - c, and P is read-once iff they are.
+    P is validated and its slots read once, here; the recursion hands each
+    piece's and each factor's slots down with it.
     """
     _check_multilinear(P)
-    if len(P.variables()) > max_vars:
+    live = P.variables()
+    if len(live) > max_vars:
         raise TooManyVariables(
-            f"{len(P.variables())} live variables exceeds the guard {max_vars}")
-    return _is_rop(P)
+            f"{len(live)} live variables exceeds the guard {max_vars}")
+    return _is_rop(P, live)
 
 
-def _is_rop(P: MPoly) -> bool:
-    live = sorted(P.variables())
+def _is_rop(P: MPoly, live: FrozenSet[int]) -> bool:
+    """brute_force_is_rop on a multilinear P whose slots are live."""
     if len(live) <= 1:
         return True
-    comps = gate_graph(P).components()
+    order = sorted(live)
+    comps = _gate_graph(P, order).components()
     if len(comps) > 1:
-        P1, P2 = additive_split(P, comps[0])
-        return _is_rop(P1) and _is_rop(P2)
-    for a, b in itertools.combinations(live, 2):
-        if decompose(P, a, b).decomposable:
-            h, g, _ = multiplicative_split(P, a, b)
-            return _is_rop(h) and _is_rop(g)
+        P1, P2 = _additive_split(P, comps[0], live)
+        return _is_rop(P1, comps[0]) and _is_rop(P2, live - comps[0])
+    for a, b in itertools.combinations(order, 2):
+        res = _decompose(P, a, b)
+        if res.decomposable:
+            h, g, _, left = _multiplicative_split(P, a, b, res, live)
+            return _is_rop(h, left) and _is_rop(g, live - left)
     return False

@@ -1,5 +1,6 @@
 """Certificate layer: goodness checks, local read-once tests, the full verdict."""
 
+import hashlib
 import itertools
 import random
 
@@ -143,6 +144,78 @@ def test_goodness_check_matches_full_commutator_reference(p):
                 for k in rng.sample(range(n), zeros):
                     a[k] = 0
                 assert checker.check(a) == _reference_report(P, checker.multiplicands, a, full)
+
+
+def _certificate_inputs():
+    """200 seeded inputs over p in {3, 5, 1009, 2**31 - 1}, n = 3..7: each
+    (p, n) gets five read-once expansions and five read-many polynomials,
+    dense ones and expansions with one extra monomial."""
+    moduli = (3, 5, 1009, 2**31 - 1)
+    for k in range(200):
+        rng = random.Random(k)
+        ctx, n = FieldCtx(moduli[k % 4]), 3 + k // 4 % 5
+        if k // 20 % 2 == 0:
+            yield random_rof(ctx, n, rng).expand()
+        elif k % 3 == 0:
+            yield random_multilinear(ctx, n, rng)
+        else:
+            extra = tuple((v, 1) for v in sorted(rng.sample(range(n), rng.randint(2, 3))))
+            yield (random_rof(ctx, n, rng).expand()
+                   + MPoly(ctx, n, {extra: rng.randrange(1, ctx.p)}))
+
+
+def test_certificate_multiplicands_match_pinned_digest():
+    # every multiplicand, its order and its zero tag, as the certificate
+    # listed them when it built one Multiplicand per entry on every call
+    digest, zeros, total = hashlib.sha256(), 0, 0
+    for P in _certificate_inputs():
+        ms = certificate_multiplicands(P)
+        assert GoodnessChecker(P).multiplicands == ms
+        for m in ms:
+            shared = sorted(m.shared) if m.shared is not None else None
+            digest.update(f"{m.kind} {m.index} {shared} {m.identically_zero}\n".encode())
+            zeros += m.identically_zero
+            total += 1
+    assert (zeros, total) == (6263, 11600)
+    assert digest.hexdigest() == "31df6153f1031d368e4d448871999806bfae4db207b49c1bace581b195c6522a"
+
+
+def _counting_multiplicands(monkeypatch):
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    real = charax.Multiplicand
+    monkeypatch.setattr(charax, "Multiplicand", counting)
+    return built
+
+
+def test_certified_attempt_builds_no_multiplicand(monkeypatch):
+    inputs = [q_n(6, GF1009), random_rof(GF1009, 7, random.Random(7)).expand()]
+    skipped = [sum(m.identically_zero for m in certificate_multiplicands(P)) for P in inputs]
+    built = _counting_multiplicands(monkeypatch)
+    reports = [characterize(P, 1) for P in inputs]
+    assert built == []
+    assert [(rep.verdict, rep.goodness.good, rep.attempts) for rep in reports] == [
+        (READ_MANY, True, 1), (ROP, True, 1)]
+    assert [rep.goodness.skipped_zero for rep in reports] == skipped
+    assert skipped[1] > 0
+
+
+def test_uncertified_attempt_builds_only_its_violations(monkeypatch):
+    # q_5 over GF(3) certifies no assignment in one attempt; its report names
+    # each violation, built from the entry's index alone
+    P = q_n(5, FieldCtx(3))
+    built = _counting_multiplicands(monkeypatch)
+    rep = characterize(P, 0, max_retries=1)
+    assert rep.verdict == INDETERMINATE
+    assert len(built) == len(rep.goodness.violations) > 0
+    full = GoodnessChecker(P).multiplicands
+    assert [m for m, _ in rep.goodness.violations] == [
+        m for m in full if m in {v for v, _ in rep.goodness.violations}]
+    assert rep.goodness.skipped_zero == sum(m.identically_zero for m in full)
 
 
 def test_is_locally_rop_small_arity():

@@ -27,6 +27,9 @@ from ropcheck.mpoly import (
     _REDUCE,
     MPoly,
     _basis_matrices,
+    _code_products,
+    _decode_all,
+    _encode,
     _residues,
     interpolate_grid,
     parse_header,
@@ -183,6 +186,45 @@ def test_coded_product_matches_merge_reference(p):
                     assert list((A * B).terms.items()) == list(want.items())
                     wide += any(e >= 2**63 for m in want for _, e in m)
     assert wide > 0
+
+
+@pytest.mark.parametrize("p", [2, 1009, 2**61 - 1])
+def test_disjoint_product_matches_coded_path(p):
+    # operands on disjoint slots skip the monomial codes; the terms must
+    # match the coded product's, values and insertion order, on interleaved
+    # and separated slots, constants, zero operands and higher exponents
+    ctx = FieldCtx(p)
+    rng = random.Random(p)
+
+    def random_poly(n, slots, top):
+        return MPoly(ctx, n, {tuple((v, rng.randint(1, top)) for v in slots
+                                    if rng.random() < 0.6): rng.randrange(p)
+                              for _ in range(rng.randint(0, 10))})
+
+    def coded(A, B):
+        top = max((e for f in (A, B) for mono in f.terms for _, e in mono), default=0)
+        w = top.bit_length() + 1
+        out = _code_products(p, (1, _encode(A.terms, w), _encode(B.terms, w)))
+        return list(zip(_decode_all(out, w), out.values()))
+
+    merged = 0
+    for n in range(1, 10):
+        for top in (1, 1, 5):
+            for _ in range(8):
+                slots = list(range(n))
+                rng.shuffle(slots)
+                cut = rng.randint(0, n)
+                if rng.random() < 0.3:
+                    slots.sort()
+                A = random_poly(n, sorted(slots[:cut]), top)
+                B = random_poly(n, sorted(slots[cut:]), top)
+                assert A.variables().isdisjoint(B.variables())
+                for X, Y in ((A, B), (B, A), (A, MPoly.zero(ctx, n)),
+                             (MPoly.constant(ctx, n, 3), B)):
+                    assert list((X * Y).terms.items()) == coded(X, Y)
+                merged += any(m1 and m2 and m1[0][0] < m2[-1][0] and m2[0][0] < m1[-1][0]
+                              for m1 in A.terms for m2 in B.terms)
+    assert merged > 0
 
 
 def test_eval_batch_matches_pointwise():
