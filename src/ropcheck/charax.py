@@ -28,8 +28,8 @@ from typing import FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
-from .decomp import (_is_multilinear, _pair_layout, _pair_splits, _probes, _subsets,
-                     _taylor_table, _trivariate_rop, witness_is_zero)
+from .decomp import (_is_multilinear, _pair_layout, _pair_splits, _subsets, _taylor_table,
+                     _trivariate_rop, _witness_tags, witness_is_zero)
 # bound here for bench/tracer.py, which wraps charax's binding of it
 from .decomp import trivariate_is_rop  # noqa: F401
 from .errors import (ArityMismatch, FieldTooSmall, InvalidParams, NotMultilinear,
@@ -84,10 +84,11 @@ def _certificate_zero(P: MPoly) -> np.ndarray:
     A first partial vanishes iff no monomial of P holds its slot, and a
     second partial iff no monomial holds both slots of its pair, and then
     every witness of the pair vanishes too: all read from the subsets that
-    P's Taylor plan lists (decomp._Probes), with no partial polynomial
-    built.  The other witnesses are tagged by witness_is_zero, which reads
-    P's bulk tags, decided once from one stacked probe and a structural
-    proof over P's additive pieces and verified factor blocks, recursively
+    P's Taylor plan lists (present and shares of decomp._WitnessTags), with
+    no partial polynomial built.  The other witnesses are tagged by
+    witness_is_zero, which reads P's bulk tags as bit masks of slots,
+    decided once from one stacked probe and a structural proof over P's
+    additive pieces and verified factor blocks, recursively
     (decomp._WitnessTags), and runs the exact tests only on what they leave
     open.  Raises ScaleGuardExceeded when the certificate would exceed the
     desk-scale limit, before any tag is decided.
@@ -97,17 +98,17 @@ def _certificate_zero(P: MPoly) -> np.ndarray:
     # the full certificate lists C(n,2)*(n-2) witness multiplicands, each
     # gluing n-3 slots: 1,958,220 glue-set entries at n = 46, 2,140,380 at 47
     guard_scale(math.comb(n, 2) * (n - 2) * (n - 3), "certificate glue-set entries")
-    probes = _probes(P)
+    tags = _witness_tags(P)
     pairs = _pair_layout(n).pairs
     witness = np.ones((len(pairs), max(n - 2, 0)), dtype=bool)
     everything = frozenset(range(n))
-    for q in probes.shares.nonzero()[0].tolist():
+    for q in tags.shares.nonzero()[0].tolist():
         i, j = pairs[q]
         # the unglued witness vanishing makes every witness of the pair vanish
         if not witness_is_zero(P, i, j, frozenset()):
             rest = everything - {i, j}
             witness[q] = [witness_is_zero(P, i, j, rest - {m}) for m in sorted(rest)]
-    return np.concatenate([~probes.present, ~probes.shares, witness.ravel()])
+    return np.concatenate([~tags.present, ~tags.shares, witness.ravel()])
 
 
 def _multiplicand(n: int, k: int, zero: bool) -> Multiplicand:

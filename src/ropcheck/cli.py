@@ -7,8 +7,8 @@ Subcommands:
   gen         write instance files (qn | rof | multilinear)
   experiment  qn-fraction sweeps, tau statistics, trivariate enumeration
 
-Exit codes: 0 = YES/ROP, 1 = NO/READ_MANY, 2 = parse or config error,
-3 = precondition violation, 4 = INDETERMINATE.
+Exit codes: 0 = YES/ROP, 1 = NO/READ_MANY, 2 = parse or config error, or
+out of memory, 3 = precondition violation, 4 = INDETERMINATE.
 
 Output is deterministic for a fixed command line and seed; there are no
 timestamps.  --json swaps the human lines for one JSON document.
@@ -239,23 +239,12 @@ def _enum_case(ctx, coeffs) -> bool:
 
 
 def _enum_worker(job):
-    """Disagreements among the cases k in [lo, hi).
-
-    With seed None, case k's coefficients are k's base-p digits; otherwise
-    they are drawn from case k's own stream, seeded by (seed, k).
-    """
+    """Disagreements among the cases k in [lo, hi) (hardcases.sweep_cases):
+    with seed None, case k's coefficients are k's base-p digits."""
     p, seed, lo, hi = job
     ctx = FieldCtx(p)
-    bad = 0
-    for k in range(lo, hi):
-        if seed is None:
-            coeffs = [k // p ** t % p for t in range(8)]
-        else:
-            rng = random.Random(f"{seed}/{k}")
-            coeffs = [rng.randrange(p) for _ in range(8)]
-        if _enum_case(ctx, coeffs):
-            bad += 1
-    return bad
+    return sum(1 for coeffs in hardcases.sweep_cases(p, 8, seed, lo, hi)
+               if _enum_case(ctx, coeffs))
 
 
 def cmd_experiment_trivariate_enum(args) -> int:
@@ -389,6 +378,10 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION
     except Error as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError:
+        print("error: out of memory; the input needs more memory than is available",
+              file=sys.stderr)
         return EXIT_CONFIG
 
 

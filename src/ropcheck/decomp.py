@@ -25,10 +25,11 @@ The central objects:
   each T, the terms that contain it.  The witness probes and the
   certificate's checks read every point value they need from such tables;
 * the witness zero tags, decided in bulk once per polynomial
-  (_WitnessTags) and read by witness_is_zero: which slots and pairs P's
-  monomials hold (the subsets its plan lists), every witness at two fixed
-  probe pairs from one evaluation of the plan (_Probes), and a structural
-  proof (structure._Structure).  Following Shpilka-Volkovich, a read-once
+  (_WitnessTags), held as bit masks of slots and read and completed by
+  witness_is_zero: which slots and pairs P's monomials hold (the subsets
+  its plan lists), every witness at two fixed probe pairs from one
+  evaluation of the plan (_probe_witnesses), and a structural proof
+  (structure._Structure).  Following Shpilka-Volkovich, a read-once
   polynomial splits into additive pieces and disjoint factors,
   recursively; the proof recurses over P's pieces, exact from the pairs
   its monomials hold, and over factorizations of a piece minus a constant,
@@ -60,7 +61,7 @@ from .mpoly import _NUMPY_P_LIMIT, MPoly, _code_products, _coded_cofactors, _pro
 # wraps decomp.<name> for each of these, and bench/test_perfbench.py
 # imports decomp.brute_force_is_rop
 from .reference import brute_force_is_rop, commutator, decompose, find_nonzero_point  # noqa: F401
-from .structure import _Structure
+from .structure import _bits, _Structure
 
 # The exact witness test's two probe point pairs, drawn once from fixed seeds
 # so that no call seeds or consumes a random stream: slot k of pair t's
@@ -72,15 +73,13 @@ _PROBES = tuple(tuple(map(random.Random(seed).getrandbits, [64] * 64)) for seed 
 class _Probe:
     """What this module memoizes on a polynomial P (MPoly._probe): whether P
     is multilinear, its Taylor plan once a table is asked for (_TaylorPlan),
-    and, once a witness is asked for, the witnesses at the probe pairs
-    (_Probes) and the witness zero tags (_WitnessTags).  P never changes,
-    so neither does its memo."""
-    __slots__ = ("multilinear", "taylor", "probes", "tags")
+    and its witness zero tags once a witness is asked for (_WitnessTags).
+    P never changes, so neither does its memo."""
+    __slots__ = ("multilinear", "taylor", "tags")
 
     def __init__(self, P: MPoly):
         self.multilinear = P.is_multilinear()
         self.taylor = None
-        self.probes = None
         self.tags = None
 
 
@@ -399,12 +398,12 @@ def witness_is_zero(P: MPoly, i: int, j: int,
     D = AE - BC, neither involving x_i or x_j, and
     W(x, y) = D(x) * S(y) - S(x) * D(y) with y_k = x_k for k in J.  W == 0
     when S == 0, that is when no monomial of P holds both x_i and x_j;
-    otherwise W is first read at two fixed pseudo-random point pairs, from
-    P's memoized probes (_Probes), and a nonzero value proves W != 0.  A
-    structural proof over P's additive pieces and verified factor blocks,
-    recursively, proves many witnesses zero at once
-    (structure._Structure).  These bulk tags are decided once per
-    polynomial (_WitnessTags).
+    otherwise W is first read at two fixed pseudo-random point pairs
+    (_probe_witnesses), and a nonzero value proves W != 0.  A structural
+    proof over P's additive pieces and verified factor blocks, recursively,
+    proves many witnesses zero at once (structure._Structure).  These bulk
+    tags are decided once per polynomial and held as bit masks of slots
+    (_WitnessTags).
 
     What they leave open goes to the one exact test, whose outcomes join
     the tags.  For J = rest - {m}, split S = A1*x_m + A0 and
@@ -414,10 +413,11 @@ def witness_is_zero(P: MPoly, i: int, j: int,
     R has no zero divisors, so W == 0 iff D2 == 0 and A1*D0 == A0*D1.
     Every other J reduces to these: W_J == 0 iff D/S is free of every
     unglued slot m, which is W_{rest - {m}} == 0, so every unglued slot is
-    probed before any is tested.  J = {} is the case with every slot
-    unglued: D/S is a constant, that is the pair splits P, iff it depends
-    on no slot, and its outcome is kept as the pair's tag.  This holds over
-    every field, GF(2) included.
+    probed before any is tested, and the open ones are tested in
+    increasing order up to the first live one.  J = {} is the case with
+    every slot unglued: D/S is a constant, that is the pair splits P, iff
+    it depends on no slot, and its outcome is kept as the pair's tag.  This
+    holds over every field, GF(2) included.
     """
     shared = frozenset(shared)
     n = P.arity
@@ -429,29 +429,34 @@ def witness_is_zero(P: MPoly, i: int, j: int,
     if i in shared or j in shared:
         raise IndexOverlap(f"shared set {sorted(shared)} overlaps the pair ({i}, {j})")
     _require_multilinear(P)
+    glued = 1 << i | 1 << j
     for k in shared:
         if not 0 <= k < n:
             raise IndexOverlap(f"shared index {k} outside arity {n}")
+        glued |= 1 << k
 
     if i > j:
         i, j = j, i
     tags = _witness_tags(P)
-    zero = tags.pair[i, j]
-    if zero or zero is not None and not shared:
-        return zero
-    row = tags.slot[i, j]
-    unglued = [m for m in row if m not in shared]
-    known = [row[m] for m in unglued]
-    zero = False not in known
-    if zero and None in known:
+    q = _pair_layout(n).index[i, j]
+    if tags.split[q] or tags.base[q] and not shared:
+        return tags.split[q]
+    unglued = (1 << n) - 1 & ~glued
+    zero = not tags.live[q] & unglued
+    if zero:
         bi, bj, p = 1 << i, 1 << j, P.ctx.p
-        for m, tag in zip(unglued, known):
-            if tag is None:
-                zero = row[m] = _slot_vanishes(_coded_cofactors(P, (i, j, m)), bi, bj, 1 << m, p)
-                if not zero:
-                    break
+        for m in _bits(unglued & ~tags.zero[q]):
+            if _slot_vanishes(_coded_cofactors(P, (i, j, m)), bi, bj, 1 << m, p):
+                tags.zero[q] |= 1 << m
+            else:
+                tags.live[q] |= 1 << m
+                zero = False
+                break
     if not shared:
-        tags.pair[i, j] = zero
+        if zero:
+            tags.split[q] = True
+        else:
+            tags.base[q] = True
     return zero
 
 
@@ -465,19 +470,19 @@ class _PairLayout:
     """Every pair and every pair split in n slots, as the certificate reads
     them from order-3 Taylor tables (in the rows of _subsets(n)).
 
-    pairs lists the pairs (i, j), i < j, in lexicographic order, index maps
-    each to its position and pair_slots holds them as two rows of slots;
-    single_rows holds the row of each {t}, and pair_rows the rows of {i},
-    {j} and {i, j}, one column per pair.  left and right hold the rows of
-    each split's factors (_split_masks), one column per split: the three
-    splits of _SPLITS for each triple, split by split.  columns maps each
-    split's (i, j, m), for its pair i < j and free slot m, to its column,
-    and split_free holds each column's m.  witness_columns lists, pair by
-    pair, the columns of the pair's splits along each other slot m in
-    increasing order: the order in which the certificate lists the pair's
-    witnesses glued on rest - {m}; witness_free holds those m.
+    pairs lists the pairs (i, j), i < j, in lexicographic order, and index
+    maps each to its position; single_rows holds the row of each {t}, and
+    pair_rows the rows of {i}, {j} and {i, j}, one column per pair.  left
+    and right hold the rows of each split's factors (_split_masks), one
+    column per split: the three splits of _SPLITS for each triple, split by
+    split.  columns maps each split's (i, j, m), for its pair i < j and free
+    slot m, to its column, and split_free holds each column's m.
+    witness_columns lists, pair by pair, the columns of the pair's splits
+    along each other slot m in increasing order: the order in which the
+    certificate lists the pair's witnesses glued on rest - {m};
+    witness_free holds those m.
     """
-    __slots__ = ("pairs", "index", "pair_slots", "single_rows", "pair_rows", "left", "right",
+    __slots__ = ("pairs", "index", "single_rows", "pair_rows", "left", "right",
                  "columns", "split_free", "witness_columns", "witness_free")
 
     def __init__(self, n: int):
@@ -485,7 +490,6 @@ class _PairLayout:
         rows = sub.rows
         self.pairs = list(itertools.combinations(range(n), 2))
         self.index = {pair: q for q, pair in enumerate(self.pairs)}
-        self.pair_slots = np.array(self.pairs, dtype=np.intp).reshape(-1, 2).T
         self.single_rows = np.array([rows[1 << t] for t in range(n)], dtype=np.intp)
         self.pair_rows = np.array([[rows[1 << i], rows[1 << j], rows[1 << i | 1 << j]]
                                    for i, j in self.pairs], dtype=np.intp).reshape(-1, 3).T
@@ -502,57 +506,37 @@ class _PairLayout:
         self.witness_free = self.split_free.take(self.witness_columns)
 
 
-def _probes(P: MPoly) -> "_Probes":
-    """P's witness probes, computed at the first request and memoized on P.
-    P must be multilinear."""
-    memo = _probe_memo(P)
-    if memo.probes is None:
-        memo.probes = _Probes(P)
-    return memo.probes
-
-
-class _Probes:
+def _probe_witnesses(P: MPoly, plan: _TaylorPlan,
+                     lay: _PairLayout) -> Tuple[np.ndarray, np.ndarray]:
     """P's witnesses at the two fixed probe pairs, for every pair and every
-    glue set the certificate lists, and which slots and pairs P's monomials
-    hold.
+    glue set the certificate lists, as residues (base, slots).
 
-    present[t] tells whether a monomial of P holds slot t, and shares[q]
-    whether one holds both slots of pair q (_PairLayout.pairs), that is
-    whether S = dd_ij(P) != 0: both read from the subsets that P's Taylor
-    plan lists, with no evaluation.  One evaluation of the plan, at the x
-    and y points of both probe pairs as the columns x0, y0, x1, y1 of one
-    array, gives every value.  S and D = P*S - d_iP*d_jP hold each pair's
-    values at the four points.  base holds J = {}:
-    W = D(x)*S(y) - S(x)*D(y) at both pairs.  slots holds J = rest - {m} at
-    both pairs, one row per split column of _pair_layout: D and S ignore
-    slots i and j, so y differs from x only in slot m, by
-    delta = y_m - x_m; with the pair split of P's shift to x in (i, j)
-    along m (_pair_split), W = delta*(A1*D0 - A0*D1) - delta^2*A0*D2.
+    One evaluation of P's plan, at the x and y points of both probe pairs as
+    the columns x0, y0, x1, y1 of one array, gives every value.  With
+    S = dd_ij(P) and D = P*S - d_iP*d_jP at the four points, base holds
+    J = {}: W = D(x)*S(y) - S(x)*D(y) at both pairs, one row per pair of
+    lay.pairs.  slots holds J = rest - {m} at both pairs, one row per split
+    column of lay: D and S ignore slots i and j, so y differs from x only
+    in slot m, by delta = y_m - x_m; with the pair split of P's shift to x
+    in (i, j) along m (_pair_split), W = delta*(A1*D0 - A0*D1) -
+    delta^2*A0*D2.
     """
-    __slots__ = ("present", "shares", "S", "D", "base", "slots")
-
-    def __init__(self, P: MPoly):
-        n, p = P.arity, P.ctx.p
-        lay = _pair_layout(n)
-        plan = _taylor_plan(P)
-        contained = np.zeros(plan.size, dtype=bool)
-        contained[plan.live] = True
-        self.present = contained.take(lay.single_rows)
-        self.shares = contained.take(lay.pair_rows[2])
-        points = [[probe[(h * n + k) % len(probe)] % p for probe in _PROBES for h in (0, 1)]
-                  for k in range(n)]
-        table = plan.table(points) if n else np.zeros((plan.size, 4), dtype=plan.dtype)
-        ri, rj, rij = lay.pair_rows
-        S = self.S = table.take(rij, axis=0)
-        D = self.D = (table[0] * S - table.take(ri, axis=0) * table.take(rj, axis=0)) % p
-        self.base = (D[:, 0::2] * S[:, 1::2] - S[:, 0::2] * D[:, 1::2]) % p
-        # products of residues stay below 2**60 once every factor is reduced
-        A1, A0, Dm = _pair_splits(table[:, 0::2], lay.left, lay.right)
-        Dm %= p
-        xy = np.array(points, dtype=plan.dtype).reshape(n, 4)
-        delta = ((xy[:, 1::2] - xy[:, 0::2]) % p).take(lay.split_free, axis=0)
-        self.slots = (delta * ((A1 * Dm[2] - A0 * Dm[1]) % p)
-                      - delta * delta % p * (A0 * Dm[0] % p)) % p
+    n, p = P.arity, P.ctx.p
+    points = [[probe[(h * n + k) % len(probe)] % p for probe in _PROBES for h in (0, 1)]
+              for k in range(n)]
+    table = plan.table(points) if n else np.zeros((plan.size, 4), dtype=plan.dtype)
+    ri, rj, rij = lay.pair_rows
+    S = table.take(rij, axis=0)
+    D = (table[0] * S - table.take(ri, axis=0) * table.take(rj, axis=0)) % p
+    base = (D[:, 0::2] * S[:, 1::2] - S[:, 0::2] * D[:, 1::2]) % p
+    # products of residues stay below 2**60 once every factor is reduced
+    A1, A0, Dm = _pair_splits(table[:, 0::2], lay.left, lay.right)
+    Dm %= p
+    xy = np.array(points, dtype=plan.dtype).reshape(n, 4)
+    delta = ((xy[:, 1::2] - xy[:, 0::2]) % p).take(lay.split_free, axis=0)
+    slots = (delta * ((A1 * Dm[2] - A0 * Dm[1]) % p)
+             - delta * delta % p * (A0 * Dm[0] % p)) % p
+    return base, slots
 
 
 def _witness_tags(P: MPoly) -> "_WitnessTags":
@@ -568,43 +552,42 @@ class _WitnessTags:
     """Which witnesses of P vanish, as far as the bulk steps decide it;
     witness_is_zero fills in the rest with the exact tests.
 
-    pair maps each pair (i, j), i < j, to whether its J = {} witness
-    vanishes, that is whether the pair splits P, and then every witness of
-    the pair vanishes.  For a pair not known to split, slot[i, j] maps each
-    slot m outside the pair, in increasing order, to whether its witness
-    glued on rest - {m} vanishes; None marks a tag not decided yet.  A pair
-    whose slots share no monomial has S == 0, so all its witnesses vanish,
-    and a witness glued on all but a slot that P does not hold vanishes
-    too.  A nonzero value at either probe pair (_Probes) proves a witness
-    live.  What these leave open goes to the structural proof over P's
-    additive pieces and verified factor blocks (structure._Structure).
+    present[t] tells whether a monomial of P holds slot t, and shares[q]
+    whether one holds both slots of pair q (_PairLayout.pairs), that is
+    whether S = dd_ij(P) != 0: boolean arrays read from the subsets that
+    P's Taylor plan lists, with no evaluation.  The rest are lists indexed
+    as the pairs.  split[q] tells that pair q splits P, so that every
+    witness of the pair vanishes, as it does when S == 0; base[q] that its
+    J = {} witness is known nonzero, at a probe pair or by the exact tests.
+    live[q] and zero[q] are the bit masks of the slots m whose witness
+    glued on rest - {m} is known live and known zero.  A nonzero value at
+    either probe pair (_probe_witnesses) proves a witness live, and a
+    witness glued on all but a slot that P does not hold vanishes.  What
+    these leave open goes to the structural proof over P's additive pieces
+    and verified factor blocks (structure._Structure), which adds to split
+    and zero.
     """
-    __slots__ = ("pair", "slot")
+    __slots__ = ("present", "shares", "split", "base", "live", "zero")
 
     def __init__(self, P: MPoly):
         n = P.arity
-        lay, probes = _pair_layout(n), _probes(P)
-        live = probes.base.any(axis=1).tolist()
-        split = (~probes.shares).tolist()
+        lay, plan = _pair_layout(n), _taylor_plan(P)
+        contained = np.zeros(plan.size, dtype=bool)
+        contained[plan.live] = True
+        self.present = contained.take(lay.single_rows)
+        self.shares = contained.take(lay.pair_rows[2])
+        base, slots = _probe_witnesses(P, plan, lay)
+        self.split = (~self.shares).tolist()
+        self.base = base.any(axis=1).tolist()
         # each pair's slots m whose witness glued on rest - {m} reads
-        # nonzero, as a bit mask
+        # nonzero
         glued = np.zeros((len(lay.pairs), n), dtype=bool)
         glued[np.arange(len(lay.pairs))[:, None], lay.witness_free] = (
-            probes.slots.take(lay.witness_columns, axis=0).any(axis=-1))
-        slot_live = _bit_rows(glued)
-        present = _bit_rows(probes.present[None])[0]
-        zero = [(1 << n) - 1 & ~present] * len(lay.pairs)
-        # the tags still open: glued on all but a slot that P holds
-        open_slots = [0 if s else present & ~(1 << i | 1 << j) & ~v
-                      for (i, j), s, v in zip(lay.pairs, split, slot_live)]
-        if any(open_slots) or not all(s or k for s, k in zip(split, live)):
-            _Structure(P, lay.pairs, present, live, slot_live, open_slots, split, zero)
-        self.pair, self.slot = {}, {}
-        for (i, j), s, known, v, z in zip(lay.pairs, split, live, slot_live, zero):
-            self.pair[i, j] = True if s else False if known else None
-            if not s:
-                self.slot[i, j] = {m: False if v >> m & 1 else True if z >> m & 1 else None
-                                   for m in range(n) if m != i and m != j}
+            slots.take(lay.witness_columns, axis=0).any(axis=-1))
+        self.live = _bit_rows(glued)
+        present = _bit_rows(self.present[None])[0]
+        self.zero = [(1 << n) - 1 & ~present] * len(lay.pairs)
+        _Structure(P, present, self)
 
 
 def _bit_rows(rows: np.ndarray) -> List[int]:

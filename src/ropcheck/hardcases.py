@@ -79,24 +79,29 @@ def range_sum(fn, head: tuple, total: int, threads: int) -> int:
         return sum(pool.map(fn, jobs))
 
 
-def _local_rop_count(job) -> int:
-    """How many of the assignments k in [lo, hi) are locally read-once.
+def sweep_cases(p: int, width: int, seed, lo: int, hi: int):
+    """The cases k in [lo, hi) of a sweep over vectors of width residues
+    mod p, as tuples in order of k.
 
-    Exhaustive sweeps take assignment k to be k's base-p digits; sampled
-    sweeps draw it from its own stream, seeded by (seed, k).
+    With seed None (an exhaustive sweep), case k is k's base-p digits;
+    otherwise it is drawn from its own stream, seeded by (seed, k).  Either
+    way a case depends only on (seed, k), so a sweep's result is the same
+    however its range is cut among workers.
     """
-    P, seed, exhaustive, lo, hi = job
-    p, n = P.ctx.p, P.arity
-    good = 0
     for k in range(lo, hi):
-        if exhaustive:
-            a = tuple(k // p ** t % p for t in range(n))
+        if seed is None:
+            yield tuple(k // p ** t % p for t in range(width))
         else:
             rng = random.Random(f"{seed}/{k}")
-            a = tuple(rng.randrange(p) for _ in range(n))
-        if is_locally_rop(P, a)[0]:
-            good += 1
-    return good
+            yield tuple(rng.randrange(p) for _ in range(width))
+
+
+def _local_rop_count(job) -> int:
+    """How many of the assignments k in [lo, hi) (sweep_cases) are locally
+    read-once."""
+    P, seed, lo, hi = job
+    return sum(1 for a in sweep_cases(P.ctx.p, P.arity, seed, lo, hi)
+               if is_locally_rop(P, a)[0])
 
 
 def local_rop_fraction(P: MPoly, samples: int, seed,
@@ -123,7 +128,7 @@ def local_rop_fraction(P: MPoly, samples: int, seed,
     elif samples < 1:
         raise InvalidParams(f"need at least one sample, got {samples}")
     guard_scale(samples * math.comb(n, 3), "triple restrictions in the sweep")
-    good = range_sum(_local_rop_count, (P, seed, exhaustive), samples, threads)
+    good = range_sum(_local_rop_count, (P, None if exhaustive else seed), samples, threads)
     frac = good / samples
     if exhaustive:
         return SweepRow(p, n, samples, frac, 0.0)

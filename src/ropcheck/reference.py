@@ -224,12 +224,12 @@ def gate_graph(P: MPoly) -> GateGraph:
 
 
 def _gate_graph(P: MPoly, vs: List[int]) -> GateGraph:
-    """gate_graph on a multilinear P whose slots are vs, in order."""
+    """gate_graph on a multilinear P whose slots are vs, in one pass over
+    P's monomials: dd_ab P != 0 iff some monomial holds both a and b, since
+    the monomials that do stay distinct once x_a*x_b is divided out."""
     edges = set()
-    for a in range(len(vs)):
-        for b in range(a + 1, len(vs)):
-            if not P.partial2(vs[a], vs[b]).is_zero():
-                edges.add((vs[a], vs[b]))
+    for mono in P.terms:
+        edges.update(itertools.combinations([v for v, _ in mono], 2))
     return GateGraph(frozenset(vs), frozenset(edges))
 
 

@@ -1,12 +1,14 @@
 """Witness zero tags proved from a polynomial's structure.
 
-decomp._WitnessTags hands this module the tags its probes leave open;
-_Structure proves what it can of them zero, from exact identities over the
-polynomial's additive pieces and verified factor blocks, recursively.
+decomp._WitnessTags hands this module its bit-mask tags with what its probes
+leave open; _Structure proves what it can of them zero, from exact identities
+over the polynomial's additive pieces and verified factor blocks,
+recursively.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import List
 
@@ -59,7 +61,7 @@ class _Structure:
       tags over L vanish (at the top level the pair splits P).
 
     Only the rank-one check (factor) reads P's terms.  The pieces are the
-    components of P's pairs that share a monomial (decomp._Probes.shares)
+    components of P's pairs that share a monomial (decomp._WitnessTags.shares)
     within L, exact since a pair shares a monomial in a piece or a block iff
     it does in P.  The candidate blocks join every pair of L that shares no
     monomial or whose witness reads nonzero at a probe glued on rest - {m}
@@ -69,33 +71,39 @@ class _Structure:
     holds an open tag.
 
     Slot sets and monomials are bit masks, and a polynomial is a dict from
-    its monomials to their coefficients.  The proof marks the pairs that
-    split P in split, and adds to zero[q] the slots m whose tags of pair q
-    it proves zero, both lists indexed as pairs, the pairs (i, j), i < j.
+    its monomials to their coefficients.  The proof reads and writes the
+    tags' lists (decomp._WitnessTags), indexed as the pairs (i, j), i < j,
+    in lexicographic order: it marks the pairs that split P in split, and
+    adds to zero[q] the slots m whose tags of pair q it proves zero.  P
+    holds the slots of the bit mask present.
     """
-    __slots__ = ("P", "pair_at", "shares", "base", "live", "open", "split", "zero", "terms")
+    __slots__ = ("P", "tags", "pair_at", "shares", "open", "terms")
 
-    def __init__(self, P: MPoly, pairs, present: int, live, slot_live, open_slots, split,
-                 zero):
+    def __init__(self, P: MPoly, present: int, tags):
         n = P.arity
-        self.P, self.base, self.live, self.open = P, live, slot_live, open_slots
-        self.split, self.zero, self.terms = split, zero, None
+        self.P, self.tags, self.terms = P, tags, None
         self.pair_at = [[0] * n for _ in range(n)]
         self.shares = [0] * n
-        for q, ((i, j), s) in enumerate(zip(pairs, split)):
+        self.open = []
+        for q, (i, j) in enumerate(itertools.combinations(range(n), 2)):
             self.pair_at[i][j] = self.pair_at[j][i] = q
-            if not s:
+            if tags.split[q]:
+                self.open.append(0)
+            else:
                 self.shares[i] |= 1 << j
                 self.shares[j] |= 1 << i
+                # the tags still open: glued on all but a slot that P holds
+                self.open.append(present & ~(1 << i | 1 << j) & ~tags.live[q])
         self.level(present, True)
 
     def level(self, L: int, top: bool, source=None):
         """Prove the tags of the pairs inside the level's slots L glued on
         all but a slot of L.  The level's nonconstant terms are those of the
         polynomial source inside L; None stands for P."""
+        tags = self.tags
         slots = _bits(L)
         pairs = [(a, b, self.pair_at[a][b]) for k, a in enumerate(slots) for b in slots[k + 1:]]
-        if not any(self.open[q] & L or top and not (self.split[q] or self.base[q])
+        if not any(self.open[q] & L or top and not (tags.split[q] or tags.base[q])
                    for _, _, q in pairs):
             return
         pieces = _components(L, self.shares)
@@ -106,7 +114,7 @@ class _Structure:
             return
         joined = [0] * self.P.arity
         for a, b, q in pairs:
-            if not self.shares[a] >> b & 1 or self.live[q] & L or top and self.base[q]:
+            if not self.shares[a] >> b & 1 or tags.live[q] & L or top and tags.base[q]:
                 joined[a] |= 1 << b
                 joined[b] |= 1 << a
         blocks = _components(L, joined)
@@ -118,9 +126,9 @@ class _Structure:
         label = {v: k for k, block in enumerate(blocks) for v in _bits(block)}
         for a, b, q in pairs:
             if label[a] != label[b]:
-                self.zero[q] |= L
+                tags.zero[q] |= L
                 if top:
-                    self.split[q] = True
+                    tags.split[q] = True
         for block, factor in zip(blocks, factors):
             if block.bit_count() >= 3:
                 self.level(block, False, factor)

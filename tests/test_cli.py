@@ -2,7 +2,7 @@
 
 import json
 
-from ropcheck import testers
+from ropcheck import charax, testers
 from ropcheck.cli import main
 from ropcheck.mpoly import MPoly, parse_poly_file
 
@@ -330,6 +330,20 @@ def test_check_has_no_mode_option(capsys):
     code, _, err = run(capsys, "check", "q4.txt", "--mode", "fast")
     assert code == 2
     assert "--mode" in err
+
+
+def test_out_of_memory_exits_2_not_read_many(tmp_path, capsys, monkeypatch):
+    # an input past the memory available must not read as READ_MANY (exit 1)
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    path = tmp_path / "q4.txt"
+    main(["gen", "qn", "--p", "1009", "--n", "4", "--out", str(path)])
+    capsys.readouterr()
+    monkeypatch.setattr(charax, "characterize", out_of_memory)
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: out of memory")
 
 
 def test_huge_arity_files_exit_2(tmp_path, capsys):

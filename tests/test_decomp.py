@@ -232,9 +232,10 @@ def _probe_pairs(n, p):
 
 def _probe_values(P, i, j, m):
     """W at the two probe pairs for the pair (i, j), i < j, and J = {}
-    (m None) or J = rest - {m}, read from P's memoized probes."""
-    lay, probes = decomp._pair_layout(P.arity), decomp._probes(P)
-    row = probes.base[lay.index[i, j]] if m is None else probes.slots[lay.columns[i, j, m]]
+    (m None) or J = rest - {m}, read from the probe evaluation."""
+    lay = decomp._pair_layout(P.arity)
+    base, slots = decomp._probe_witnesses(P, decomp._taylor_plan(P), lay)
+    row = base[lay.index[i, j]] if m is None else slots[lay.columns[i, j, m]]
     return tuple(row.tolist())
 
 
@@ -613,10 +614,11 @@ def test_unglued_witness_is_decided_over_every_slot(p):
                 # a fresh copy, whose tags are not memoized yet
                 Q = MPoly(ctx, n, dict(P.terms))
                 tags = decomp._witness_tags(Q)
-                for pair, row in tags.slot.items():
-                    tags.pair[pair] = None
-                    if clear_slots:
-                        row.update(dict.fromkeys(row))
+                for q, split in enumerate(tags.split):
+                    if not split:
+                        tags.base[q] = False
+                        if clear_slots:
+                            tags.live[q] = tags.zero[q] = 0
                 for (i, j), zero in want.items():
                     assert witness_is_zero(Q, i, j) == zero, (P, i, j)
                     outcomes.add(zero)
@@ -637,12 +639,37 @@ def test_live_slot_probe_settles_the_unglued_witness(monkeypatch):
     monkeypatch.setattr(decomp, "_slot_vanishes", counted)
     P = parse_terms(GF1009, 4, "x1*x2 + x3 + x4")
     tags = decomp._witness_tags(P)
-    assert tags.slot[0, 1] == {2: False, 3: False}
-    tags.pair[0, 1] = None
+    assert tags.live[0] == 0b1100 and not tags.split[0]
+    tags.base[0] = False
     assert not witness_is_zero(P, 0, 1)
-    assert tags.pair[0, 1] is False
+    assert tags.base[0] and not tags.split[0]
     assert not calls
     assert not decomp_witness(P, 0, 1).value.is_zero()
+
+
+def test_exact_slot_tests_run_in_increasing_order_up_to_the_first_live_one(monkeypatch):
+    # for the pair (x1, x2) of x1*x2*x3 + x4 + x5, D/S = x4 + x5 is free of
+    # x3 and depends on x4 and x5.  With the pair's tags cleared, J = {}
+    # tests slot x3 (zero), then x4 (live) and stops; the outcomes join the
+    # tags, so a witness whose unglued slot is x4 needs no further test
+    tested = []
+    slot_vanishes = decomp._slot_vanishes
+
+    def counted(c, x, y, z, p):
+        tested.append(z.bit_length() - 1)
+        return slot_vanishes(c, x, y, z, p)
+
+    monkeypatch.setattr(decomp, "_slot_vanishes", counted)
+    P = parse_terms(GF1009, 5, "x1*x2*x3 + x4 + x5")
+    tags = decomp._witness_tags(P)
+    tags.base[0] = False
+    tags.live[0] = tags.zero[0] = 0
+    assert not witness_is_zero(P, 0, 1)
+    assert tested == [2, 3]
+    assert tags.zero[0] == 0b100 and tags.live[0] == 0b1000 and tags.base[0]
+    assert not witness_is_zero(P, 0, 1, {2, 4})
+    assert witness_is_zero(P, 0, 1, {3, 4})
+    assert tested == [2, 3]
 
 
 def test_witness_examples():
@@ -672,6 +699,26 @@ def test_gate_graph_ignores_dead_variables():
     G = gate_graph(P)
     assert G.vertices == frozenset({0, 1})
     assert G.edges == frozenset({(0, 1)})
+
+
+@pytest.mark.parametrize("ctx", [GF2, GF3, GF1009], ids=lambda ctx: f"GF{ctx.p}")
+def test_gate_graph_edges_are_the_nonzero_mixed_partials(ctx):
+    # the gate graph reads its edges from the monomials; against the
+    # definition, an edge wherever dd_ab P != 0
+    rng = random.Random(ctx.p + 7)
+    edges = 0
+    for n in range(2, 8):
+        polys = [q_n(n, ctx), random_rof(ctx, n, rng).expand(),
+                 random_rof(ctx, n, rng, max(1, n - 2)).expand()]
+        polys += [random_multilinear(ctx, n, rng) for _ in range(3)]
+        for P in polys:
+            want = {(a, b) for a, b in itertools.combinations(range(n), 2)
+                    if not P.partial2(a, b).is_zero()}
+            G = gate_graph(P)
+            assert G.edges == want, (P, sorted(G.edges), sorted(want))
+            assert G.vertices == P.variables()
+            edges += len(want)
+    assert edges
 
 
 def test_additive_separability():

@@ -12,6 +12,7 @@ from ropcheck.hardcases import (
     SWEEP_CSV_HEADER,
     local_rop_fraction,
     q_n,
+    sweep_cases,
 )
 from ropcheck.mpoly import MPoly, parse_terms
 from ropcheck.reference import brute_force_is_rop
@@ -19,6 +20,7 @@ from ropcheck.rof import random_rof
 
 GF2 = FieldCtx(2)
 GF5 = FieldCtx(5)
+GF7 = FieldCtx(7)
 GF101 = FieldCtx(101)
 
 
@@ -101,6 +103,15 @@ def test_local_fraction_monte_carlo():
     row = local_rop_fraction(q_n(4, GF101), 300, 5)
     assert row.samples == 300
     assert row.good_fraction < 0.05
+
+
+def test_sampled_sweep_streams_are_pinned():
+    # assignment k of a sampled sweep is drawn from random.Random(f"{seed}/{k}");
+    # the CLI's sampled sweeps and enumerations print these fractions
+    row = local_rop_fraction(q_n(8, GF7), 300, 1)
+    assert row.to_csv_row() == "7,8,300,0.206667,0.023378"
+    assert list(sweep_cases(5, 3, 4, 0, 2)) == [(2, 0, 4), (1, 2, 4)]
+    assert list(sweep_cases(5, 3, None, 7, 9)) == [(2, 1, 0), (3, 1, 0)]
 
 
 def test_local_fraction_on_read_once_input():
