@@ -31,6 +31,13 @@ runs on residues and on int64 columns.  The compiler tracks an upper bound
 on every intermediate value and reduces mod p only where the next step could
 reach 2**62; read-once formulas compile their own trees to the same plans.
 
+Grid interpolation (_interpolate_stack) applies one Lagrange basis matrix
+per axis to a stack of grids.  The bases are float64 where a row times a
+column of residues stays below 2**53, and then each axis is one float64
+matmul on nonnegative integers under a tracked bound, reduced mod p only
+before a step that could reach 2**53 and once at the end; int64 and
+object bases reduce after every step.
+
 Serialization is one term per '+', coefficients as decimal residues,
 variables printed 1-based (slot 0 is x1), terms ordered by graded
 lexicographic order, highest first.
@@ -88,16 +95,18 @@ def _eval_residues(eval_raw, p: int, points) -> np.ndarray:
     points is a list of points or an integer array with one row per point.
     8 or more points below _NUMPY_P_LIMIT must be residues, which nothing
     checks or reduces again; they go to eval_raw in one call, as one
-    contiguous int64 column per slot, and a result that does not depend on
-    the point is broadcast to every point.  Otherwise eval_raw runs point by
-    point on Python ints, which is exact for any entries.
+    contiguous int64 column per slot; the result is one value per point,
+    or one int for a polynomial that reads no slot, broadcast to every
+    point.  Otherwise eval_raw runs point by point on Python ints, which is
+    exact for any entries.
     """
     if p >= _NUMPY_P_LIMIT or len(points) < 8:
         if isinstance(points, np.ndarray):
             points = points.tolist()
         return np.array([eval_raw(pt) for pt in points], dtype=np.int64)
     cols = list(np.ascontiguousarray(np.asarray(points, dtype=np.int64).T))
-    return np.broadcast_to(eval_raw(cols), len(points))
+    values = eval_raw(cols)
+    return values if isinstance(values, np.ndarray) else np.broadcast_to(values, len(points))
 
 
 def _pow_mod(x, e: int, p: int):
@@ -827,6 +836,13 @@ def parse_poly_file(text: str) -> MPoly:
 
 # ---- interpolation ----
 
+# below this modulus a product of two residues plus a residue fits in int64,
+# so _basis_matrices builds its bases in int64
+_BASIS_INT64_LIMIT = 2**31
+# float64 holds every integer below this exactly
+_FLOAT_EXACT = 2**53
+
+
 def _basis_matrices(p: int, nodes) -> np.ndarray:
     """The Lagrange bases of k node tuples at once, as a (k, L, L) array M.
 
@@ -837,12 +853,15 @@ def _basis_matrices(p: int, nodes) -> np.ndarray:
     numerators prod_{j != r} (X - x_j) are the quotients of each row's full
     product prod_j (X - x_j) by X - x_r, found for every r by one synthetic
     division, and the denominators are those quotients at x_r, by Horner's
-    rule.  Below _NUMPY_P_LIMIT every step multiplies two residues in
-    int64, and Python ints in object arrays above it.  A row of M times a
-    column of residues sums L products of two residues; M is int64 where
-    that stays below 2**62 and an object array of Python ints otherwise.
+    rule.  Below _BASIS_INT64_LIMIT every step multiplies two residues in
+    int64, and all denominators are inverted at once as d**(p - 2) by
+    _pow_mod; above it the steps run on Python ints in object arrays, one
+    pow per denominator.  A row of M times a column of residues sums L
+    products of two residues: M is float64 where that stays below 2**53
+    (_interpolate_stack's BLAS path), int64 where it stays below 2**62, and
+    an object array of Python ints otherwise.
     """
-    dtype = np.int64 if p < _NUMPY_P_LIMIT else object
+    dtype = np.int64 if p < _BASIS_INT64_LIMIT else object
     x = np.asarray(nodes, dtype=dtype)
     k, L = x.shape
     # full[:, t] is the coefficient of X^t in prod_j (X - x_j)
@@ -859,10 +878,18 @@ def _basis_matrices(p: int, nodes) -> np.ndarray:
     denominators = q[:, :, L - 1]
     for t in range(L - 2, -1, -1):
         denominators = (denominators * x + q[:, :, t]) % p
-    inverses = np.array([pow(v, -1, p) for v in denominators.ravel().tolist()],
-                        dtype=dtype).reshape(k, L, 1)
-    M = (q * inverses % p).transpose(0, 2, 1)
-    return M.astype(np.int64 if L * (p - 1) * (p - 1) < 2**62 else object)
+    if dtype is object:
+        inverses = np.array([pow(v, -1, p) for v in denominators.ravel().tolist()],
+                            dtype=object).reshape(k, L)
+    elif p > 2:
+        inverses = _pow_mod(denominators, p - 2, p)
+    else:
+        # 1, the one unit of GF(2), is its own inverse
+        inverses = denominators
+    M = (q * inverses[:, :, None] % p).transpose(0, 2, 1)
+    bound = L * (p - 1) * (p - 1)
+    return M.astype(np.float64 if bound < _FLOAT_EXACT else
+                    np.int64 if bound < 2**62 else object)
 
 
 def _residues(values, p: int) -> np.ndarray:
@@ -892,14 +919,33 @@ def _interpolate_stack(p: int, bases: Sequence[np.ndarray], C: np.ndarray) -> np
     of axis t (_basis_matrices): one (L_t, L_t) matrix that every grid
     shares, or a (k, L_t, L_t) stack, one per grid.  Entry
     [g, e_1, ..., e_m] of the result is grid g's coefficient of
-    x_1^e_1 ... x_m^e_m, reduced mod p, int64 where the bases are and object
-    where they are not.
+    x_1^e_1 ... x_m^e_m, reduced mod p: object where a basis is, else int64.
+
+    A float64 basis transforms its axis by one float64 matmul (BLAS).  The
+    entries stay nonnegative integers under a tracked bound: p - 1 for
+    residues, times L_t * (p - 1) per such step.  They are reduced mod p
+    only before a step whose bound would reach 2**53, and once at the end,
+    so every partial sum is an integer below 2**53, exact in whatever order
+    the matmul adds.  An int64 or object basis reduces after its step.
     """
     k, dims = C.shape[0], C.shape[1:]
+    # an upper bound on the entries of C
+    bound = p - 1
     # transform the leading axis, then rotate it to the back; after one step
     # per axis the axes are back in order
     for L, M in zip(dims, bases):
-        C = (M @ C.reshape(k, L, -1) % p).transpose(0, 2, 1)
+        if M.dtype == np.float64:
+            if bound * L * (p - 1) >= _FLOAT_EXACT:
+                C, bound = np.fmod(C, p), p - 1
+            C = M @ C.astype(np.float64, copy=False).reshape(k, L, -1)
+            bound *= L * (p - 1)
+        else:
+            if C.dtype == np.float64:
+                C = C.astype(np.int64) % p
+            C, bound = M @ C.reshape(k, L, -1) % p, p - 1
+        C = C.transpose(0, 2, 1)
+    if C.dtype == np.float64:
+        C = C.astype(np.int64) % p
     return C.reshape(k, *dims)
 
 

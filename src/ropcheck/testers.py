@@ -16,8 +16,10 @@ built once, and one lexicographic 3-subset table, so grid q is round
 q // C(n,3) on subset q % C(n,3).  Grids are queried and decided in
 doubling batches of 1, 2, 4, ... grids, up to _BATCH_POINTS points: a
 batch's points and bases are gathered from those arrays by fancy indexing
-and stay int64 arrays through one oracle call (Oracle._query_array), one
-stacked interpolation and one vectorized closed-form decision.  YES
+and stay arrays through one oracle call (Oracle._query_residues, on int64
+residues with no range check), one stacked interpolation (float64 BLAS
+matmuls with one final reduction mod p wherever that is exact, see
+mpoly._interpolate_stack) and one vectorized closed-form decision.  YES
 reports count the same queries as a one-grid-at-a-time scan.  A NO report
 counts every point of the batches it queried, fewer than about twice the
 points up to the failing grid, plus one batch.
@@ -117,22 +119,24 @@ def _grid_points(base, axes, I, marked: bool):
     axes[g, t] (axes is (k, m, L)), in itertools.product order, and the
     grids follow each other.  The array is the transpose of an (n, N) one,
     so each slot's column is contiguous, as the oracle's plan reads it.
-    shared has the batch's grid shape (k, L, ..., L).  Two grids share a
-    point only if it agrees with the common base point on their symmetric
-    difference, so one of the point's I-coordinates equals the base point's.
+    Two grids share a point only if it agrees with the common base point on
+    their symmetric difference, so one of the point's I-coordinates equals
+    the base point's.  So the mask is built, with the batch's grid shape
+    (k, L, ..., L), only when some grid's axis holds its base point's
+    coordinate; otherwise no point of the batch is shared and it is None.
     """
     (k, n), (m, L) = base.shape, axes.shape[1:]
     pts = np.empty((n, k) + (L,) * m, dtype=np.int64)
     pts[...] = base.T.reshape((n, k) + (1,) * m)
-    shared = np.zeros((k,) + (L,) * m, dtype=bool) if marked else None
     rows = np.arange(k)
+    on_base = (axes == base[rows[:, None], I][:, :, None]) if marked else None
+    shared = np.zeros((k,) + (L,) * m, dtype=bool) if marked and on_base.any() else None
     for t in range(m):
         shape = [k] + [1] * m
         shape[t + 1] = L
-        column = axes[:, t].reshape(shape)
-        pts[I[:, t], rows] = column
-        if marked:
-            shared |= column == base[rows, I[:, t]].reshape([k] + [1] * m)
+        pts[I[:, t], rows] = axes[:, t].reshape(shape)
+        if shared is not None:
+            shared |= on_base[:, t].reshape(shape)
     return pts.reshape(n, -1).T, shared
 
 
@@ -145,15 +149,13 @@ def _stored_values(oracle: Oracle, points, shared, store) -> np.ndarray:
     only shared ones are made unique and turned into keys.  One oracle call
     answers the batch.
     """
-    if not shared.any():
-        return oracle._query_array(points)
     own = np.flatnonzero(~shared)
     rows = np.flatnonzero(shared)
     uniq, first, inverse = np.unique(points[rows], axis=0, return_index=True,
                                      return_inverse=True)
     keys = list(map(tuple, uniq.tolist()))
     new = np.array([key not in store for key in keys], dtype=bool)
-    answers = oracle._query_array(points[np.concatenate([own, rows[first[new]]])])
+    answers = oracle._query_residues(points[np.concatenate([own, rows[first[new]]])])
     values = np.empty(len(points), dtype=np.int64)
     values[own] = answers[:len(own)]
     known = np.empty(len(uniq), dtype=np.int64)
@@ -177,8 +179,8 @@ def _check_batch(oracle: Oracle, base, axes, I, bases, store):
     p, k = oracle.ctx.p, len(base)
     points, shared = _grid_points(base, axes, I, store is not None)
     dims = (axes.shape[2],) * I.shape[1]
-    if store is None:
-        values = oracle._query_array(points)
+    if shared is None:
+        values = oracle._query_residues(points)
     else:
         values = _stored_values(oracle, points, shared.reshape(-1), store)
     # free the points before the transform: a degree-124 grid holds 2 M rows

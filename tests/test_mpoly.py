@@ -30,6 +30,7 @@ from ropcheck.mpoly import (
     _code_products,
     _decode_all,
     _encode,
+    _interpolate_stack,
     _residues,
     interpolate_grid,
     parse_header,
@@ -535,7 +536,7 @@ def test_interpolation_round_trip():
     # (field, fewest nodes per axis, most nodes per axis).  The two large
     # fields with 4-5 nodes exceed the int64 bound of interpolate_grid, so
     # they cover its arithmetic on Python ints.
-    fields = [(GF5, 1, 3), (GF101, 1, 3),
+    fields = [(GF2, 1, 2), (GF5, 1, 3), (GF101, 1, 3),
               (FieldCtx(2**30 + 3), 4, 5), (FieldCtx(2**61 - 1), 4, 5)]
     rng = random.Random(71)
     for _ in range(400):
@@ -580,8 +581,9 @@ def _lagrange_basis(p, xs):
 @pytest.mark.parametrize("p", [3, 5, 1009, 2**30 - 35, 2**31 - 1, 2**61 - 1])
 def test_basis_matrices_match_lagrange_expansion(p):
     # one call builds the bases of many node tuples; each must equal the
-    # one-tuple expansion, with int64 entries only where a row times a
-    # column of residues stays below 2**62
+    # one-tuple expansion, with float64 entries only where a row times a
+    # column of residues stays below 2**53, and int64 ones only where it
+    # stays below 2**62
     rng = random.Random(p)
     for L in range(1, min(p, 9) + 1):
         nodes = [rng.sample(range(p), L) if p < 10**6 else
@@ -589,10 +591,79 @@ def test_basis_matrices_match_lagrange_expansion(p):
         nodes = [xs for xs in nodes if len(set(xs)) == L]
         M = _basis_matrices(p, np.array(nodes, dtype=np.int64))
         assert M.shape == (len(nodes), L, L)
-        assert M.dtype == (np.int64 if L * (p - 1) ** 2 < 2**62 else object)
+        bound = L * (p - 1) ** 2
+        assert M.dtype == (np.float64 if bound < 2**53 else
+                           np.int64 if bound < 2**62 else object)
         for xs, got in zip(nodes, M.tolist()):
             assert got == _lagrange_basis(p, xs)
 
+
+
+def _reference_coefficients(p, axes, values):
+    """The interpolant's coefficient grid, in Python ints: each axis's
+    _lagrange_basis applied in turn to the samples, in product order."""
+    dims = [len(xs) for xs in axes]
+    cells = list(itertools.product(*map(range, dims)))
+    C = dict(zip(cells, values))
+    for t, xs in enumerate(axes):
+        M = _lagrange_basis(p, xs)
+        C = {e: sum(M[e[t]][r] * C[e[:t] + (r,) + e[t + 1:]] for r in range(dims[t])) % p
+             for e in cells}
+    return [C[e] for e in cells]
+
+
+# (p, reductions mod p before a step): three axes of 9 nodes.  Float64
+# bases bound a step's entries by L * (p - 1) times the last bound, from
+# p - 1 for residues, and reduce before a step that could reach 2**53: not
+# at 1873, before the third step at 1877, and before the second and third
+# at 31635403.  At 31635431 the bases are int64 and at 2**31 - 1 and
+# 2**61 - 1 Python ints; those reduce after every step and call no fmod
+@pytest.mark.parametrize("p, reductions", [(1873, 0), (1877, 1), (31635403, 2),
+                                           (31635431, 0), (2**31 - 1, 0), (2**61 - 1, 0)])
+def test_interpolate_stack_is_exact_on_both_sides_of_each_threshold(p, reductions, monkeypatch):
+    rng = random.Random(p)
+    L, k = 9, 3
+    bound = L * (p - 1) ** 2
+    dtype = np.float64 if bound < 2**53 else np.int64 if bound < 2**62 else object
+    fmod, calls = np.fmod, []
+    monkeypatch.setattr(np, "fmod", lambda *a: calls.append(a[1]) or fmod(*a))
+    # samples near p - 1 push the entries toward their bound
+    values = [[rng.choice((p - 1, p - 2, rng.randrange(p))) for _ in range(L**3)]
+              for _ in range(k)]
+    C = np.array(values, dtype=np.int64).reshape(k, L, L, L)
+    shared = [rng.sample(range(p), L) for _ in range(3)]
+    own = [[rng.sample(range(p), L) for _ in range(3)] for _ in range(k)]
+    stack = _basis_matrices(p, np.array(own, dtype=np.int64).reshape(3 * k, L))
+    for axes, bases in (([shared] * k, [_basis_matrices(p, [xs])[0] for xs in shared]),
+                        (own, [stack.reshape(k, 3, L, L)[:, t] for t in range(3)])):
+        assert all(M.dtype == dtype for M in bases)
+        calls.clear()
+        got = _interpolate_stack(p, bases, C)
+        assert calls == [p] * reductions
+        assert got.dtype == (object if dtype is object else np.int64)
+        assert got.shape == (k, L, L, L)
+        for g in range(k):
+            assert got[g].ravel().tolist() == _reference_coefficients(p, axes[g], values[g])
+
+
+def test_interpolation_mixes_float_and_int64_axes():
+    # at p = 31635403 a basis of 9 nodes is float64 and one of 10 is int64
+    # (10 * (p - 1)**2 passes 2**53), so the grid's steps switch between
+    # float64 and int64 entries both ways
+    ctx = FieldCtx(31635403)
+    rng = random.Random(5)
+    lengths = (9, 10, 9)
+    assert [_basis_matrices(ctx.p, [range(L)])[0].dtype for L in lengths] == \
+        [np.float64, np.int64, np.float64]
+    for _ in range(3):
+        axes = [rng.sample(range(ctx.p), L) for L in lengths]
+        values = [rng.randrange(ctx.p) for _ in range(9 * 10 * 9)]
+        P = interpolate_grid(ctx, axes, values)
+        coefficients = _reference_coefficients(ctx.p, axes, values)
+        cells = itertools.product(*(range(L) for L in lengths))
+        want = {tuple((t, e) for t, e in enumerate(cell) if e): c
+                for cell, c in zip(cells, coefficients) if c}
+        assert P.terms == want
 
 def test_interpolation_reduces_samples_beyond_int64():
     # 2**63 + 1 = 91 and 2**64 + 5 = 84 mod 101; a float64 conversion of the

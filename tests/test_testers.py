@@ -1,5 +1,6 @@
 """Black-box testers: one-sidedness, rejection, query accounting, determinism."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -329,6 +330,54 @@ def test_corrupted_oracle_scans_match_the_sequential_scan(p):
             verdicts.add(rep.verdict)
     assert verdicts == {YES, NO}
 
+
+# fields on both sides of each interpolation threshold: no reduction before
+# the last (5, 11, 1009), one more on degree-8 grids (1877), one before each
+# step below degree 8 and int64 bases at degree 8 (31635431), and Python-int
+# bases (2**31 - 1)
+_PINNED_FIELDS = (5, 11, 1009, 1877, 31635431, 2**31 - 1)
+# sha256 of the reports below, one to_json() line each
+_PINNED_REPORTS = "425c60cec35008d28208f9faa5ef4ad7d703678bfe80ee7528b5c2199c5ba2bf"
+
+
+def _pinned_oracles():
+    """(oracle, n, degree bound) for 109 seeded oracles: per field and arity
+    n = 3..8 a formula, another formula's expansion and a read-many variant
+    (q_n, a random multilinear polynomial or an expansion plus a square),
+    then one corrupted formula."""
+    rng = random.Random(24)
+    for p in _PINNED_FIELDS:
+        ctx = FieldCtx(p)
+        for n in range(3, 9):
+            d = min(n, p - 1) if p < 2**30 else 2
+            yield as_oracle(random_rof(ctx, n, rng)), n, d
+            yield as_oracle(random_rof(ctx, n, rng).expand()), n, d
+            if n % 3 == 0:
+                variant = q_n(n, ctx)
+            elif n % 3 == 1:
+                variant = random_multilinear(ctx, n, rng)
+            else:
+                variant = (random_rof(ctx, n, rng).expand()
+                           + MPoly(ctx, n, {((rng.randrange(n), 2),): 1}))
+            yield as_oracle(variant), n, d
+    F = random_rof(GF1009, 7, rng)
+    yield corrupt_oracle(as_oracle(F), 0.01, rng.randrange(1 << 30)), 7, 7
+
+
+def test_tester_reports_match_pinned_digest():
+    # read_once_test with the point store on and off and property_test, on
+    # every pinned oracle; the digest was computed when each batch was
+    # interpolated in int64 with a reduction after every step
+    digest, outcomes = hashlib.sha256(), set()
+    for k, (orc, n, d) in enumerate(_pinned_oracles()):
+        reports = [read_once_test(orc, n, d, 0.25, k, cache=cache) for cache in (True, False)]
+        reports.append(property_test(orc, n, 0.5, k))
+        for rep in reports:
+            digest.update(rep.to_json().encode() + b"\n")
+            outcomes.add((rep.verdict, rep.failure_kind))
+    assert k == 108
+    assert outcomes == {(YES, None), (NO, NOT_MULTILINEAR), (NO, NOT_ROP)}
+    assert digest.hexdigest() == _PINNED_REPORTS
 
 def test_property_test_leaves_the_generator_as_the_sequential_scan_on_yes():
     # a YES run draws every round's triples once, in order, whatever batches
