@@ -836,9 +836,6 @@ def parse_poly_file(text: str) -> MPoly:
 
 # ---- interpolation ----
 
-# below this modulus a product of two residues plus a residue fits in int64,
-# so _basis_matrices builds its bases in int64
-_BASIS_INT64_LIMIT = 2**31
 # float64 holds every integer below this exactly
 _FLOAT_EXACT = 2**53
 
@@ -853,15 +850,13 @@ def _basis_matrices(p: int, nodes) -> np.ndarray:
     numerators prod_{j != r} (X - x_j) are the quotients of each row's full
     product prod_j (X - x_j) by X - x_r, found for every r by one synthetic
     division, and the denominators are those quotients at x_r, by Horner's
-    rule.  Below _BASIS_INT64_LIMIT every step multiplies two residues in
-    int64, and all denominators are inverted at once as d**(p - 2) by
-    _pow_mod; above it the steps run on Python ints in object arrays, one
-    pow per denominator.  A row of M times a column of residues sums L
-    products of two residues: M is float64 where that stays below 2**53
-    (_interpolate_stack's BLAS path), int64 where it stays below 2**62, and
-    an object array of Python ints otherwise.
+    rule.  Below _NUMPY_P_LIMIT every step multiplies two residues in
+    int64, and Python ints in object arrays above it.  A row of M times a
+    column of residues sums L products of two residues: M is float64 where
+    that stays below 2**53 (_interpolate_stack's BLAS path), int64 where it
+    stays below 2**62, and an object array of Python ints otherwise.
     """
-    dtype = np.int64 if p < _BASIS_INT64_LIMIT else object
+    dtype = np.int64 if p < _NUMPY_P_LIMIT else object
     x = np.asarray(nodes, dtype=dtype)
     k, L = x.shape
     # full[:, t] is the coefficient of X^t in prod_j (X - x_j)
@@ -878,15 +873,9 @@ def _basis_matrices(p: int, nodes) -> np.ndarray:
     denominators = q[:, :, L - 1]
     for t in range(L - 2, -1, -1):
         denominators = (denominators * x + q[:, :, t]) % p
-    if dtype is object:
-        inverses = np.array([pow(v, -1, p) for v in denominators.ravel().tolist()],
-                            dtype=object).reshape(k, L)
-    elif p > 2:
-        inverses = _pow_mod(denominators, p - 2, p)
-    else:
-        # 1, the one unit of GF(2), is its own inverse
-        inverses = denominators
-    M = (q * inverses[:, :, None] % p).transpose(0, 2, 1)
+    inverses = np.array([pow(v, -1, p) for v in denominators.ravel().tolist()],
+                        dtype=dtype).reshape(k, L, 1)
+    M = (q * inverses % p).transpose(0, 2, 1)
     bound = L * (p - 1) * (p - 1)
     return M.astype(np.float64 if bound < _FLOAT_EXACT else
                     np.int64 if bound < 2**62 else object)

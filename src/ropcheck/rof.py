@@ -347,34 +347,28 @@ class Oracle:
 
         An integer array is brought into [0, p) by mpoly._residues: an int64
         array already there is handed on as it is, without a copy or a
-        second % p.  A list's entries are coerced one by one.  Then
-        _query_residues answers them.
+        second % p.  Above 2**30 its rows become tuples of Python ints,
+        since int64 products of residues overflow there.  A list's entries
+        are coerced one by one.  The batch's values pass through _residues
+        too, so a list, or values outside [0, p), come back as residues.
         """
+        p = self.ctx.p
         if isinstance(points, np.ndarray):
             if points.ndim != 2 or points.shape[1] != self.arity:
                 raise ArityMismatch(
                     f"point array of shape {points.shape} for arity {self.arity}")
             if points.dtype.kind not in "iuO":
                 raise InvalidParams(f"points must be integers, got {points.dtype}")
-            return self._query_residues(_residues(points, self.ctx.p))
-        pts = []
-        for a in points:
-            if len(a) != self.arity:
-                raise ArityMismatch(
-                    f"assignment length {len(a)} != arity {self.arity}")
-            pts.append(tuple(self.ctx.coerce(v) for v in a))
-        return self._query_residues(pts)
-
-    def _query_residues(self, pts) -> np.ndarray:
-        """_query_array on points that are residues already: an (N, arity)
-        int64 array with entries in [0, p), which nothing checks, or a list
-        of tuples.  Above 2**30 an array's rows become tuples of Python ints,
-        since int64 products of residues overflow there.  The batch's values
-        pass through _residues, so a list, or values outside [0, p), come
-        back as residues."""
-        p = self.ctx.p
-        if isinstance(pts, np.ndarray) and p >= _NUMPY_P_LIMIT:
-            pts = _point_tuples(pts)
+            pts = _residues(points, p)
+            if p >= _NUMPY_P_LIMIT:
+                pts = _point_tuples(pts)
+        else:
+            pts = []
+            for a in points:
+                if len(a) != self.arity:
+                    raise ArityMismatch(
+                        f"assignment length {len(a)} != arity {self.arity}")
+                pts.append(tuple(self.ctx.coerce(v) for v in a))
         self.query_count += len(pts)
         return _residues(self._batch(pts), p)
 

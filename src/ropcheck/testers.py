@@ -16,10 +16,10 @@ built once, and one lexicographic 3-subset table, so grid q is round
 q // C(n,3) on subset q % C(n,3).  Grids are queried and decided in
 doubling batches of 1, 2, 4, ... grids, up to _BATCH_POINTS points: a
 batch's points and bases are gathered from those arrays by fancy indexing
-and stay arrays through one oracle call (Oracle._query_residues, on int64
-residues with no range check), one stacked interpolation (float64 BLAS
-matmuls with one final reduction mod p wherever that is exact, see
-mpoly._interpolate_stack) and one vectorized closed-form decision.  YES
+and stay int64 arrays through one oracle call (Oracle._query_array), one
+stacked interpolation (float64 BLAS matmuls with one final reduction mod p
+wherever that is exact, see mpoly._interpolate_stack) and one vectorized
+closed-form decision.  YES
 reports count the same queries as a one-grid-at-a-time scan.  A NO report
 counts every point of the batches it queried, fewer than about twice the
 points up to the failing grid, plus one batch.
@@ -155,7 +155,7 @@ def _stored_values(oracle: Oracle, points, shared, store) -> np.ndarray:
                                      return_inverse=True)
     keys = list(map(tuple, uniq.tolist()))
     new = np.array([key not in store for key in keys], dtype=bool)
-    answers = oracle._query_residues(points[np.concatenate([own, rows[first[new]]])])
+    answers = oracle._query_array(points[np.concatenate([own, rows[first[new]]])])
     values = np.empty(len(points), dtype=np.int64)
     values[own] = answers[:len(own)]
     known = np.empty(len(uniq), dtype=np.int64)
@@ -180,7 +180,7 @@ def _check_batch(oracle: Oracle, base, axes, I, bases, store):
     points, shared = _grid_points(base, axes, I, store is not None)
     dims = (axes.shape[2],) * I.shape[1]
     if shared is None:
-        values = oracle._query_residues(points)
+        values = oracle._query_array(points)
     else:
         values = _stored_values(oracle, points, shared.reshape(-1), store)
     # free the points before the transform: a degree-124 grid holds 2 M rows

@@ -379,6 +379,7 @@ def test_tester_reports_match_pinned_digest():
     assert outcomes == {(YES, None), (NO, NOT_MULTILINEAR), (NO, NOT_ROP)}
     assert digest.hexdigest() == _PINNED_REPORTS
 
+
 def test_property_test_leaves_the_generator_as_the_sequential_scan_on_yes():
     # a YES run draws every round's triples once, in order, whatever batches
     # its grids ran in, so a caller's generator ends where the one-round-at-
