@@ -86,11 +86,10 @@ def _certificate_zero(P: MPoly) -> np.ndarray:
     every witness of the pair vanishes too: all read from the subsets that
     P's Taylor plan lists (present and shares of decomp._WitnessTags), with
     no partial polynomial built.  The other witnesses are tagged by
-    witness_is_zero, which reads P's bulk tags as bit masks of slots,
-    decided once from one stacked probe and a structural proof over P's
-    additive pieces and verified factor blocks, recursively
-    (decomp._WitnessTags), and runs the exact tests only on what they leave
-    open.  Raises ScaleGuardExceeded when the certificate would exceed the
+    witness_is_zero, which reads P's tags as bit masks of slots, all
+    decided once from one stacked probe, a structural proof over P's
+    additive pieces and verified factor blocks, recursively, and the exact
+    tests on what those two leave open (decomp._WitnessTags).  Raises ScaleGuardExceeded when the certificate would exceed the
     desk-scale limit, before any tag is decided.
     """
     _require_multilinear(P)

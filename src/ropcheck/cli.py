@@ -383,6 +383,9 @@ def main(argv=None) -> int:
         print("error: out of memory; the input needs more memory than is available",
               file=sys.stderr)
         return EXIT_CONFIG
+    except RecursionError:
+        print("error: the input is nested too deeply to process", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def main_entry():

@@ -15,7 +15,7 @@ The central objects:
   with A..E affine in z.  On arrays it runs many splits at once for the
   witness probes, the certificate checks and the trivariate decisions
   (_pair_splits); on P's coded cofactors it is the one exact witness test
-  (_slot_vanishes, see witness_is_zero), which sums products of P's
+  (_slot_vanishes, see _WitnessTags), which sums products of P's
   cofactors on integer monomial codes (mpoly._code_products) and never
   builds D as a polynomial;
 * the order-3 Taylor table of P at a point a: the mixed partials d_T P(a),
@@ -24,20 +24,20 @@ The central objects:
   of points in a few numpy steps, from P's terms as slot arrays and, for
   each T, the terms that contain it.  The witness probes and the
   certificate's checks read every point value they need from such tables;
-* the witness zero tags, decided in bulk once per polynomial
-  (_WitnessTags), held as bit masks of slots and read and completed by
-  witness_is_zero: which slots and pairs P's monomials hold (the subsets
-  its plan lists), every witness at two fixed probe pairs from one
-  evaluation of the plan (_probe_witnesses), and a structural proof
-  (structure._Structure).  Following Shpilka-Volkovich, a read-once
+* the witness zero tags, all decided once per polynomial when they are
+  built (_WitnessTags) and held as bit masks of slots, which
+  witness_is_zero only reads: which slots and pairs P's monomials hold
+  (the subsets its plan lists), every witness at two fixed probe pairs
+  from one evaluation of the plan (_probe_witnesses), a structural proof
+  (structure._Structure), and the exact test on each tag these leave
+  open.  Following Shpilka-Volkovich, a read-once
   polynomial splits into additive pieces and disjoint factors,
   recursively; the proof recurses over P's pieces, exact from the pairs
   its monomials hold, and over factorizations of a piece minus a constant,
   each proposed by the probes and verified by a rank-one check on the
   terms as bit masks.  A pair across two factors has a constant D/S in
   that piece, so its witnesses glued on all but a slot of the piece
-  vanish, and at the top level the pair splits P.  Only what these leave
-  open reaches the exact test;
+  vanish, and at the top level the pair splits P;
 * the trivariate read-once decider in closed form (_trivariate_rop).
 
 The ground truths these are checked against live in ropcheck.reference,
@@ -51,7 +51,7 @@ import functools
 import itertools
 import math
 import random
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
@@ -364,13 +364,6 @@ def _pair_splits(c: np.ndarray, left: np.ndarray, right: np.ndarray):
     return L[0], L[3], np.add.reduceat(products, _SPLIT_STARTS, axis=0)
 
 
-def _commutator_codes(c, x: int, y: int, p: int) -> Dict[int, int]:
-    """D = A*E - B*C for P = A*x*y + B*x + C*y + E, from P's coded cofactors
-    c in the one-bit masks x and y (mpoly._coded_cofactors), as
-    _code_products returns it: empty iff D == 0."""
-    return _code_products(p, (1, c[x | y], c[0]), (-1, c[x], c[y]))
-
-
 def _slot_vanishes(c, x: int, y: int, z: int, p: int) -> bool:
     """D2 == 0 and A1*D0 == A0*D1 in the pair split along z (_pair_split),
     from P's coded cofactors c in the one-bit masks x, y and z
@@ -386,7 +379,7 @@ def _slot_vanishes(c, x: int, y: int, z: int, p: int) -> bool:
     if _code_products(p, (1, A1, E1), (-1, B1, C1)):
         return False
     D1 = _code_products(p, (1, A1, E0), (1, A0, E1), (-1, B1, C0), (-1, B0, C1))
-    D0 = _commutator_codes(c, x, y, p)
+    D0 = _code_products(p, (1, A0, E0), (-1, B0, C0))
     return not _code_products(p, (1, A1, D0.items()), (-1, A0, D1.items()))
 
 
@@ -397,27 +390,13 @@ def witness_is_zero(P: MPoly, i: int, j: int,
     Write P = A*x_i*x_j + B*x_i + C*x_j + E; then S = dd_ij(P) = A and
     D = AE - BC, neither involving x_i or x_j, and
     W(x, y) = D(x) * S(y) - S(x) * D(y) with y_k = x_k for k in J.  W == 0
-    when S == 0, that is when no monomial of P holds both x_i and x_j;
-    otherwise W is first read at two fixed pseudo-random point pairs
-    (_probe_witnesses), and a nonzero value proves W != 0.  A structural
-    proof over P's additive pieces and verified factor blocks, recursively,
-    proves many witnesses zero at once (structure._Structure).  These bulk
-    tags are decided once per polynomial and held as bit masks of slots
-    (_WitnessTags).
-
-    What they leave open goes to the one exact test, whose outcomes join
-    the tags.  For J = rest - {m}, split S = A1*x_m + A0 and
-    D = D2*x_m^2 + D1*x_m + D0 with coefficients in the ring R of the other
-    slots (_slot_vanishes on the cofactors of P in x_i, x_j, x_m).  W's
-    coefficients in x_m and y_m are +-D2*A1, +-D2*A0 and +-(A1*D0 - A0*D1);
-    R has no zero divisors, so W == 0 iff D2 == 0 and A1*D0 == A0*D1.
-    Every other J reduces to these: W_J == 0 iff D/S is free of every
-    unglued slot m, which is W_{rest - {m}} == 0, so every unglued slot is
-    probed before any is tested, and the open ones are tested in
-    increasing order up to the first live one.  J = {} is the case with
-    every slot unglued: D/S is a constant, that is the pair splits P, iff
-    it depends on no slot, and its outcome is kept as the pair's tag.  This
-    holds over every field, GF(2) included.
+    when S == 0, and otherwise iff D/S is free of every slot m that J
+    leaves unglued, that is iff the witness glued on rest - {m} vanishes
+    for each such m.  P's witness zero tags hold those outcomes as a bit
+    mask of slots per pair, all decided once per polynomial (_WitnessTags),
+    so the answer is one test of that mask, which writes nothing.  J = {}
+    leaves every slot outside the pair unglued: W == 0 iff the pair splits
+    P.  This holds over every field, GF(2) included.
     """
     shared = frozenset(shared)
     n = P.arity
@@ -434,30 +413,10 @@ def witness_is_zero(P: MPoly, i: int, j: int,
         if not 0 <= k < n:
             raise IndexOverlap(f"shared index {k} outside arity {n}")
         glued |= 1 << k
-
     if i > j:
         i, j = j, i
-    tags = _witness_tags(P)
-    q = _pair_layout(n).index[i, j]
-    if tags.split[q] or tags.base[q] and not shared:
-        return tags.split[q]
-    unglued = (1 << n) - 1 & ~glued
-    zero = not tags.live[q] & unglued
-    if zero:
-        bi, bj, p = 1 << i, 1 << j, P.ctx.p
-        for m in _bits(unglued & ~tags.zero[q]):
-            if _slot_vanishes(_coded_cofactors(P, (i, j, m)), bi, bj, 1 << m, p):
-                tags.zero[q] |= 1 << m
-            else:
-                tags.live[q] |= 1 << m
-                zero = False
-                break
-    if not shared:
-        if zero:
-            tags.split[q] = True
-        else:
-            tags.base[q] = True
-    return zero
+    zero = _witness_tags(P).zero[_pair_layout(n).index[i, j]]
+    return not ((1 << n) - 1 & ~glued & ~zero)
 
 
 @functools.lru_cache(maxsize=64)
@@ -470,8 +429,9 @@ class _PairLayout:
     """Every pair and every pair split in n slots, as the certificate reads
     them from order-3 Taylor tables (in the rows of _subsets(n)).
 
-    pairs lists the pairs (i, j), i < j, in lexicographic order, and index
-    maps each to its position; single_rows holds the row of each {t}, and
+    pairs lists the pairs (i, j), i < j, in lexicographic order, index
+    maps each to its position and masks holds each as a bit mask of its
+    two slots; single_rows holds the row of each {t}, and
     pair_rows the rows of {i}, {j} and {i, j}, one column per pair.  left
     and right hold the rows of each split's factors (_split_masks), one
     column per split: the three splits of _SPLITS for each triple, split by
@@ -482,7 +442,7 @@ class _PairLayout:
     certificate lists the pair's witnesses glued on rest - {m};
     witness_free holds those m.
     """
-    __slots__ = ("pairs", "index", "single_rows", "pair_rows", "left", "right",
+    __slots__ = ("pairs", "index", "masks", "single_rows", "pair_rows", "left", "right",
                  "columns", "split_free", "witness_columns", "witness_free")
 
     def __init__(self, n: int):
@@ -490,6 +450,7 @@ class _PairLayout:
         rows = sub.rows
         self.pairs = list(itertools.combinations(range(n), 2))
         self.index = {pair: q for q, pair in enumerate(self.pairs)}
+        self.masks = [1 << i | 1 << j for i, j in self.pairs]
         self.single_rows = np.array([rows[1 << t] for t in range(n)], dtype=np.intp)
         self.pair_rows = np.array([[rows[1 << i], rows[1 << j], rows[1 << i | 1 << j]]
                                    for i, j in self.pairs], dtype=np.intp).reshape(-1, 3).T
@@ -540,8 +501,8 @@ def _probe_witnesses(P: MPoly, plan: _TaylorPlan,
 
 
 def _witness_tags(P: MPoly) -> "_WitnessTags":
-    """P's witness zero tags, decided in bulk at the first request and
-    memoized on P.  P must be multilinear."""
+    """P's witness zero tags, all decided at the first request and memoized
+    on P.  P must be multilinear."""
     memo = _probe_memo(P)
     if memo.tags is None:
         memo.tags = _WitnessTags(P)
@@ -549,45 +510,56 @@ def _witness_tags(P: MPoly) -> "_WitnessTags":
 
 
 class _WitnessTags:
-    """Which witnesses of P vanish, as far as the bulk steps decide it;
-    witness_is_zero fills in the rest with the exact tests.
+    """Which witnesses of P vanish, every tag decided here once and never
+    changed after.
 
     present[t] tells whether a monomial of P holds slot t, and shares[q]
     whether one holds both slots of pair q (_PairLayout.pairs), that is
     whether S = dd_ij(P) != 0: boolean arrays read from the subsets that
-    P's Taylor plan lists, with no evaluation.  The rest are lists indexed
-    as the pairs.  split[q] tells that pair q splits P, so that every
-    witness of the pair vanishes, as it does when S == 0; base[q] that its
-    J = {} witness is known nonzero, at a probe pair or by the exact tests.
-    live[q] and zero[q] are the bit masks of the slots m whose witness
-    glued on rest - {m} is known live and known zero.  A nonzero value at
-    either probe pair (_probe_witnesses) proves a witness live, and a
-    witness glued on all but a slot that P does not hold vanishes.  What
-    these leave open goes to the structural proof over P's additive pieces
-    and verified factor blocks (structure._Structure), which adds to split
-    and zero.
+    P's Taylor plan lists, with no evaluation.  zero[q] is the bit mask of
+    the slots m whose witness of pair q glued on rest - {m} vanishes, with
+    the pair's own slots set too; it holds all n bits iff the pair splits
+    P, as it does when S == 0.
+
+    The steps: a witness glued on all but a slot that P does not hold
+    vanishes; a nonzero value at either probe pair (_probe_witnesses)
+    proves a witness live; the structural proof over P's additive pieces
+    and verified factor blocks (structure._Structure) proves witnesses
+    zero from what the probes read; and each tag these leave open, of a
+    pair that shares a monomial, gets the exact test.  For it split
+    S = A1*x_m + A0 and D = D2*x_m^2 + D1*x_m + D0 with coefficients in the
+    ring R of the other slots (_slot_vanishes on the cofactors of P in
+    x_i, x_j, x_m).  W's coefficients in x_m and y_m are +-D2*A1, +-D2*A0
+    and +-(A1*D0 - A0*D1); R has no zero divisors, so W == 0 iff D2 == 0
+    and A1*D0 == A0*D1.
     """
-    __slots__ = ("present", "shares", "split", "base", "live", "zero")
+    __slots__ = ("present", "shares", "zero")
 
     def __init__(self, P: MPoly):
-        n = P.arity
+        n, p = P.arity, P.ctx.p
         lay, plan = _pair_layout(n), _taylor_plan(P)
         contained = np.zeros(plan.size, dtype=bool)
         contained[plan.live] = True
         self.present = contained.take(lay.single_rows)
         self.shares = contained.take(lay.pair_rows[2])
         base, slots = _probe_witnesses(P, plan, lay)
-        self.split = (~self.shares).tolist()
-        self.base = base.any(axis=1).tolist()
         # each pair's slots m whose witness glued on rest - {m} reads
         # nonzero
         glued = np.zeros((len(lay.pairs), n), dtype=bool)
         glued[np.arange(len(lay.pairs))[:, None], lay.witness_free] = (
             slots.take(lay.witness_columns, axis=0).any(axis=-1))
-        self.live = _bit_rows(glued)
+        live = _bit_rows(glued)
         present = _bit_rows(self.present[None])[0]
-        self.zero = [(1 << n) - 1 & ~present] * len(lay.pairs)
-        _Structure(P, present, self)
+        full = (1 << n) - 1
+        absent = full & ~present
+        shares = self.shares.tolist()
+        self.zero = [absent | pair if s else full for pair, s in zip(lay.masks, shares)]
+        _Structure(P, present, shares, base.any(axis=1).tolist(), live, self.zero)
+        for q, (i, j) in enumerate(lay.pairs):
+            if live[q] | self.zero[q] != full:
+                for m in _bits(full & ~live[q] & ~self.zero[q]):
+                    if _slot_vanishes(_coded_cofactors(P, (i, j, m)), 1 << i, 1 << j, 1 << m, p):
+                        self.zero[q] |= 1 << m
 
 
 def _bit_rows(rows: np.ndarray) -> List[int]:

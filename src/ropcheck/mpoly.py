@@ -423,10 +423,7 @@ class MPoly:
             p = ctx.p
             clean: Dict[Mono, int] = {}
             for mono, coeff in terms.items():
-                if isinstance(mono, dict):
-                    mono = tuple(sorted(mono.items()))
-                else:
-                    mono = tuple(sorted(mono))
+                mono = tuple(sorted(mono))
                 for v, e in mono:
                     if not 0 <= v < arity:
                         raise ArityMismatch(f"variable {v} outside arity {arity}")

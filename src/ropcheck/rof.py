@@ -318,10 +318,11 @@ def _point_tuples(points):
 class Oracle:
     """Counting black box from assignments to field residues."""
 
-    __slots__ = ("ctx", "arity", "query_count", "_fn", "_batch")
+    __slots__ = ("ctx", "arity", "query_count", "_batch")
 
     def __init__(self, ctx: FieldCtx, arity: int, fn, batch=None):
         """fn answers one point, a tuple of residues; batch answers many.
+        fn is read only when no batch is given.
 
         batch receives a list of such tuples, or below 2**30 possibly an
         (N, arity) int64 array of residues (default: fn on each point), and
@@ -330,7 +331,6 @@ class Oracle:
         self.ctx = ctx
         self.arity = arity
         self.query_count = 0
-        self._fn = fn
         self._batch = (batch if batch is not None
                        else (lambda pts: [fn(pt) for pt in _point_tuples(pts)]))
 
@@ -400,13 +400,9 @@ def corrupt_oracle(base: Oracle, delta: float, rng) -> Oracle:
         h = int.from_bytes(hashlib.blake2b(blob, key=key, digest_size=8).digest(), "big")
         return h < threshold
 
-    def fn(pt):
-        v = base._fn(pt)
-        return (v + 1) % p if corrupted(pt) else v
-
     def batch(pts):
         vals = _residues(base._batch(pts), p)
         flip = np.fromiter(map(corrupted, _point_tuples(pts)), dtype=bool, count=len(vals))
         return np.where(flip, (vals + 1) % p, vals)
 
-    return Oracle(base.ctx, base.arity, fn, batch)
+    return Oracle(base.ctx, base.arity, None, batch)

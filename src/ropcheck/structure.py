@@ -1,9 +1,9 @@
 """Witness zero tags proved from a polynomial's structure.
 
-decomp._WitnessTags hands this module its bit-mask tags with what its probes
-leave open; _Structure proves what it can of them zero, from exact identities
-over the polynomial's additive pieces and verified factor blocks,
-recursively.
+While decomp._WitnessTags decides a polynomial's tags, it hands this module
+what its probes read; _Structure proves what it can of the open tags zero,
+from exact identities over the polynomial's additive pieces and verified
+factor blocks, recursively, and the exact test decides the rest after it.
 """
 
 from __future__ import annotations
@@ -61,50 +61,54 @@ class _Structure:
       tags over L vanish (at the top level the pair splits P).
 
     Only the rank-one check (factor) reads P's terms.  The pieces are the
-    components of P's pairs that share a monomial (decomp._WitnessTags.shares)
-    within L, exact since a pair shares a monomial in a piece or a block iff
-    it does in P.  The candidate blocks join every pair of L that shares no
-    monomial or whose witness reads nonzero at a probe glued on rest - {m}
-    for some m in L, since P's probe there is H's times a nonzero factor;
-    at the top level the J = {} probes join too.  A candidate proves
-    nothing until factor verifies it, and a level is searched only while it
-    holds an open tag.
+    components of P's pairs that share a monomial (shares) within L, exact
+    since a pair shares a monomial in a piece or a block iff it does in P.
+    The candidate blocks join every pair of L that shares no monomial or
+    whose witness reads nonzero at a probe glued on rest - {m} for some m
+    in L, since P's probe there is H's times a nonzero factor; at the top
+    level the J = {} probes join too.  A candidate proves nothing until
+    factor verifies it, and a level is searched only while it holds an open
+    tag.
 
     Slot sets and monomials are bit masks, and a polynomial is a dict from
-    its monomials to their coefficients.  The proof reads and writes the
-    tags' lists (decomp._WitnessTags), indexed as the pairs (i, j), i < j,
-    in lexicographic order: it marks the pairs that split P in split, and
-    adds to zero[q] the slots m whose tags of pair q it proves zero.  P
-    holds the slots of the bit mask present.
+    its monomials to their coefficients.  P holds the slots of the bit mask
+    present.  The other arguments are lists indexed as the pairs (i, j),
+    i < j, in lexicographic order: shares[q] tells whether a monomial of P
+    holds both slots of pair q, base[q] whether its J = {} witness reads
+    nonzero at a probe, and live[q] is the bit mask of the slots m whose
+    witness glued on rest - {m} reads nonzero at one.  The proof reads
+    these and writes only zero, the tags' bit masks
+    (decomp._WitnessTags.zero), which come in holding the pair's own slots
+    and those P does not hold, or all slots for a pair that shares no
+    monomial: it adds to zero[q] the slots m whose tags of pair q it proves
+    zero, every slot of P for a pair that splits P.
     """
-    __slots__ = ("P", "tags", "pair_at", "shares", "open", "terms")
+    __slots__ = ("P", "base", "live", "zero", "pair_at", "shares", "open", "terms")
 
-    def __init__(self, P: MPoly, present: int, tags):
+    def __init__(self, P: MPoly, present: int, shares: List[bool], base: List[bool],
+                 live: List[int], zero: List[int]):
         n = P.arity
-        self.P, self.tags, self.terms = P, tags, None
+        self.P, self.base, self.live, self.zero, self.terms = P, base, live, zero, None
         self.pair_at = [[0] * n for _ in range(n)]
         self.shares = [0] * n
-        self.open = []
         for q, (i, j) in enumerate(itertools.combinations(range(n), 2)):
             self.pair_at[i][j] = self.pair_at[j][i] = q
-            if tags.split[q]:
-                self.open.append(0)
-            else:
+            if shares[q]:
                 self.shares[i] |= 1 << j
                 self.shares[j] |= 1 << i
-                # the tags still open: glued on all but a slot that P holds
-                self.open.append(present & ~(1 << i | 1 << j) & ~tags.live[q])
+        # the tags still open: glued on all but a slot that P holds, neither
+        # known zero nor read live
+        self.open = [present & ~z & ~v for z, v in zip(zero, live)]
         self.level(present, True)
 
     def level(self, L: int, top: bool, source=None):
         """Prove the tags of the pairs inside the level's slots L glued on
         all but a slot of L.  The level's nonconstant terms are those of the
         polynomial source inside L; None stands for P."""
-        tags = self.tags
         slots = _bits(L)
         pairs = [(a, b, self.pair_at[a][b]) for k, a in enumerate(slots) for b in slots[k + 1:]]
-        if not any(self.open[q] & L or top and not (tags.split[q] or tags.base[q])
-                   for _, _, q in pairs):
+        if not any(self.open[q] & L or top and self.shares[a] >> b & 1 and not self.base[q]
+                   for a, b, q in pairs):
             return
         pieces = _components(L, self.shares)
         if len(pieces) > 1:
@@ -114,7 +118,7 @@ class _Structure:
             return
         joined = [0] * self.P.arity
         for a, b, q in pairs:
-            if not self.shares[a] >> b & 1 or tags.live[q] & L or top and tags.base[q]:
+            if not self.shares[a] >> b & 1 or self.live[q] & L or top and self.base[q]:
                 joined[a] |= 1 << b
                 joined[b] |= 1 << a
         blocks = _components(L, joined)
@@ -126,9 +130,7 @@ class _Structure:
         label = {v: k for k, block in enumerate(blocks) for v in _bits(block)}
         for a, b, q in pairs:
             if label[a] != label[b]:
-                tags.zero[q] |= L
-                if top:
-                    tags.split[q] = True
+                self.zero[q] |= L
         for block, factor in zip(blocks, factors):
             if block.bit_count() >= 3:
                 self.level(block, False, factor)

@@ -346,6 +346,22 @@ def test_out_of_memory_exits_2_not_read_many(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: out of memory")
 
 
+
+def test_deeply_nested_formula_exits_2_not_read_many(tmp_path, capsys):
+    # past the interpreter's recursion limit a formula must not read as NO
+    # or READ_MANY (exit 1) in any command; 600 levels still work
+    for depth, want in ((600, 0), (1500, 2)):
+        body = "(* (leaf 1 1 0) (leaf 2 1 0))"
+        for _ in range(depth):
+            body = f"(+ (const 1) {body})"
+        path = tmp_path / f"deep{depth}.rof"
+        path.write_text(f"field p=101 n=2\n{body}\n")
+        for cmd in (["check"], ["blackbox"], ["property"], ["experiment", "tau"]):
+            code, _, err = run(capsys, *cmd, str(path))
+            assert code == want, (depth, cmd)
+            if want:
+                assert err.startswith("error: ") and "Traceback" not in err
+
 def test_huge_arity_files_exit_2(tmp_path, capsys):
     huge = tmp_path / "huge.txt"
     huge.write_text("field p=101 n=100000\nx1*x2\n")

@@ -551,11 +551,11 @@ def test_product_of_affine_leaves_needs_no_commutator(monkeypatch):
     # the expansion of 7 affine leaves under * gates, all, every other or
     # none of them with a constant term: every pair splits it, and one
     # verified factorization over its 7 one-slot blocks proves all 21
-    # pairs, so no commutator is summed, not even inside a slot test
+    # pairs, so no slot test sums a commutator
     def no_commutator(*args):
         raise AssertionError("a commutator was summed")
 
-    monkeypatch.setattr(decomp, "_commutator_codes", no_commutator)
+    monkeypatch.setattr(decomp, "_slot_vanishes", no_commutator)
     ctx, rng = FieldCtx(1009), random.Random(3)
     for shifted in (range(7), range(0, 7, 2), ()):
         P = MPoly.constant(ctx, 7, 1)
@@ -572,12 +572,11 @@ def test_product_of_affine_leaves_needs_no_commutator(monkeypatch):
 def test_read_once_expansions_run_no_exact_test(n, seed, monkeypatch):
     # the expansions of the n = 11, 12 and 20 formulas that CI checks (202,
     # 441 and 870 terms): the probes prove every live tag and the
-    # structural proof every zero one, so neither exact test runs
+    # structural proof every zero one, so no exact test runs
     def no_exact_test(*args):
         raise AssertionError("an exact test ran")
 
     monkeypatch.setattr(decomp, "_slot_vanishes", no_exact_test)
-    monkeypatch.setattr(decomp, "_commutator_codes", no_exact_test)
     assert characterize(random_rof(GF1009, n, seed).expand(), 0).verdict == "ROP"
 
 
@@ -592,14 +591,36 @@ def test_hard_family_reaches_no_rank_one_check(monkeypatch):
         assert certificate_multiplicands(q_n(n, GF1009))
 
 
+def _force_exact_tests(monkeypatch):
+    """Leave every tag of a pair that shares a monomial to the exact tests:
+    the probes read every witness zero and the structural proof proves
+    nothing.  Returns the list of (pair, slot) that each slot test appends
+    to."""
+    probe = decomp._probe_witnesses
+    tested = []
+    slot_vanishes = decomp._slot_vanishes
+
+    def counted(c, x, y, z, p):
+        tested.append(((x.bit_length() - 1, y.bit_length() - 1), z.bit_length() - 1))
+        return slot_vanishes(c, x, y, z, p)
+
+    monkeypatch.setattr(decomp, "_probe_witnesses",
+                        lambda *args: tuple(map(np.zeros_like, probe(*args))))
+    monkeypatch.setattr(decomp, "_Structure", lambda *args: None)
+    monkeypatch.setattr(decomp, "_slot_vanishes", counted)
+    return tested
+
+
 @pytest.mark.parametrize("p", [2, 3, 1009])
-def test_unglued_witness_is_decided_over_every_slot(p):
-    # J = {} is the exact loop with no slot glued: W == 0 iff the witness
-    # glued on all but m vanishes for every slot m outside the pair.
-    # Clearing the pair tags that the bulk steps decided forces that loop;
-    # clearing the slot tags too forces its exact slot tests
+def test_unglued_witness_is_decided_over_every_slot(p, monkeypatch):
+    # J = {} is the conjunction of the witnesses glued on rest - {m}: W == 0
+    # iff every one of them vanishes.  With the bulk steps forced to decide
+    # nothing, every tag comes from the exact slot tests, all run while the
+    # tags are built: each tag, J = {} and each J = rest - {m}, against the
+    # materialized witness, and no witness_is_zero call runs a slot test
     ctx = FieldCtx(p)
     rng = random.Random(p + 21)
+    tested = _force_exact_tests(monkeypatch)
     outcomes = set()
     for n in range(3, 6):
         polys = [q_n(n, ctx), random_rof(ctx, n, rng).expand(),
@@ -608,27 +629,27 @@ def test_unglued_witness_is_decided_over_every_slot(p):
         if n >= 4:
             polys.append(_nested(ctx, n, rng))
         for P in polys:
-            want = {(i, j): decomp_witness(P, i, j).value.is_zero()
-                    for i, j in itertools.combinations(range(n), 2)}
-            for clear_slots in (False, True):
-                # a fresh copy, whose tags are not memoized yet
-                Q = MPoly(ctx, n, dict(P.terms))
-                tags = decomp._witness_tags(Q)
-                for q, split in enumerate(tags.split):
-                    if not split:
-                        tags.base[q] = False
-                        if clear_slots:
-                            tags.live[q] = tags.zero[q] = 0
-                for (i, j), zero in want.items():
-                    assert witness_is_zero(Q, i, j) == zero, (P, i, j)
-                    outcomes.add(zero)
-    assert outcomes == {True, False}
+            rest = frozenset(range(n))
+            want = {(i, j, J): decomp_witness(P, i, j, J).value.is_zero()
+                    for i, j in itertools.combinations(range(n), 2)
+                    for J in [frozenset()] + [rest - {i, j, m} for m in rest - {i, j}]}
+            decomp._witness_tags(P)
+            built = len(tested)
+            for (i, j, J), zero in want.items():
+                assert witness_is_zero(P, i, j, J) == zero, (P, i, j, J)
+                outcomes.add((len(J), zero))
+            assert len(tested) == built
+    assert tested
+    assert {zero for k, zero in outcomes if k == 0} == {True, False}
+    assert {zero for k, zero in outcomes if k} == {True, False}
 
 
 def test_live_slot_probe_settles_the_unglued_witness(monkeypatch):
     # for the pair (x1, x2) of x1*x2 + x3 + x4, D/S = x3 + x4 depends on x3
-    # and x4, and the probes read both slots' witnesses live: with the pair
-    # tag cleared, J = {} is settled with no exact test
+    # and x4, and the probes read both slots' witnesses live: J = {} is
+    # settled with no exact test.  With the probes forced to read zero, the
+    # build tests each slot once, and J = {} is read from those outcomes
+    P = parse_terms(GF1009, 4, "x1*x2 + x3 + x4")
     calls = []
     slot_vanishes = decomp._slot_vanishes
 
@@ -636,40 +657,38 @@ def test_live_slot_probe_settles_the_unglued_witness(monkeypatch):
         calls.append(args)
         return slot_vanishes(*args)
 
-    monkeypatch.setattr(decomp, "_slot_vanishes", counted)
-    P = parse_terms(GF1009, 4, "x1*x2 + x3 + x4")
-    tags = decomp._witness_tags(P)
-    assert tags.live[0] == 0b1100 and not tags.split[0]
-    tags.base[0] = False
-    assert not witness_is_zero(P, 0, 1)
-    assert tags.base[0] and not tags.split[0]
+    with monkeypatch.context() as m:
+        m.setattr(decomp, "_slot_vanishes", counted)
+        assert decomp._witness_tags(P).zero[0] == 0b0011
+        assert not witness_is_zero(P, 0, 1)
     assert not calls
     assert not decomp_witness(P, 0, 1).value.is_zero()
 
+    tested = _force_exact_tests(monkeypatch)
+    Q = parse_terms(GF1009, 4, "x1*x2 + x3 + x4")
+    assert decomp._witness_tags(Q).zero[0] == 0b0011
+    assert [t for t in tested if t[0] == (0, 1)] == [((0, 1), 2), ((0, 1), 3)]
+    built = len(tested)
+    assert not witness_is_zero(Q, 0, 1)
+    assert len(tested) == built
 
-def test_exact_slot_tests_run_in_increasing_order_up_to_the_first_live_one(monkeypatch):
+
+def test_exact_slot_tests_run_once_on_each_open_tag_in_increasing_order(monkeypatch):
     # for the pair (x1, x2) of x1*x2*x3 + x4 + x5, D/S = x4 + x5 is free of
-    # x3 and depends on x4 and x5.  With the pair's tags cleared, J = {}
-    # tests slot x3 (zero), then x4 (live) and stops; the outcomes join the
-    # tags, so a witness whose unglued slot is x4 needs no further test
-    tested = []
-    slot_vanishes = decomp._slot_vanishes
-
-    def counted(c, x, y, z, p):
-        tested.append(z.bit_length() - 1)
-        return slot_vanishes(c, x, y, z, p)
-
-    monkeypatch.setattr(decomp, "_slot_vanishes", counted)
+    # x3 and depends on x4 and x5.  With the bulk steps forced to decide
+    # nothing, the build tests slots x3 (zero), x4 and x5 (live) of the
+    # pair, once each and in increasing order, and every witness of the
+    # pair is read from those outcomes with no further test
+    tested = _force_exact_tests(monkeypatch)
     P = parse_terms(GF1009, 5, "x1*x2*x3 + x4 + x5")
     tags = decomp._witness_tags(P)
-    tags.base[0] = False
-    tags.live[0] = tags.zero[0] = 0
+    assert [m for pair, m in tested if pair == (0, 1)] == [2, 3, 4]
+    assert tags.zero[0] == 0b00111
+    built = len(tested)
     assert not witness_is_zero(P, 0, 1)
-    assert tested == [2, 3]
-    assert tags.zero[0] == 0b100 and tags.live[0] == 0b1000 and tags.base[0]
     assert not witness_is_zero(P, 0, 1, {2, 4})
     assert witness_is_zero(P, 0, 1, {3, 4})
-    assert tested == [2, 3]
+    assert len(tested) == built
 
 
 def test_witness_examples():
