@@ -24,12 +24,19 @@ that same order.
 Restriction keeps the arity: substituting into slot i just removes i from the
 support, it never renumbers the remaining variables.
 
-Evaluation runs a plan compiled once per polynomial (_Plan): the Horner form
-of its monomial prefix tree, P = c + sum of x_v**e * P_child over the tree's
-edges, so each distinct monomial prefix costs one product.  The same loop
-runs on residues and on int64 columns.  The compiler tracks an upper bound
-on every intermediate value and reduces mod p only where the next step could
-reach 2**62; read-once formulas compile their own trees to the same plans.
+Evaluation runs a plan compiled once per polynomial (_Plan).  A multilinear
+polynomial is split first (_split_tree): into its additive pieces, the
+components of the slots that share a monomial, and into products
+P - c = h*g over disjoint slots, proposed at fixed points and accepted only
+by structure.factor's exact rank-one check, recursively.  The split tree
+compiles like a read-once formula's tree (_compile_tree), so a read-once
+expansion takes O(n) steps.  A core, a part that splits no further, and a
+polynomial that is not multilinear take the Horner form of their monomial
+prefix tree, P = c + sum of x_v**e * P_child over the tree's edges, so each
+distinct monomial prefix costs one product.  The same loop runs on residues
+and on int64 columns.  The compiler tracks an upper bound on every
+intermediate value and reduces mod p only where the next step could reach
+2**62, whatever the tree.
 
 Grid interpolation (_interpolate_stack) applies one Lagrange basis matrix
 per axis to a stack of grids.  The bases are float64 where a row times a
@@ -50,7 +57,8 @@ import math
 import random
 import sys
 from collections import defaultdict
-from typing import Dict, FrozenSet, Iterable, Mapping, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -68,6 +76,7 @@ from .errors import (
     SameVariable,
 )
 from .ff import FieldCtx
+from .structure import _bits, _components, factor, propose_block, shared_slots, slot_rows
 
 Mono = Tuple[Tuple[int, int], ...]
 
@@ -265,29 +274,30 @@ def _shared_length(m1, m2) -> int:
     return k
 
 
-def _compile_terms(terms: Mapping[Mono, int], arity: int, p: int) -> _Plan:
-    """The Horner plan of a term dict.
+def _horner(terms: Mapping[Mono, int], arity: int, powers: Dict[Tuple[int, int], int],
+            steps: list, base: int = 0) -> int:
+    """Append the Horner steps of a term dict, its value to register base;
+    returns how many registers they use, from 0.
 
     The monomials form a prefix tree: a node is a monomial prefix, with the
     coefficient of that monomial (0 if it is no term), and an edge is one
     factor x_v**e.  A node's value, c + sum of x_v**e * child, goes to the
-    register of its depth.  A chain of nodes that only one term passes is
-    that term's product, c * x_v**e * ..., one step.  The tree is walked in
-    the sorted order of the monomials, which lists every prefix before its
-    extensions, and never recursively.
+    register of its depth, counted from base.  A chain of nodes that only
+    one term passes is that term's product, c * x_v**e * ..., one step.  The
+    tree is walked in the sorted order of the monomials, which lists every
+    prefix before its extensions, and never recursively.  A power x_v**e,
+    e > 1, is factor powers[(v, e)], added from arity on.
     """
-    powers: Dict[Tuple[int, int], int] = {}
-    steps = []
     items = sorted(terms.items())
-    # the open nodes below the root, node k in register k + 1: their edges
-    # and the factors on them
+    # the open nodes below the root, node k in register base + k + 1: their
+    # edges and the factors on them
     edges: list = []
     factors: list = []
     shared = 0                  # how many open nodes mono lies under
     for i, (mono, c) in enumerate(items):
         while len(edges) > shared:
             edges.pop()
-            steps.append((_CHILD, len(edges), factors.pop(), 0))
+            steps.append((_CHILD, base + len(edges), factors.pop(), 0))
         # the nodes mono shares with the next term stay open for it
         ahead = _shared_length(mono, items[i + 1][0]) if i + 1 < len(items) else 0
         top = max(shared, ahead)
@@ -296,16 +306,156 @@ def _compile_terms(terms: Mapping[Mono, int], arity: int, p: int) -> _Plan:
         edges += mono[shared:top]
         factors += fs[:top - shared]
         if top == len(mono):
-            steps.append((_CONST, top, 0, c))
+            steps.append((_CONST, base + top, 0, c))
         else:
-            steps.append((_PROD, top, fs[top - shared:], c))
+            steps.append((_PROD, base + top, fs[top - shared:], c))
         shared = ahead
     while edges:
         edges.pop()
-        steps.append((_CHILD, len(edges), factors.pop(), 0))
+        steps.append((_CHILD, base + len(edges), factors.pop(), 0))
     if not terms:
-        steps.append((_CONST, 0, 0, 0))
-    return _Plan(p, steps, powers, max(map(len, terms), default=0) + 2)
+        steps.append((_CONST, base, 0, 0))
+    return base + max(map(len, terms), default=0) + 2
+
+
+def _compile_terms(terms: Mapping[Mono, int], arity: int, p: int) -> _Plan:
+    """The Horner plan of a term dict (_horner)."""
+    powers: Dict[Tuple[int, int], int] = {}
+    steps: list = []
+    regs = _horner(terms, arity, powers, steps)
+    return _Plan(p, steps, powers, regs)
+
+
+# ---- formula trees ----
+
+@dataclass(frozen=True)
+class Leaf:
+    """alpha * x_var + beta, alpha != 0 for a formula's leaf."""
+    var: int
+    alpha: int
+    beta: int
+
+
+@dataclass(frozen=True)
+class Const:
+    value: int
+
+
+@dataclass(frozen=True)
+class Gate:
+    op: str  # "+" or "*"
+    left: "Node"
+    right: "Node"
+
+
+Node = Union[Leaf, Const, Gate]
+
+
+def _compile_tree(root, p: int, arity: int) -> _Plan:
+    """The plan of a tree of Leaf, Const and + and * Gate nodes whose leaves
+    may also be cores, term dicts compiled by _horner: a read-once formula,
+    or a polynomial's split tree (_split_tree).
+
+    A node's value goes to register d.  A sum adds both children into d,
+    and a product leaves its left child in d and its right child in d + 1;
+    a product that is added to a value already in d is built in d + 1 and
+    added after.  A core adds into d as it writes it.  Every register
+    above d is free while a node's value is built in d.  The tree is walked
+    with an explicit stack.
+    """
+    steps: list = []
+    powers: Dict[Tuple[int, int], int] = {}
+    regs = 2
+    # (node, d, whether r[d] already holds a value the node's is added to),
+    # or (step, d, None) once a gate's children are in place
+    stack: list = [(root, 0, False)]
+    while stack:
+        node, d, adds = stack.pop()
+        if isinstance(node, Leaf):
+            steps.append((_PROD, d, [node.var], node.alpha))
+            if node.beta:
+                steps.append((_CONST, d, 0, node.beta))
+        elif isinstance(node, Const):
+            steps.append((_CONST, d, 0, node.value))
+        elif isinstance(node, Gate):
+            if node.op == "+":
+                stack += ((node.right, d, True), (node.left, d, adds))
+            elif adds:
+                stack += ((_ADD, d, None), (node, d + 1, False))
+            else:
+                regs = max(regs, d + 2)
+                stack += ((_MUL, d, None), (node.right, d + 1, False), (node.left, d, False))
+        elif isinstance(node, dict):
+            regs = max(regs, _horner(node, arity, powers, steps, d))
+        else:
+            steps.append((node, d, 0, 0))
+    return _Plan(p, steps, powers, regs)
+
+
+# the bit of each slot that an int64 bit mask can hold, by its factor
+# (v, 1) in a multilinear monomial
+_SLOT_BITS = {(v, 1): 1 << v for v in range(62)}
+
+
+def _slot_masks(terms: Mapping[Mono, int]):
+    """Each monomial's slots as a bit mask, in the dict's order; None when a
+    monomial holds a power above 1 or a slot past an int64's bits."""
+    try:
+        return [sum(map(_SLOT_BITS.__getitem__, mono)) for mono in terms]
+    except KeyError:
+        return None
+
+
+def _split_tree(p: int, terms: Dict[int, int], top: bool = True):
+    """The split tree of a multilinear polynomial, given by its bit-mask
+    terms (see structure), for _compile_tree; None at the top when it does
+    not split at all.
+
+    The polynomial is the sum of its pieces (the components of the slots
+    that share a monomial, exact from the terms) and its constant; a
+    polynomial of one piece is c + h*g when structure.propose_block finds
+    h's slots and structure.factor verifies the split, exactly.  Each piece
+    and factor is split in turn.  A core, one that splits no further or has
+    at most one nonconstant term, is a leaf of the tree: a term dict in
+    monomial form, for Horner's rule.  A split costs numpy passes over the
+    terms, one per slot, and no pass is made per term and slot in Python.
+    """
+    if len(terms) - (0 in terms) > 1:
+        masks = np.fromiter(terms, dtype=np.int64, count=len(terms))
+        L = int(np.bitwise_or.reduce(masks))
+        rows = slot_rows(masks, L)
+        pieces = _components(L, shared_slots(masks, rows))
+        if len(pieces) > 1:
+            label = {v: k for k, piece in enumerate(pieces) for v in _bits(piece)}
+            groups: list = [{} for _ in pieces]
+            for m, c in terms.items():
+                if m:
+                    groups[label[(m & -m).bit_length() - 1]][m] = c
+            node = functools.reduce(functools.partial(Gate, "+"),
+                                    (_split_tree(p, group, False) for group in groups))
+            return Gate("+", node, Const(terms[0])) if 0 in terms else node
+        block = propose_block(p, masks, list(terms.values()), rows)
+        factors = None if block is None else factor(p, terms, L, [block, L & ~block])
+        if factors is not None:
+            h, g = factors
+            c = (terms.get(0, 0) - h.get(0, 0) * g.get(0, 0)) % p
+            node = Gate("*", _split_tree(p, h, False), _split_tree(p, g, False))
+            return Gate("+", node, Const(c)) if c else node
+    if top:
+        return None
+    return {tuple((v, 1) for v in _bits(m)): c for m, c in terms.items()}
+
+
+def _compile_poly(P: "MPoly") -> _Plan:
+    """P's plan: the plan of its split tree (_split_tree) where P is
+    multilinear in the slots an int64 bit mask holds (_slot_masks) and
+    splits, else its Horner plan."""
+    p, terms = P.ctx.p, P.terms
+    masks = _slot_masks(terms)
+    tree = None if masks is None else _split_tree(p, dict(zip(masks, terms.values())))
+    if tree is None:
+        return _compile_terms(terms, P.arity, p)
+    return _compile_tree(tree, p, P.arity)
 
 
 def _encode(terms: Mapping[Mono, int], w: int) -> list[Tuple[int, int]]:
@@ -498,7 +648,7 @@ class MPoly:
         """
         plan = self._plan
         if plan is None:
-            plan = self._plan = _compile_terms(self.terms, self.arity, self.ctx.p)
+            plan = self._plan = _compile_poly(self)
         return plan.run(vals)
 
     def evaluate(self, assignment) -> int:

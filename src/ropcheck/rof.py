@@ -16,8 +16,7 @@ import functools
 import hashlib
 import math
 import random
-from dataclasses import dataclass
-from typing import FrozenSet, Sequence, Union
+from typing import FrozenSet, Sequence
 
 import numpy as np
 
@@ -31,63 +30,8 @@ from .errors import (
     guard_scale,
 )
 from .ff import FieldCtx
-from .mpoly import (_ADD, _CONST, _MUL, _NUMPY_P_LIMIT, _PROD, MPoly, _eval_residues, _Plan,
-                    _residues, content_lines, eval_points, parse_header)
-
-Node = Union["Leaf", "Const", "Gate"]
-
-
-@dataclass(frozen=True)
-class Leaf:
-    var: int
-    alpha: int
-    beta: int
-
-
-@dataclass(frozen=True)
-class Const:
-    value: int
-
-
-@dataclass(frozen=True)
-class Gate:
-    op: str  # "+" or "*"
-    left: Node
-    right: Node
-
-
-def _compile(root: Node, p: int) -> _Plan:
-    """The formula's plan (see mpoly._Plan), on its own tree.
-
-    A node's value goes to register d.  A sum adds both children into d,
-    and a product leaves its left child in d and its right child in d + 1;
-    a product that is added to a value already in d is built in d + 1 and
-    added after.  The tree is walked with an explicit stack.
-    """
-    steps = []
-    regs = 2
-    # (node, d, whether r[d] already holds a value the node's is added to),
-    # or (step, d, None) once a gate's children are in place
-    stack: list = [(root, 0, False)]
-    while stack:
-        node, d, adds = stack.pop()
-        if isinstance(node, Leaf):
-            steps.append((_PROD, d, [node.var], node.alpha))
-            if node.beta:
-                steps.append((_CONST, d, 0, node.beta))
-        elif isinstance(node, Const):
-            steps.append((_CONST, d, 0, node.value))
-        elif isinstance(node, Gate):
-            if node.op == "+":
-                stack += ((node.right, d, True), (node.left, d, adds))
-            elif adds:
-                stack += ((_ADD, d, None), (node, d + 1, False))
-            else:
-                regs = max(regs, d + 2)
-                stack += ((_MUL, d, None), (node.right, d + 1, False), (node.left, d, False))
-        else:
-            steps.append((node, d, 0, 0))
-    return _Plan(p, steps, {}, regs)
+from .mpoly import (_NUMPY_P_LIMIT, Const, Gate, Leaf, MPoly, Node, _compile_tree,
+                    _eval_residues, _residues, content_lines, eval_points, parse_header)
 
 
 class Rof:
@@ -106,26 +50,31 @@ class Rof:
         self.root = self._reduce(root, seen)
         self._vars = frozenset(seen)
 
-    def _reduce(self, node: Node, seen: set) -> Node:
-        """Validate a subtree; return it with leaf and constant values mod p."""
+    def _reduce(self, root: Node, seen: set) -> Node:
+        """Validate a tree; return it with leaf and constant values mod p,
+        rebuilt bottom-up (_fold)."""
         p = self.ctx.p
-        if isinstance(node, Leaf):
-            if not 0 <= node.var < self.arity:
-                raise ArityMismatch(f"leaf variable {node.var} outside arity {self.arity}")
-            if node.var in seen:
-                raise ReadOnceViolation(f"variable x{node.var + 1} labels two leaves")
-            if node.alpha % p == 0:
-                raise InvalidParams(f"leaf on x{node.var + 1} has zero slope")
-            seen.add(node.var)
-            return Leaf(node.var, node.alpha % p, node.beta % p)
-        if isinstance(node, Const):
-            return Const(node.value % p)
-        if isinstance(node, Gate):
-            if node.op not in ("+", "*"):
-                raise InvalidParams(f"unknown gate {node.op!r}")
-            return Gate(node.op, self._reduce(node.left, seen),
-                        self._reduce(node.right, seen))
-        raise InvalidParams(f"unknown node {node!r}")
+
+        def leaf(node) -> Node:
+            if isinstance(node, Leaf):
+                if not 0 <= node.var < self.arity:
+                    raise ArityMismatch(f"leaf variable {node.var} outside arity {self.arity}")
+                if node.var in seen:
+                    raise ReadOnceViolation(f"variable x{node.var + 1} labels two leaves")
+                if node.alpha % p == 0:
+                    raise InvalidParams(f"leaf on x{node.var + 1} has zero slope")
+                seen.add(node.var)
+                return Leaf(node.var, node.alpha % p, node.beta % p)
+            if isinstance(node, Const):
+                return Const(node.value % p)
+            raise InvalidParams(f"unknown node {node!r}")
+
+        def gate(op: str, left: Node, right: Node) -> Node:
+            if op not in ("+", "*"):
+                raise InvalidParams(f"unknown gate {op!r}")
+            return Gate(op, left, right)
+
+        return _fold(root, leaf, gate)
 
     def variables(self) -> FrozenSet[int]:
         return self._vars
@@ -134,7 +83,7 @@ class Rof:
         """Evaluate at raw residues: one per slot, or one int64 array per slot."""
         plan = self._plan
         if plan is None:
-            plan = self._plan = _compile(self.root, self.ctx.p)
+            plan = self._plan = _compile_tree(self.root, self.ctx.p, self.arity)
         return plan.run(vals)
 
     def eval(self, assignment) -> int:
@@ -148,7 +97,8 @@ class Rof:
         return eval_points(self.eval_raw, self.ctx.p, points).tolist()
 
     def expand(self) -> MPoly:
-        """Multiply the tree out into its (multilinear) polynomial.
+        """Multiply the tree out into its (multilinear) polynomial, bottom-up
+        with an explicit stack (_fold).
 
         Raises ScaleGuardExceeded, before multiplying anything, when a bound
         on the term count exceeds the desk-scale limit: a leaf has 1 or 2
@@ -156,38 +106,39 @@ class Rof:
         and a * gate exactly their product, since its children share no
         variable.
         """
-        def terms(node) -> int:
+        def bound(node) -> int:
             if isinstance(node, Leaf):
                 return 2 if node.beta else 1
-            if isinstance(node, Const):
-                return 1 if node.value else 0
-            l, r = terms(node.left), terms(node.right)
-            return l + r if node.op == "+" else l * r
+            return 1 if node.value else 0
 
-        guard_scale(terms(self.root), "expansion terms (upper bound)")
+        guard_scale(_fold(self.root, bound, _apply), "expansion terms (upper bound)")
         ctx, n = self.ctx, self.arity
 
-        def go(node):
+        def leaf(node) -> MPoly:
             if isinstance(node, Leaf):
                 return MPoly.affine(ctx, n, node.var, node.alpha, node.beta)
-            if isinstance(node, Const):
-                return MPoly.constant(ctx, n, node.value)
-            l, r = go(node.left), go(node.right)
-            return l + r if node.op == "+" else l * r
+            return MPoly.constant(ctx, n, node.value)
 
-        return go(self.root)
+        return _fold(self.root, leaf, _apply)
 
     # ---- text form ----
 
     def serialize(self) -> str:
-        def go(node):
-            if isinstance(node, Leaf):
-                return f"(leaf {node.var + 1} {node.alpha} {node.beta})"
-            if isinstance(node, Const):
-                return f"(const {node.value})"
-            return f"({node.op} {go(node.left)} {go(node.right)})"
-
-        return go(self.root)
+        """The tree as one s-expression, written with an explicit stack."""
+        out = []
+        # nodes, and the text between a gate's children
+        stack: list = [self.root]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Gate):
+                stack += (")", node.right, " ", node.left, f"({node.op} ")
+            elif isinstance(node, Leaf):
+                out.append(f"(leaf {node.var + 1} {node.alpha} {node.beta})")
+            elif isinstance(node, Const):
+                out.append(f"(const {node.value})")
+            else:
+                out.append(node)
+        return "".join(out)
 
     def to_text(self) -> str:
         return f"field p={self.ctx.p} n={self.arity}\n{self.serialize()}\n"
@@ -226,13 +177,18 @@ class Rof:
             pos += 1
             return v
 
-        def expr() -> Node:
-            nonlocal pos
+        # the gates open around the form being read, each [head, children
+        # read so far...]; the forms are read with this explicit stack
+        open_gates: list = []
+        while True:
             need("(")
             if pos >= len(toks):
                 raise ParseError("unexpected end of formula")
             head = toks[pos]
             pos += 1
+            if head in ("+", "*"):
+                open_gates.append([head])
+                continue
             if head == "leaf":
                 var, alpha, beta = number(), number(), number()
                 if not 1 <= var <= n:
@@ -240,20 +196,48 @@ class Rof:
                 node: Node = Leaf(var - 1, alpha, beta)
             elif head == "const":
                 node = Const(number())
-            elif head in ("+", "*"):
-                node = Gate(head, expr(), expr())
             else:
                 raise ParseError(f"unknown form {head!r}")
             need(")")
-            return node
-
-        root = expr()
+            # close every gate whose right child node completes
+            while open_gates and len(open_gates[-1]) == 2:
+                head, left = open_gates.pop()
+                node = Gate(head, left, node)
+                need(")")
+            if not open_gates:
+                break
+            open_gates[-1].append(node)
+        root = node
         if pos != len(toks):
             raise ParseError(f"trailing tokens after formula: {' '.join(toks[pos:])!r}")
         try:
             return cls(ctx, n, root)
         except (ReadOnceViolation, ArityMismatch, InvalidParams) as exc:
             raise ParseError(str(exc)) from exc
+
+
+def _fold(root: Node, leaf, gate):
+    """A formula tree's value, folded bottom-up with an explicit stack:
+    leaf(node) for a Leaf or Const, gate(op, left value, right value) for
+    a Gate, children left to right."""
+    values: list = []
+    # (node, whether its children's values are in values)
+    stack: list = [(root, False)]
+    while stack:
+        node, joined = stack.pop()
+        if joined:
+            right = values.pop()
+            values.append(gate(node.op, values.pop(), right))
+        elif isinstance(node, Gate):
+            stack += ((node, True), (node.right, False), (node.left, False))
+        else:
+            values.append(leaf(node))
+    return values[0]
+
+
+def _apply(op: str, left, right):
+    """A gate's value from its children's: their sum or their product."""
+    return left + right if op == "+" else left * right
 
 
 def _as_rng(rng) -> random.Random:

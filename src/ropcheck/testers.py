@@ -30,6 +30,7 @@ axis triples whose univariate interpolant is not affine.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -252,6 +253,15 @@ def _scan(oracle: Oracle, n: int, draw, repeats: int, store, seed, basis=None) -
     return TestReport(YES, None, None, oracle.query_count - start, seed, repeats)
 
 
+@functools.lru_cache(maxsize=64)
+def _axis_basis(p: int, d: int) -> np.ndarray:
+    """The Lagrange basis of the nodes 0..d mod p (mpoly._basis_matrices),
+    built once per (p, d) and read-only, since every call shares it."""
+    basis = _basis_matrices(p, [range(d + 1)])[0]
+    basis.flags.writeable = False
+    return basis
+
+
 def read_once_test(oracle: Oracle, n: int, d: int, epsilon: float = 0.25,
                    rng=0, cache: bool = True) -> TestReport:
     """One-sided black-box read-once test for degree-at-most-d oracles.
@@ -273,9 +283,9 @@ def read_once_test(oracle: Oracle, n: int, d: int, epsilon: float = 0.25,
     rng, seed = _rng_and_seed(rng)
     base = np.array([[rng.randrange(p) for _ in range(n)]], dtype=np.int64)
     axis = np.arange(d + 1)
-    # every slot shares the nodes 0..d, so the scan builds one basis
+    # every slot shares the nodes 0..d, so the scan reads one basis
     return _scan(oracle, n, lambda k: (base, np.tile(axis, (1, n, 1))), 1,
-                 {} if cache else None, seed, _basis_matrices(p, [axis])[0])
+                 {} if cache else None, seed, _axis_basis(p, d))
 
 
 def recommended_field_size(n: int, d: int, epsilon: float) -> float:

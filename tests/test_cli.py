@@ -346,21 +346,39 @@ def test_out_of_memory_exits_2_not_read_many(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: out of memory")
 
 
+def test_recursion_error_exits_2_not_read_many(tmp_path, capsys, monkeypatch):
+    # an input nested past the recursion limit somewhere must not read as
+    # READ_MANY (exit 1) either
+    def too_deep(*args, **kwargs):
+        raise RecursionError
 
-def test_deeply_nested_formula_exits_2_not_read_many(tmp_path, capsys):
-    # past the interpreter's recursion limit a formula must not read as NO
-    # or READ_MANY (exit 1) in any command; 600 levels still work
-    for depth, want in ((600, 0), (1500, 2)):
+    path = tmp_path / "q4.txt"
+    main(["gen", "qn", "--p", "1009", "--n", "4", "--out", str(path)])
+    capsys.readouterr()
+    monkeypatch.setattr(charax, "characterize", too_deep)
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: the input is nested too deeply")
+
+
+
+def test_deeply_nested_formula_gets_its_normal_verdict(tmp_path, capsys):
+    # the reader, the reduction, the expansion and the plan walk the tree
+    # with explicit stacks, so nesting past the interpreter's recursion limit
+    # reads like the flat formula of the same polynomial, 1 + ... + 1 + x1*x2
+    flat = tmp_path / "flat.rof"
+    for depth in (600, 1500):
         body = "(* (leaf 1 1 0) (leaf 2 1 0))"
         for _ in range(depth):
             body = f"(+ (const 1) {body})"
         path = tmp_path / f"deep{depth}.rof"
         path.write_text(f"field p=101 n=2\n{body}\n")
+        flat.write_text(f"field p=101 n=2\n(+ (const {depth}) (* (leaf 1 1 0) (leaf 2 1 0)))\n")
         for cmd in (["check"], ["blackbox"], ["property"], ["experiment", "tau"]):
-            code, _, err = run(capsys, *cmd, str(path))
-            assert code == want, (depth, cmd)
-            if want:
-                assert err.startswith("error: ") and "Traceback" not in err
+            want = run(capsys, *cmd, str(flat))
+            assert want[0] == 0 and want[1]
+            assert run(capsys, *cmd, str(path)) == want, (depth, cmd)
+
 
 def test_huge_arity_files_exit_2(tmp_path, capsys):
     huge = tmp_path / "huge.txt"

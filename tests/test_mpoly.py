@@ -18,16 +18,19 @@ from ropcheck.errors import (
     SameVariable,
 )
 from ropcheck.ff import FieldCtx
+from ropcheck.hardcases import q_n
 from ropcheck.mpoly import (
     _CHILD,
     _CHILD_ACC,
     _MOD,
+    _MUL,
     _PROD,
     _PROD_ACC,
     _REDUCE,
     MPoly,
     _basis_matrices,
     _code_products,
+    _compile_poly,
     _decode_all,
     _encode,
     _interpolate_stack,
@@ -38,6 +41,7 @@ from ropcheck.mpoly import (
     parse_terms,
     random_multilinear,
 )
+from ropcheck.rof import random_rof
 
 GF101 = FieldCtx(101)
 GF5 = FieldCtx(5)
@@ -342,23 +346,111 @@ def test_eval_matches_reference_on_powers_and_constants(p):
     assert_matches_reference(MPoly.constant(ctx, 0, 7), [()] * 9)
 
 
+def _products(plan) -> int:
+    """The products a plan computes: a factor of a _PROD step, a _CHILD
+    step or a _MUL of two registers."""
+    products = 0
+    for op, _, f, _ in plan.code:
+        if op in (_PROD, _PROD_ACC):
+            products += len(f) - f.count(_REDUCE)
+        products += op in (_CHILD, _CHILD_ACC, _MUL)
+    return products
+
+
 @pytest.mark.parametrize("p", EXACT_MODULI)
 def test_eval_matches_reference_on_dense_multilinear(p):
     ctx = FieldCtx(p)
     rng = random.Random(p)
     P = random_multilinear(ctx, 10, rng)
     assert_matches_reference(P, extreme_points(10, p, rng))
-    # every coefficient p - 1: one product per distinct monomial prefix, and
-    # the 2**10 - 1 nonempty monomials are their own prefixes
+    # q_10 splits neither into pieces nor into factors, so it is one core:
+    # one product per distinct monomial prefix, and its 2**10 - 1 nonempty
+    # monomials are their own prefixes
+    core = q_n(10, ctx)
+    assert_matches_reference(core, extreme_points(10, p, rng))
+    assert _products(core._plan) == 2**10 - 1
+    # every coefficient p - 1: (p - 1) * prod(1 + x_v), a product of 10
+    # affine leaves
     full = MPoly(ctx, 10, {tuple((v, 1) for v in range(10) if mask >> v & 1): p - 1
                            for mask in range(1 << 10)})
     assert_matches_reference(full, extreme_points(10, p, rng))
-    products = 0
-    for op, _, f, _ in full._plan.code:
-        if op in (_PROD, _PROD_ACC):
-            products += len(f) - f.count(_REDUCE)
-        products += op in (_CHILD, _CHILD_ACC)
-    assert products == 2**10 - 1
+    assert _products(full._plan) <= 2 * 10
+
+
+# the moduli of the split-tree tests: GF(2) and GF(3), where the fixed
+# proposal points are few, the exactness moduli and 2**31 - 1, the first
+# that the proposals hold in object arrays
+SPLIT_MODULI = [2, 3, 5, 101, 1009, 2**31 - 1, 2**61 - 1]
+
+
+def _embedded_rof(ctx, n, slots, rng):
+    """The expansion of a random formula on the given slots of arity n."""
+    return random_rof(ctx, len(slots), rng).expand().embed(n, dict(enumerate(slots)))
+
+
+def _variants(ctx, n, rng):
+    """G*H + c and G + H, as the benchmark's read-many variants build them:
+    G a shifted q_k on k >= 3 slots, H a read-once expansion on the rest."""
+    k = rng.randint(3, n - 1)
+    slots = sorted(rng.sample(range(n), k))
+    low = high = MPoly.constant(ctx, n, 1)
+    for s in slots:
+        a, b = rng.randrange(1, ctx.p), rng.randrange(ctx.p)
+        low = low * MPoly.affine(ctx, n, s, a, b - 1)
+        high = high * MPoly.affine(ctx, n, s, a, b)
+    G = low + high
+    H = _embedded_rof(ctx, n, [s for s in range(n) if s not in slots], rng)
+    return [G * H + MPoly.constant(ctx, n, rng.randrange(ctx.p)), G + H]
+
+
+@pytest.mark.parametrize("p", SPLIT_MODULI)
+def test_split_plans_match_reference(p):
+    ctx = FieldCtx(p)
+    rng = random.Random(p + 1)
+    polys = []
+    for n in range(3, 11):
+        polys += [random_rof(ctx, n, rng).expand(), random_rof(ctx, n, rng).expand(),
+                  _embedded_rof(ctx, n + 2, rng.sample(range(n + 2), n), rng)]
+    for n in (5, 6, 7, 8):
+        polys += _variants(ctx, n, rng)
+    polys += [q_n(n, ctx) for n in (3, 5, 8)]
+    polys += [random_multilinear(ctx, 6, rng),
+              _random_poly(ctx, 4, rng, terms=12, max_exp=3),
+              parse_terms(ctx, 3, "x1^2*x2 + x1*x2*x3 + 1"),
+              MPoly.constant(ctx, 4, p - 1), MPoly.zero(ctx, 4)]
+    for P in polys:
+        assert_matches_reference(P, extreme_points(P.arity, p, rng))
+    assert_matches_reference(MPoly.constant(ctx, 0, 1), [()] * 9)
+    assert_matches_reference(MPoly.zero(ctx, 0), [()] * 9)
+
+
+def _leaf_product(ctx, n, rng):
+    """The expansion of a product of n affine leaves, each with a constant."""
+    P = MPoly.constant(ctx, n, 1)
+    for v in range(n):
+        P = P * MPoly.affine(ctx, n, v, rng.randrange(1, ctx.p), rng.randrange(1, ctx.p))
+    return P
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 1009])
+def test_leaf_product_compiles_to_linear_steps(p):
+    # 4,096 terms, against one Horner product per term; over GF(2) and GF(3)
+    # every point with nonzero coordinates may be a root of the cofactors,
+    # and the 0/1 point of each slot still proposes the split
+    rng = random.Random(12)
+    P = _leaf_product(FieldCtx(p), 12, rng)
+    assert len(P.terms) == 2**12
+    assert_matches_reference(P, extreme_points(12, p, rng))
+    assert len(P._plan.code) < 4 * 12
+
+
+def test_plans_compile_deterministically():
+    rng = random.Random(4)
+    ctx = FieldCtx(101)
+    polys = [random_rof(ctx, 9, rng).expand(), _leaf_product(ctx, 8, rng),
+             q_n(6, ctx)] + _variants(ctx, 8, rng)
+    for P in polys:
+        assert _compile_poly(P).code == _compile_poly(P).code
 
 
 @pytest.mark.parametrize("count", [7, 8])

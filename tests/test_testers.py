@@ -36,6 +36,7 @@ from ropcheck.testers import (
     NOT_MULTILINEAR,
     NOT_ROP,
     YES,
+    _axis_basis,
     draw_aligned_triple,
     property_test,
     property_test_once,
@@ -106,6 +107,17 @@ def test_rejection_certifies_read_many():
         elif rep.verdict == NO:
             assert rep.failure_kind in (NOT_MULTILINEAR, NOT_ROP)
             assert not brute_force_is_rop(P)
+
+
+def test_axis_basis_is_built_once_and_read_only():
+    # read_once_test's basis of the nodes 0..d depends only on (p, d)
+    basis = _axis_basis(1009, 8)
+    assert _axis_basis(1009, 8) is basis
+    assert np.array_equal(basis, _basis_matrices(1009, [range(9)])[0])
+    assert not basis.flags.writeable
+    with pytest.raises(ValueError):
+        basis[0, 0] = 0
+    assert _axis_basis(1009, 7) is not basis
 
 
 def test_query_count_exact_without_cache():
