@@ -318,14 +318,6 @@ def _horner(terms: Mapping[Mono, int], arity: int, powers: Dict[Tuple[int, int],
     return base + max(map(len, terms), default=0) + 2
 
 
-def _compile_terms(terms: Mapping[Mono, int], arity: int, p: int) -> _Plan:
-    """The Horner plan of a term dict (_horner)."""
-    powers: Dict[Tuple[int, int], int] = {}
-    steps: list = []
-    regs = _horner(terms, arity, powers, steps)
-    return _Plan(p, steps, powers, regs)
-
-
 # ---- formula trees ----
 
 @dataclass(frozen=True)
@@ -449,13 +441,11 @@ def _split_tree(p: int, terms: Dict[int, int], top: bool = True):
 def _compile_poly(P: "MPoly") -> _Plan:
     """P's plan: the plan of its split tree (_split_tree) where P is
     multilinear in the slots an int64 bit mask holds (_slot_masks) and
-    splits, else its Horner plan."""
+    splits, else of its terms as one core (Horner's rule)."""
     p, terms = P.ctx.p, P.terms
     masks = _slot_masks(terms)
     tree = None if masks is None else _split_tree(p, dict(zip(masks, terms.values())))
-    if tree is None:
-        return _compile_terms(terms, P.arity, p)
-    return _compile_tree(tree, p, P.arity)
+    return _compile_tree(terms if tree is None else tree, p, P.arity)
 
 
 def _encode(terms: Mapping[Mono, int], w: int) -> list[Tuple[int, int]]:
