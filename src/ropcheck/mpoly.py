@@ -38,12 +38,14 @@ and on int64 columns.  The compiler tracks an upper bound on every
 intermediate value and reduces mod p only where the next step could reach
 2**62, whatever the tree.
 
-Grid interpolation (_interpolate_stack) applies one Lagrange basis matrix
-per axis to a stack of grids.  The bases are float64 where a row times a
-column of residues stays below 2**53, and then each axis is one float64
-matmul on nonnegative integers under a tracked bound, reduced mod p only
-before a step that could reach 2**53 and once at the end; int64 and
-object bases reduce after every step.
+Grid transforms (_interpolate_stack) apply one matrix per axis, with
+entries in [0, p), to a stack of grids of samples: the Lagrange bases of
+the axes' nodes (_basis_matrices) for interpolate_grid, and the testers'
+inverse-free difference tables.  A matrix is float64 where a row times a
+column of residues stays below 2**53 (_table_dtype), and then each axis is
+one float64 matmul on nonnegative integers under a tracked bound, reduced
+mod p only before a step that could reach 2**53 and once at the end; int64
+and object matrices reduce after every step.
 
 Serialization is one term per '+', coefficients as decimal residues,
 variables printed 1-based (slot 0 is x1), terms ordered by graded
@@ -977,6 +979,16 @@ def parse_poly_file(text: str) -> MPoly:
 _FLOAT_EXACT = 2**53
 
 
+def _table_dtype(p: int, L: int):
+    """The dtype of an (L, L) axis matrix with entries in [0, p), as
+    _interpolate_stack reads it.  A row times a column of residues sums L
+    products of two residues: float64 where that stays below 2**53 (the BLAS
+    path), int64 where it stays below 2**62, and object (Python ints)
+    otherwise."""
+    bound = L * (p - 1) * (p - 1)
+    return np.float64 if bound < _FLOAT_EXACT else np.int64 if bound < 2**62 else object
+
+
 def _basis_matrices(p: int, nodes) -> np.ndarray:
     """The Lagrange bases of k node tuples at once, as a (k, L, L) array M.
 
@@ -988,10 +1000,8 @@ def _basis_matrices(p: int, nodes) -> np.ndarray:
     product prod_j (X - x_j) by X - x_r, found for every r by one synthetic
     division, and the denominators are those quotients at x_r, by Horner's
     rule.  Below _NUMPY_P_LIMIT every step multiplies two residues in
-    int64, and Python ints in object arrays above it.  A row of M times a
-    column of residues sums L products of two residues: M is float64 where
-    that stays below 2**53 (_interpolate_stack's BLAS path), int64 where it
-    stays below 2**62, and an object array of Python ints otherwise.
+    int64, and Python ints in object arrays above it.  M has _table_dtype's
+    dtype.
     """
     dtype = np.int64 if p < _NUMPY_P_LIMIT else object
     x = np.asarray(nodes, dtype=dtype)
@@ -1013,9 +1023,7 @@ def _basis_matrices(p: int, nodes) -> np.ndarray:
     inverses = np.array([pow(v, -1, p) for v in denominators.ravel().tolist()],
                         dtype=dtype).reshape(k, L, 1)
     M = (q * inverses % p).transpose(0, 2, 1)
-    bound = L * (p - 1) * (p - 1)
-    return M.astype(np.float64 if bound < _FLOAT_EXACT else
-                    np.int64 if bound < 2**62 else object)
+    return M.astype(_table_dtype(p, L))
 
 
 def _residues(values, p: int) -> np.ndarray:
@@ -1038,21 +1046,24 @@ def _residues(values, p: int) -> np.ndarray:
 
 
 def _interpolate_stack(p: int, bases: Sequence[np.ndarray], C: np.ndarray) -> np.ndarray:
-    """Coefficients of k grid interpolants at once.
+    """Each of k grids of samples transformed by one matrix per axis, mod p.
 
     C has shape (k, L_1, ..., L_m) and holds each grid's samples as int64
-    residues, in itertools.product order; bases[t] holds the Lagrange basis
-    of axis t (_basis_matrices): one (L_t, L_t) matrix that every grid
-    shares, or a (k, L_t, L_t) stack, one per grid.  Entry
-    [g, e_1, ..., e_m] of the result is grid g's coefficient of
-    x_1^e_1 ... x_m^e_m, reduced mod p: object where a basis is, else int64.
+    residues, in itertools.product order; bases[t] is any matrix of axis t
+    with entries in [0, p), in _table_dtype(p, L_t): one (L_t, L_t) matrix
+    that every grid shares, or a (k, L_t, L_t) stack, one per grid.  Entry
+    [g, e_1, ..., e_m] of the result is sum over r of
+    prod_t bases[t][e_t, r_t] * C[g, r_1, ..., r_m], reduced mod p: object
+    where a matrix is, else int64.  With the Lagrange bases of the axes'
+    nodes (_basis_matrices) it is grid g's coefficient of
+    x_1^e_1 ... x_m^e_m.
 
-    A float64 basis transforms its axis by one float64 matmul (BLAS).  The
+    A float64 matrix transforms its axis by one float64 matmul (BLAS).  The
     entries stay nonnegative integers under a tracked bound: p - 1 for
     residues, times L_t * (p - 1) per such step.  They are reduced mod p
     only before a step whose bound would reach 2**53, and once at the end,
     so every partial sum is an integer below 2**53, exact in whatever order
-    the matmul adds.  An int64 or object basis reduces after its step.
+    the matmul adds.  An int64 or object matrix reduces after its step.
     """
     k, dims = C.shape[0], C.shape[1:]
     # an upper bound on the entries of C

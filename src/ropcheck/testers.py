@@ -10,16 +10,24 @@ Two algorithms:
   coordinate give 27-point grids; the wrapper repeats the round enough
   times for the distance parameter.
 
-A scan is held as arrays: rounds of a base point and per-slot node rows
-(one round of nodes 0..d for read_once_test), each round's Lagrange bases
-built once, and one lexicographic 3-subset table, so grid q is round
-q // C(n,3) on subset q % C(n,3).  Grids are queried and decided in
-doubling batches of 1, 2, 4, ... grids, up to _BATCH_POINTS points: a
-batch's points and bases are gathered from those arrays by fancy indexing
-and stay int64 arrays through one oracle call (Oracle._query_array), one
-stacked interpolation (float64 BLAS matmuls with one final reduction mod p
-wherever that is exact, see mpoly._interpolate_stack) and one vectorized
-closed-form decision.  YES
+A grid is decided from a difference table per axis, an integer matrix with
+entries in [0, p) that needs no modular inverse, in place of the
+Lagrange interpolant: the table is an invertible upper-triangular matrix
+times the Lagrange basis, which changes neither whether the restriction is
+multilinear nor whether it is read-once (see _check_batch).  read_once_test
+shares the forward differences of the nodes 0..d (_forward_differences),
+and each property round's tables are built from its node rows by a few
+array operations when the round is drawn (_difference_tables).
+
+A scan is held as arrays: rounds of a base point, per-slot node rows and
+their tables (one round of nodes 0..d for read_once_test), and one
+lexicographic 3-subset table, so grid q is round q // C(n,3) on subset
+q % C(n,3).  Grids are queried and decided in doubling batches of 1, 2, 4,
+... grids, up to _BATCH_POINTS points: a batch's points and tables are
+gathered from those arrays by fancy indexing and stay int64 arrays through
+one oracle call (Oracle._query_array), one stacked transform (float64 BLAS
+matmuls with one final reduction mod p wherever that is exact, see
+mpoly._interpolate_stack) and one vectorized closed-form decision.  YES
 reports count the same queries as a one-grid-at-a-time scan.  A NO report
 counts every point of the batches it queried, fewer than about twice the
 points up to the failing grid, plus one batch.
@@ -49,7 +57,7 @@ from .errors import (
     TooFewVariables,
     guard_scale,
 )
-from .mpoly import _NUMPY_P_LIMIT, _basis_matrices, _interpolate_stack
+from .mpoly import _NUMPY_P_LIMIT, _interpolate_stack, _table_dtype
 from .rof import Oracle
 
 YES = "YES"
@@ -167,15 +175,32 @@ def _stored_values(oracle: Oracle, points, shared, store) -> np.ndarray:
     return values
 
 
-def _check_batch(oracle: Oracle, base, axes, I, bases, store):
-    """Query the batch's grids, interpolate them and classify each restriction.
+def _check_batch(oracle: Oracle, base, axes, I, tables, store):
+    """Query the batch's grids, transform them and classify each restriction.
 
-    The grids are base, axes and I as in _grid_points, and bases[t] is the
-    Lagrange basis of axis t, one (L, L) matrix or a (k, L, L) stack.
-    Returns (I, kind) of the first failing grid in batch order, or None: a
-    restriction fails when it is not multilinear, or when its 8 multilinear
-    coefficients are not read-once.  The points and the oracle's answers
-    stay int64 arrays.
+    The grids are base, axes and I as in _grid_points, and tables[t] is the
+    difference table of axis t, one (L, L) matrix or a (k, L, L) stack with
+    entries in [0, p), in _table_dtype(p, L).  Returns (I, kind) of the
+    first failing grid in batch order, or None: a restriction fails when it
+    is not multilinear, or when it is multilinear and not read-once.  The
+    points and the oracle's answers stay int64 arrays.
+
+    The tables decide as the grid's Lagrange interpolant would.  Each table
+    is N*B, with B the Lagrange basis of the axis's nodes and N
+    upper-triangular with a nonzero diagonal (k! for forward differences, a
+    product of node gaps for 3 nodes), so the transformed grid T is the
+    interpolant's coefficient tensor with N applied along each axis.
+    Because N and its inverse are upper-triangular, T has a nonzero entry
+    with some index >= 2 exactly when the interpolant has such a
+    coefficient, that is, is not multilinear.  Where it is multilinear,
+    N's leading 2x2 block is [[1, x0], [0, x1 - x0]] for the first two
+    nodes x0, x1, which maps f0 + f1*x to f0 + f1*x0 + f1*(x1 - x0)*u, the
+    same polynomial in u = (x - x0)/(x1 - x0).  So T[:2, :2, :2] holds the
+    interpolant's coefficients after an invertible affine change of each
+    coordinate, and since a read-once formula's leaves are alpha*x + beta,
+    that is read-once exactly when the interpolant is.  For the nodes 0..d
+    the block is the identity and the corner is the interpolant's own
+    coefficients.
     """
     p, k = oracle.ctx.p, len(base)
     points, shared = _grid_points(base, axes, I, store is not None)
@@ -186,7 +211,7 @@ def _check_batch(oracle: Oracle, base, axes, I, bases, store):
         values = _stored_values(oracle, points, shared.reshape(-1), store)
     # free the points before the transform: a degree-124 grid holds 2 M rows
     del points
-    C = _interpolate_stack(p, bases, values.reshape((k,) + dims))
+    C = _interpolate_stack(p, tables, values.reshape((k,) + dims))
     lin = C[(slice(None),) + (slice(0, 2),) * len(dims)].reshape(k, -1)
     failing = np.count_nonzero(C.reshape(k, -1), axis=1) > np.count_nonzero(lin, axis=1)
     nonml = failing.copy()
@@ -203,7 +228,7 @@ def _check_batch(oracle: Oracle, base, axes, I, bases, store):
     return tuple(I[g].tolist()), NOT_MULTILINEAR if nonml[g] else NOT_ROP
 
 
-def _scan(oracle: Oracle, n: int, draw, repeats: int, store, seed, basis=None) -> TestReport:
+def _scan(oracle: Oracle, n: int, draw, repeats: int, store, seed, table=None) -> TestReport:
     """Query and decide a scan's grids in doubling batches; NO at the first
     failing one.
 
@@ -217,35 +242,33 @@ def _scan(oracle: Oracle, n: int, draw, repeats: int, store, seed, basis=None) -
     call and numpy step covers many small grids while a scan that fails
     early queries fewer than about twice the grids a one-at-a-time scan
     would.  store, when given, keeps the values of points that another grid
-    can hold across batches.  basis, when given, is the Lagrange basis of
-    the one node row all slots share; otherwise each round's (n, L, L)
-    bases are built once, when it is drawn.
+    can hold across batches.  table, when given, is the difference table of
+    the one node row all slots share; otherwise each round's (n, 3, 3)
+    tables are built once, when it is drawn (_difference_tables).
     """
     subsets = _triples(n) if n >= 3 else np.arange(n).reshape(1, n)
     G, m = subsets.shape
     start, q, size = oracle.query_count, 0, 1
-    # base points, node rows and bases of the drawn rounds from round `first` on
+    # base points, node rows and tables of the drawn rounds from round `first` on
     held, first = None, 0
     while q < repeats * G:
         r, s = np.divmod(np.arange(q, min(q + size, repeats * G)), G)
         more = int(r[-1]) + 1 - first - (0 if held is None else len(held[0]))
         if more > 0:
             new = draw(more)
-            if basis is None:
-                L = new[1].shape[2]
-                lagrange = _basis_matrices(oracle.ctx.p, new[1].reshape(-1, L))
-                new += (lagrange.reshape(more, n, L, L),)
+            if table is None:
+                new += (_difference_tables(oracle.ctx.p, new[1]),)
             # a later batch reaches no round before this batch's first
             held = new if held is None else [np.concatenate([a[r[0] - first:], b])
                                              for a, b in zip(held, new)]
             first = int(r[0])
         r, I = r - first, subsets[s]
-        if basis is None:
+        if table is None:
             stack = held[2][r[:, None], I]
-            bases = [stack[:, t] for t in range(m)]
+            tables = [stack[:, t] for t in range(m)]
         else:
-            bases = [basis] * m
-        failure = _check_batch(oracle, held[0][r], held[1][r[:, None], I], I, bases, store)
+            tables = [table] * m
+        failure = _check_batch(oracle, held[0][r], held[1][r[:, None], I], I, tables, store)
         if failure is not None:
             return TestReport(NO, *failure, oracle.query_count - start, seed, repeats)
         q += len(r)
@@ -253,13 +276,35 @@ def _scan(oracle: Oracle, n: int, draw, repeats: int, store, seed, basis=None) -
     return TestReport(YES, None, None, oracle.query_count - start, seed, repeats)
 
 
+def _difference_tables(p: int, nodes) -> np.ndarray:
+    """The difference tables of 3-node rows, as a (..., 3, 3) array.
+
+    nodes is a (..., 3) int64 array of residues, three distinct ones in each
+    row (x0, x1, x2), whose table has the rows (1, 0, 0), (-1, 1, 0) and
+    (x2 - x1, x0 - x2, x1 - x0), mod p.  So samples f at the nodes go to
+    f(x0), f(x1) - f(x0) and (x1 - x0)(x2 - x1)(x2 - x0) times their second
+    divided difference, which vanishes exactly on affine samples.  The
+    tables have _table_dtype's dtype.
+    """
+    dtype = _table_dtype(p, 3)
+    table = np.empty(nodes.shape + (3,), dtype=dtype)
+    table[..., :2, :] = np.array([[1, 0, 0], [p - 1, 1, 0]], dtype=dtype)
+    table[..., 2, :] = (nodes[..., [2, 0, 1]] - nodes[..., [1, 2, 0]]) % p
+    return table
+
+
 @functools.lru_cache(maxsize=64)
-def _axis_basis(p: int, d: int) -> np.ndarray:
-    """The Lagrange basis of the nodes 0..d mod p (mpoly._basis_matrices),
-    built once per (p, d) and read-only, since every call shares it."""
-    basis = _basis_matrices(p, [range(d + 1)])[0]
-    basis.flags.writeable = False
-    return basis
+def _forward_differences(p: int, d: int) -> np.ndarray:
+    """The forward-difference table of the nodes 0..d mod p, whose entry
+    (k, j) is (-1)**(k - j) * C(k, j): row k takes samples at 0..d to
+    their k-th forward difference at 0.  Built once per (p, d), in
+    _table_dtype's dtype, and read-only, since every call shares it."""
+    # (-1)**(k + j), an int where j > k, has the sign of (-1)**(k - j)
+    rows = [[(-1) ** (k + j) * math.comb(k, j) % p for j in range(d + 1)]
+            for k in range(d + 1)]
+    table = np.array(rows, dtype=object).astype(_table_dtype(p, d + 1))
+    table.flags.writeable = False
+    return table
 
 
 def read_once_test(oracle: Oracle, n: int, d: int, epsilon: float = 0.25,
@@ -283,9 +328,16 @@ def read_once_test(oracle: Oracle, n: int, d: int, epsilon: float = 0.25,
     rng, seed = _rng_and_seed(rng)
     base = np.array([[rng.randrange(p) for _ in range(n)]], dtype=np.int64)
     axis = np.arange(d + 1)
-    # every slot shares the nodes 0..d, so the scan reads one basis
+    # Grids on subsets I != I' share only points that hold the base point's
+    # coordinates off I and off I'.  On a slot of I - I', such a point holds
+    # both its base coordinate and an axis value, so that coordinate lies
+    # on the axis 0..d, and so does one on a slot of I' - I: with fewer than
+    # two base coordinates on the axis no point is shared, and the store
+    # would only cost time
+    store = {} if cache and np.count_nonzero(base <= d) >= 2 else None
+    # every slot shares the nodes 0..d, so the scan reads one table
     return _scan(oracle, n, lambda k: (base, np.tile(axis, (1, n, 1))), 1,
-                 {} if cache else None, seed, _axis_basis(p, d))
+                 store, seed, _forward_differences(p, d))
 
 
 def recommended_field_size(n: int, d: int, epsilon: float) -> float:

@@ -24,7 +24,7 @@ from ropcheck.ff import FieldCtx
 from ropcheck.hardcases import q_n
 from ropcheck.mpoly import (
     MPoly,
-    _basis_matrices,
+    _interpolate_stack,
     interpolate_grid,
     parse_terms,
     random_multilinear,
@@ -36,7 +36,8 @@ from ropcheck.testers import (
     NOT_MULTILINEAR,
     NOT_ROP,
     YES,
-    _axis_basis,
+    _difference_tables,
+    _forward_differences,
     draw_aligned_triple,
     property_test,
     property_test_once,
@@ -109,15 +110,33 @@ def test_rejection_certifies_read_many():
             assert not brute_force_is_rop(P)
 
 
-def test_axis_basis_is_built_once_and_read_only():
-    # read_once_test's basis of the nodes 0..d depends only on (p, d)
-    basis = _axis_basis(1009, 8)
-    assert _axis_basis(1009, 8) is basis
-    assert np.array_equal(basis, _basis_matrices(1009, [range(9)])[0])
-    assert not basis.flags.writeable
+def _pascal_rows(L):
+    """Rows 0..L-1 of Pascal's triangle, each padded with zeros to length L."""
+    rows = [[1] + [0] * (L - 1)]
+    for _ in range(L - 1):
+        rows.append([1] + [a + b for a, b in zip(rows[-1], rows[-1][1:])])
+    return rows
+
+
+def test_forward_differences_are_built_once_and_read_only():
+    # read_once_test's table of the nodes 0..d depends only on (p, d)
+    p = 1009
+    table = _forward_differences(p, 8)
+    assert _forward_differences(p, 8) is table
+    assert table.tolist() == [[(-1) ** (k - j) * c % p for j, c in enumerate(row)]
+                              for k, row in enumerate(_pascal_rows(9))]
+    # row k of the table takes samples at 0..8 to their k-th difference at 0
+    rng = random.Random(8)
+    samples = [rng.randrange(p) for _ in range(9)]
+    differences, row = [], samples
+    while row:
+        differences.append(row[0])
+        row = [(b - a) % p for a, b in zip(row, row[1:])]
+    assert [int(v) for v in table.astype(np.int64) @ samples % p] == differences
+    assert not table.flags.writeable
     with pytest.raises(ValueError):
-        basis[0, 0] = 0
-    assert _axis_basis(1009, 7) is not basis
+        table[0, 0] = 0
+    assert _forward_differences(p, 7) is not table
 
 
 def test_query_count_exact_without_cache():
@@ -170,12 +189,12 @@ def test_cache_queries_the_grid_union_once_in_one_grid_batches(monkeypatch):
 
 
 def _batch_args(p, base, axis, subsets):
-    """_check_batch's arrays for grids on base over the same axis in every
-    slot of each subset, with that axis's one Lagrange basis over GF(p)."""
+    """_check_batch's arrays for grids on base over the axis 0..d in every
+    slot of each subset, with its one forward-difference table over GF(p)."""
     I = np.array(subsets).reshape(-1, 3)
     k = len(I)
     return (np.tile(base, (k, 1)), np.tile(axis, (k, 3, 1)), I,
-            [_basis_matrices(p, [axis])[0]] * 3)
+            [_forward_differences(p, len(axis) - 1)] * 3)
 
 
 def test_cache_stores_only_points_another_grid_can_hold():
@@ -199,6 +218,37 @@ def test_cache_stores_only_points_another_grid_can_hold():
     assert testers._check_batch(orc, *grids, batched) is None
     assert batched == store
     assert orc.query_count == len(_grid_union(n, d, base))
+
+
+def _base_point(p, n, seed):
+    """read_once_test's base point at a seed."""
+    rng = random.Random(seed)
+    return [rng.randrange(p) for _ in range(n)]
+
+
+def test_no_store_with_fewer_than_two_base_coordinates_on_the_axis(monkeypatch):
+    # two grids share a point only where at least two base coordinates lie
+    # on the axis 0..d, so with one the scan runs without the store and
+    # queries every point of every grid; with two, the store saves queries
+    p, n, d = 101, 8, 8
+    F = random_rof(FieldCtx(p), n, 5)
+    calls = []
+    stored_values = testers._stored_values
+    monkeypatch.setattr(testers, "_stored_values",
+                        lambda *a: calls.append(1) or stored_values(*a))
+    for on_axis in (1, 2):
+        seed = next(s for s in itertools.count()
+                    if sum(v <= d for v in _base_point(p, n, s)) == on_axis)
+        calls.clear()
+        rep = read_once_test(as_oracle(F), n, d, 0.25, seed)
+        assert rep.verdict == YES
+        if on_axis == 1:
+            assert not calls
+            assert rep.queries == math.comb(n, 3) * (d + 1) ** 3
+        else:
+            assert calls
+            assert rep.queries == len(_grid_union(n, d, _base_point(p, n, seed)))
+            assert rep.queries < math.comb(n, 3) * (d + 1) ** 3
 
 
 def _sequential_scan(oracle, grids, store):
@@ -341,6 +391,100 @@ def test_corrupted_oracle_scans_match_the_sequential_scan(p):
             assert orc.query_count == rep.queries
             verdicts.add(rep.verdict)
     assert verdicts == {YES, NO}
+
+
+def _grid_oracles(ctx, L, rng):
+    """Trivariate oracles for grids of L nodes an axis: a formula, its
+    expansion plus a power of one slot below L, a random multilinear
+    polynomial and random values, drawn at each point's first query."""
+    F = random_rof(ctx, 3, rng)
+    power = MPoly(ctx, 3, {((rng.randrange(3), max(1, rng.randrange(L))),): 1})
+    drawn = {}
+
+    def value(pt):
+        if pt not in drawn:
+            drawn[pt] = rng.randrange(ctx.p)
+        return drawn[pt]
+    return [as_oracle(P) for P in (F, F.expand() + power, random_multilinear(ctx, 3, rng))] + \
+        [Oracle(ctx, 3, value)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 1009, 31635403, 2**31 - 1, 2**61 - 1])
+def test_difference_tables_decide_as_the_lagrange_interpolant(p):
+    # forward differences of 2, 3 and up to 13 nodes and 3-node tables of
+    # drawn nodes, in float64, int64 (13 nodes over GF(31635403)) and
+    # Python ints (from GF(2**31 - 1) on); each grid alone, then k at once
+    ctx = FieldCtx(p)
+    rng = random.Random(p)
+    k, I = 4, np.tile([0, 1, 2], (4, 1))
+    outcomes = set()
+    for L in sorted({2, 3, min(p, 13)}):
+        grids = [(np.tile(np.arange(L), (k, 3, 1)),
+                  np.broadcast_to(_forward_differences(p, L - 1), (k, 3, L, L)))]
+        if L == 3:
+            drawn = np.array([[rng.sample(range(p), 3) for _ in range(3)] for _ in range(k)],
+                             dtype=np.int64)
+            grids.append((drawn, _difference_tables(p, drawn)))
+        for axes, stack in grids:
+            for _ in range(3):
+                for orc in _grid_oracles(ctx, L, rng):
+                    base = np.array([[rng.randrange(p) for _ in range(3)]] * k, dtype=np.int64)
+                    # interpolate_grid and trivariate_is_rop decide each grid
+                    want = [_sequential_scan(orc, [(base[g].tolist(), (0, 1, 2), axes[g].tolist())],
+                                             None)[0] for g in range(k)]
+                    for g in range(k):
+                        tables = [stack[g:g + 1, t] for t in range(3)]
+                        assert testers._check_batch(orc, base[g:g + 1], axes[g:g + 1], I[:1],
+                                                    tables, None) == want[g]
+                    first = next((w for w in want if w is not None), None)
+                    assert testers._check_batch(orc, base, axes, I,
+                                                [stack[:, t] for t in range(3)], None) == first
+                    outcomes.update(w and w[1] for w in want)
+    assert outcomes == {None, NOT_MULTILINEAR, NOT_ROP}
+
+
+def _transform_reference(p, tables, values):
+    """values (L, L, L) with tables[t] applied along axis t, in Python ints."""
+    T = np.array(values, dtype=object)
+    for t, M in enumerate(tables):
+        M = np.array([[int(v) for v in row] for row in M.tolist()], dtype=object)
+        T = np.moveaxis(np.tensordot(M, T, axes=([1], [t])), 0, t) % p
+    return T.tolist()
+
+
+# primes on both sides of each dtype threshold of an L-node table, which is
+# float64 while L * (p - 1)**2 < 2**53 and int64 while it is below 2**62
+_TABLE_THRESHOLDS = {3: (54794149, 54794197, 1239850223, 1239850277),
+                     9: (31635403, 31635431, 715827883, 715827947)}
+
+
+@pytest.mark.parametrize("L, p", [(L, p) for L, ps in _TABLE_THRESHOLDS.items() for p in ps])
+def test_difference_tables_are_exact_on_both_sides_of_each_threshold(L, p):
+    # 3 nodes: property_test's tables of drawn nodes; 9 nodes: the forward
+    # differences of 0..8
+    rng = random.Random(p)
+    k = 3
+    bound = L * (p - 1) ** 2
+    dtype = np.float64 if bound < 2**53 else np.int64 if bound < 2**62 else object
+    if L == 3:
+        nodes = np.array([[rng.sample(range(p), 3) for _ in range(3)] for _ in range(k)],
+                         dtype=np.int64)
+        stack = _difference_tables(p, nodes)
+        assert stack.shape == (k, 3, 3, 3)
+        tables = [stack[:, t] for t in range(3)]
+        per_grid = [[stack[g, t] for t in range(3)] for g in range(k)]
+    else:
+        tables = [_forward_differences(p, L - 1)] * 3
+        per_grid = [tables] * k
+    assert all(T.dtype == dtype for T in tables)
+    # samples near p - 1 push the entries toward their bound
+    values = [[rng.choice((p - 1, p - 2, rng.randrange(p))) for _ in range(L**3)]
+              for _ in range(k)]
+    got = _interpolate_stack(p, tables, np.array(values, dtype=np.int64).reshape(k, L, L, L))
+    assert got.dtype == (object if dtype is object else np.int64)
+    for g in range(k):
+        want = _transform_reference(p, per_grid[g], np.reshape(values[g], (L, L, L)))
+        assert got[g].tolist() == want
 
 
 # fields on both sides of each interpolation threshold: no reduction before
