@@ -28,8 +28,8 @@ from typing import FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
-from .decomp import (_is_multilinear, _pair_layout, _pair_splits, _subsets, _taylor_table,
-                     _trivariate_rop, _witness_tags, witness_is_zero)
+from .decomp import (_is_multilinear, _pair_layout, _subsets, _taylor_table, _trivariate_rop,
+                     _witness_tags, _witness_vanishes, witness_is_zero)
 # bound here for bench/tracer.py, which wraps charax's binding of it
 from .decomp import trivariate_is_rop  # noqa: F401
 from .errors import (ArityMismatch, FieldTooSmall, InvalidParams, NotMultilinear,
@@ -148,14 +148,11 @@ class GoodnessChecker:
     d_T P(a), |T| <= 3, at the assignment a through P's Taylor plan (P's
     order-3 Taylor table, decomp._taylor_table) and decides every live
     multiplicand from it at once: the partials' entries in one gather, the
-    witnesses' pair splits in one stacked step (decomp._pair_splits).  A
-    first or second partial is one entry.  A witness multiplicand of the
-    pair (i, j) glued on J = rest - {m}, set to x = a and y_J = a_J, is a
-    polynomial in y_m alone: in u = y_m - a_m it is
-    u*(A1*d - s*D1) - u^2*s*D2, from the split of P's shift to a in (i, j)
-    along m (decomp._pair_split), where s = A0 = S(a), d = D0 = D(a) and
-    A1 = d_ijm P(a).  So it vanishes in the free variable iff s*D2 == 0 and
-    d*A1 == s*D1 (mod p).
+    witnesses in one stacked step.  A first or second partial is one entry.
+    A witness multiplicand of the pair (i, j) glued on J = rest - {m}, set
+    to x = a and y_J = a_J, is a polynomial in y_m alone, and it vanishes
+    in the free variable as the witness probes read it
+    (decomp._witness_vanishes).
     """
 
     def __init__(self, P: MPoly):
@@ -172,7 +169,7 @@ class GoodnessChecker:
         # witness columns
         self._live = live.nonzero()[0]
         lay = _pair_layout(P.arity)
-        rows = np.concatenate([lay.single_rows, lay.pair_rows[2]])
+        rows = np.concatenate([lay.single_rows, lay.pair_rows])
         self._partial_rows = rows[live[:len(rows)]]
         splits = lay.witness_columns.ravel()[live[len(rows):]]
         self._left, self._right = lay.left[:, splits], lay.right[:, splits]
@@ -193,11 +190,10 @@ class GoodnessChecker:
     def _check_table(self, table) -> GoodnessReport:
         """check on P's Taylor table at the assignment, a column of
         residues in the rows of decomp._subsets."""
-        n, p = self.P.arity, self.P.ctx.p
-        A1, A0, D = _pair_splits(table, self._left, self._right)
-        D %= p
+        n = self.P.arity
         failed = np.concatenate([table.take(self._partial_rows) == 0,
-                                 (A0 * D[0] % p == 0) & ((A1 * D[2] - A0 * D[1]) % p == 0)])
+                                 _witness_vanishes(table, self._left, self._right,
+                                                   self.P.ctx.p)])
         violations = []
         for k in self._live[failed].tolist():
             m = _multiplicand(n, k, False)

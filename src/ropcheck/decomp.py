@@ -27,8 +27,10 @@ The central objects:
 * the witness zero tags, all decided once per polynomial when they are
   built (_WitnessTags) and held as bit masks of slots, which
   witness_is_zero only reads: which slots and pairs P's monomials hold
-  (the subsets its plan lists), every witness at two fixed probe pairs
-  from one evaluation of the plan (_probe_witnesses), a structural proof
+  (the subsets its plan lists), every witness glued on all but a slot m
+  read at two fixed probe points as a polynomial in y_m, from one
+  evaluation of the plan and by the certificate's own check
+  (_probe_witnesses, _witness_vanishes), a structural proof
   (structure._Structure), and the exact test on each tag these leave
   open.  Following Shpilka-Volkovich, a read-once
   polynomial splits into additive pieces and disjoint factors,
@@ -63,10 +65,9 @@ from .mpoly import _NUMPY_P_LIMIT, MPoly, _code_products, _coded_cofactors, _pro
 from .reference import brute_force_is_rop, commutator, decompose, find_nonzero_point  # noqa: F401
 from .structure import _bits, _Structure
 
-# The exact witness test's two probe point pairs, drawn once from fixed seeds
-# so that no call seeds or consumes a random stream: slot k of pair t's
-# x-point reads entry k of _PROBES[t], slot k of its y-point entry n + k,
-# cyclically, reduced mod p.
+# The witness probes' two fixed points, drawn once from fixed seeds so that
+# no call seeds or consumes a random stream: slot k of point t reads entry k
+# of _PROBES[t], cyclically, reduced mod p.
 _PROBES = tuple(tuple(map(random.Random(seed).getrandbits, [64] * 64)) for seed in (0, 1))
 
 
@@ -431,19 +432,18 @@ class _PairLayout:
 
     pairs lists the pairs (i, j), i < j, in lexicographic order, index
     maps each to its position and masks holds each as a bit mask of its
-    two slots; single_rows holds the row of each {t}, and
-    pair_rows the rows of {i}, {j} and {i, j}, one column per pair.  left
-    and right hold the rows of each split's factors (_split_masks), one
-    column per split: the three splits of _SPLITS for each triple, split by
-    split.  columns maps each split's (i, j, m), for its pair i < j and free
-    slot m, to its column, and split_free holds each column's m.
+    two slots; single_rows holds the row of each {t}, and pair_rows the
+    row of each {i, j}.  left and right hold the rows of each split's
+    factors (_split_masks), one column per split: the three splits of
+    _SPLITS for each triple, split by split.  columns maps each split's
+    (i, j, m), for its pair i < j and free slot m, to its column.
     witness_columns lists, pair by pair, the columns of the pair's splits
     along each other slot m in increasing order: the order in which the
     certificate lists the pair's witnesses glued on rest - {m};
     witness_free holds those m.
     """
     __slots__ = ("pairs", "index", "masks", "single_rows", "pair_rows", "left", "right",
-                 "columns", "split_free", "witness_columns", "witness_free")
+                 "columns", "witness_columns", "witness_free")
 
     def __init__(self, n: int):
         sub = _subsets(n)
@@ -452,52 +452,49 @@ class _PairLayout:
         self.index = {pair: q for q, pair in enumerate(self.pairs)}
         self.masks = [1 << i | 1 << j for i, j in self.pairs]
         self.single_rows = np.array([rows[1 << t] for t in range(n)], dtype=np.intp)
-        self.pair_rows = np.array([[rows[1 << i], rows[1 << j], rows[1 << i | 1 << j]]
-                                   for i, j in self.pairs], dtype=np.intp).reshape(-1, 3).T
+        self.pair_rows = np.array([rows[mask] for mask in self.masks], dtype=np.intp)
         self.left, self.right = (sub.triple_rows[masks].reshape(8, -1)
                                  for masks in _split_masks(_SPLITS))
         triples = sub.triples.tolist()
         splits = ([(a, b, c) for a, b, c in triples] + [(a, c, b) for a, b, c in triples]
                   + [(b, c, a) for a, b, c in triples])
         self.columns = {key: k for k, key in enumerate(splits)}
-        self.split_free = np.array([m for _, _, m in splits], dtype=np.intp)
         self.witness_columns = np.array(
             [self.columns[i, j, m] for i, j in self.pairs for m in range(n) if m != i and m != j],
             dtype=np.intp).reshape(len(self.pairs), max(n - 2, 0))
-        self.witness_free = self.split_free.take(self.witness_columns)
+        self.witness_free = np.array([m for _, _, m in splits],
+                                     dtype=np.intp).take(self.witness_columns)
 
 
-def _probe_witnesses(P: MPoly, plan: _TaylorPlan,
-                     lay: _PairLayout) -> Tuple[np.ndarray, np.ndarray]:
-    """P's witnesses at the two fixed probe pairs, for every pair and every
-    glue set the certificate lists, as residues (base, slots).
+def _witness_vanishes(table: np.ndarray, left: np.ndarray, right: np.ndarray,
+                      p: int) -> np.ndarray:
+    """Whether each witness, glued on all but its free slot m and set to
+    x = a and y_J = a_J, is the zero polynomial in y_m, at the assignments
+    a whose Taylor tables are table's columns (a boolean array of shape
+    (splits, K), or (splits,) for one column).  left and right hold the
+    rows of the witnesses' pair splits of (i, j) along m (_split_masks).
 
-    One evaluation of P's plan, at the x and y points of both probe pairs as
-    the columns x0, y0, x1, y1 of one array, gives every value.  With
-    S = dd_ij(P) and D = P*S - d_iP*d_jP at the four points, base holds
-    J = {}: W = D(x)*S(y) - S(x)*D(y) at both pairs, one row per pair of
-    lay.pairs.  slots holds J = rest - {m} at both pairs, one row per split
-    column of lay: D and S ignore slots i and j, so y differs from x only
-    in slot m, by delta = y_m - x_m; with the pair split of P's shift to x
-    in (i, j) along m (_pair_split), W = delta*(A1*D0 - A0*D1) -
-    delta^2*A0*D2.
+    D and S ignore slots i and j, so in u = y_m - a_m the witness is
+    u*(A1*D0 - A0*D1) - u^2*A0*D2, from the split of P's shift to a
+    (_pair_split), where A0 = S(a) and D0 = D(a): it vanishes in y_m iff
+    A0*D2 == 0 and A1*D0 == A0*D1 (mod p).
     """
-    n, p = P.arity, P.ctx.p
-    points = [[probe[(h * n + k) % len(probe)] % p for probe in _PROBES for h in (0, 1)]
-              for k in range(n)]
-    table = plan.table(points) if n else np.zeros((plan.size, 4), dtype=plan.dtype)
-    ri, rj, rij = lay.pair_rows
-    S = table.take(rij, axis=0)
-    D = (table[0] * S - table.take(ri, axis=0) * table.take(rj, axis=0)) % p
-    base = (D[:, 0::2] * S[:, 1::2] - S[:, 0::2] * D[:, 1::2]) % p
+    A1, A0, D = _pair_splits(table, left, right)
     # products of residues stay below 2**60 once every factor is reduced
-    A1, A0, Dm = _pair_splits(table[:, 0::2], lay.left, lay.right)
-    Dm %= p
-    xy = np.array(points, dtype=plan.dtype).reshape(n, 4)
-    delta = ((xy[:, 1::2] - xy[:, 0::2]) % p).take(lay.split_free, axis=0)
-    slots = (delta * ((A1 * Dm[2] - A0 * Dm[1]) % p)
-             - delta * delta % p * (A0 * Dm[0] % p)) % p
-    return base, slots
+    D %= p
+    return (A0 * D[0] % p == 0) & ((A1 * D[2] - A0 * D[1]) % p == 0)
+
+
+def _probe_witnesses(P: MPoly, plan: _TaylorPlan, lay: _PairLayout) -> np.ndarray:
+    """Which witnesses read live at the two fixed probe points: for each
+    split column of lay, whether the witness of its pair glued on
+    rest - {m}, m its free slot, is a nonzero polynomial in y_m at either
+    point (_witness_vanishes).  One evaluation of P's plan, at both points
+    as the columns of one array, gives every value."""
+    n, p = P.arity, P.ctx.p
+    points = [[probe[k % len(probe)] % p for probe in _PROBES] for k in range(n)]
+    table = plan.table(points) if n else np.zeros((plan.size, 2), dtype=plan.dtype)
+    return ~_witness_vanishes(table, lay.left, lay.right, p).all(axis=-1)
 
 
 def _witness_tags(P: MPoly) -> "_WitnessTags":
@@ -522,11 +519,12 @@ class _WitnessTags:
     P, as it does when S == 0.
 
     The steps: a witness glued on all but a slot that P does not hold
-    vanishes; a nonzero value at either probe pair (_probe_witnesses)
-    proves a witness live; the structural proof over P's additive pieces
-    and verified factor blocks (structure._Structure) proves witnesses
-    zero from what the probes read; and each tag these leave open, of a
-    pair that shares a monomial, gets the exact test.  For it split
+    vanishes; a witness that is a nonzero polynomial in its free variable
+    at either probe point (_probe_witnesses) is live; the structural proof
+    over P's additive pieces and verified factor blocks
+    (structure._Structure) proves witnesses zero from what the probes
+    read; and each tag these leave open, of a pair that shares a monomial,
+    gets the exact test.  For it split
     S = A1*x_m + A0 and D = D2*x_m^2 + D1*x_m + D0 with coefficients in the
     ring R of the other slots (_slot_vanishes on the cofactors of P in
     x_i, x_j, x_m).  W's coefficients in x_m and y_m are +-D2*A1, +-D2*A0
@@ -541,20 +539,18 @@ class _WitnessTags:
         contained = np.zeros(plan.size, dtype=bool)
         contained[plan.live] = True
         self.present = contained.take(lay.single_rows)
-        self.shares = contained.take(lay.pair_rows[2])
-        base, slots = _probe_witnesses(P, plan, lay)
-        # each pair's slots m whose witness glued on rest - {m} reads
-        # nonzero
+        self.shares = contained.take(lay.pair_rows)
+        # each pair's slots m whose witness glued on rest - {m} reads live
         glued = np.zeros((len(lay.pairs), n), dtype=bool)
         glued[np.arange(len(lay.pairs))[:, None], lay.witness_free] = (
-            slots.take(lay.witness_columns, axis=0).any(axis=-1))
+            _probe_witnesses(P, plan, lay).take(lay.witness_columns))
         live = _bit_rows(glued)
         present = _bit_rows(self.present[None])[0]
         full = (1 << n) - 1
         absent = full & ~present
         shares = self.shares.tolist()
         self.zero = [absent | pair if s else full for pair, s in zip(lay.masks, shares)]
-        _Structure(P, present, shares, base.any(axis=1).tolist(), live, self.zero)
+        _Structure(P, present, shares, live, self.zero)
         for q, (i, j) in enumerate(lay.pairs):
             if live[q] | self.zero[q] != full:
                 for m in _bits(full & ~live[q] & ~self.zero[q]):

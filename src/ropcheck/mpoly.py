@@ -543,8 +543,8 @@ class MPoly:
 
     First partials are memoized per slot on the polynomial, so every caller
     that asks for d_i(P) of one P shares a single computation.  _probe holds
-    decomp's memo of P: its multilinearity, its Taylor plan and its Taylor
-    tables at the fixed witness probe points.  _plan holds the evaluation
+    decomp's memo of P: its multilinearity, its Taylor plan and its witness
+    zero tags.  _plan holds the evaluation
     plan, compiled on the first evaluation.
     """
 

@@ -360,7 +360,7 @@ class Oracle:
 def as_oracle(obj) -> Oracle:
     """Wrap a formula or polynomial as a counting oracle."""
     if isinstance(obj, (Rof, MPoly)):
-        return Oracle(obj.ctx, obj.arity, obj.eval_raw,
+        return Oracle(obj.ctx, obj.arity, None,
                       functools.partial(_eval_residues, obj.eval_raw, obj.ctx.p))
     raise InvalidParams(f"cannot build an oracle from {type(obj).__name__}")
 

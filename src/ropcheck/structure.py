@@ -222,31 +222,29 @@ class _Structure:
     components of P's pairs that share a monomial (shares) within L, exact
     since a pair shares a monomial in a piece or a block iff it does in P.
     The candidate blocks join every pair of L that shares no monomial or
-    whose witness reads nonzero at a probe glued on rest - {m} for some m
-    in L, since P's probe there is H's times a nonzero factor; at the top
-    level the J = {} probes join too.  A candidate proves nothing until
-    factor verifies it, and a level is searched only while it holds an open
-    tag.
+    whose witness glued on rest - {m} reads live at a probe for some m in
+    L, since P's reading there is H's times a factor.  A candidate
+    proves nothing until factor verifies it, and a level is searched only
+    while it holds an open tag.
 
     Slot sets and monomials are bit masks, and a polynomial is a dict from
     its monomials to their coefficients.  P holds the slots of the bit mask
     present.  The other arguments are lists indexed as the pairs (i, j),
     i < j, in lexicographic order: shares[q] tells whether a monomial of P
-    holds both slots of pair q, base[q] whether its J = {} witness reads
-    nonzero at a probe, and live[q] is the bit mask of the slots m whose
-    witness glued on rest - {m} reads nonzero at one.  The proof reads
+    holds both slots of pair q, and live[q] is the bit mask of the slots m
+    whose witness glued on rest - {m} reads live at a probe.  The proof reads
     these and writes only zero, the tags' bit masks
     (decomp._WitnessTags.zero), which come in holding the pair's own slots
     and those P does not hold, or all slots for a pair that shares no
     monomial: it adds to zero[q] the slots m whose tags of pair q it proves
     zero, every slot of P for a pair that splits P.
     """
-    __slots__ = ("P", "base", "live", "zero", "pair_at", "shares", "open", "terms")
+    __slots__ = ("P", "live", "zero", "pair_at", "shares", "open", "terms")
 
-    def __init__(self, P: MPoly, present: int, shares: List[bool], base: List[bool],
-                 live: List[int], zero: List[int]):
+    def __init__(self, P: MPoly, present: int, shares: List[bool], live: List[int],
+                 zero: List[int]):
         n = P.arity
-        self.P, self.base, self.live, self.zero, self.terms = P, base, live, zero, None
+        self.P, self.live, self.zero, self.terms = P, live, zero, None
         self.pair_at = [[0] * n for _ in range(n)]
         self.shares = [0] * n
         for q, (i, j) in enumerate(itertools.combinations(range(n), 2)):
@@ -257,26 +255,25 @@ class _Structure:
         # the tags still open: glued on all but a slot that P holds, neither
         # known zero nor read live
         self.open = [present & ~z & ~v for z, v in zip(zero, live)]
-        self.level(present, True)
+        self.level(present)
 
-    def level(self, L: int, top: bool, source=None):
+    def level(self, L: int, source=None):
         """Prove the tags of the pairs inside the level's slots L glued on
         all but a slot of L.  The level's nonconstant terms are those of the
         polynomial source inside L; None stands for P."""
         slots = _bits(L)
         pairs = [(a, b, self.pair_at[a][b]) for k, a in enumerate(slots) for b in slots[k + 1:]]
-        if not any(self.open[q] & L or top and self.shares[a] >> b & 1 and not self.base[q]
-                   for a, b, q in pairs):
+        if not any(self.open[q] & L for _, _, q in pairs):
             return
         pieces = _components(L, self.shares)
         if len(pieces) > 1:
             for piece in pieces:
                 if piece.bit_count() >= 3:
-                    self.level(piece, False, source)
+                    self.level(piece, source)
             return
         joined = [0] * self.P.arity
         for a, b, q in pairs:
-            if not self.shares[a] >> b & 1 or self.live[q] & L or top and self.base[q]:
+            if not self.shares[a] >> b & 1 or self.live[q] & L:
                 joined[a] |= 1 << b
                 joined[b] |= 1 << a
         blocks = _components(L, joined)
@@ -291,7 +288,7 @@ class _Structure:
                 self.zero[q] |= L
         for block, factor in zip(blocks, factors):
             if block.bit_count() >= 3:
-                self.level(block, False, factor)
+                self.level(block, factor)
 
     def factor(self, L: int, blocks: List[int], source):
         """factor() on the level's polynomial: the terms of source inside

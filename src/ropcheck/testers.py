@@ -421,11 +421,13 @@ def tau_estimate(oracle: Oracle, n: int, samples: int, rng=0,
                  coordinate: Optional[int] = None) -> TauEstimate:
     """Fraction of random aligned triples whose axis interpolant is not affine.
 
-    The quadratic Newton coefficient (the second divided difference) of the
-    three queried values is nonzero exactly when the interpolant has degree
-    2, so the per-sample test is exact.  Samples are drawn and answered in
-    chunks of _TAU_CHUNK, one oracle call each, so memory stays bounded
-    whatever the sample count.
+    The third row of the nodes' difference table (_difference_tables),
+    (x2 - x1)*f0 + (x0 - x2)*f1 + (x1 - x0)*f2, is the second divided
+    difference of the three queried values times a nonzero factor, so it
+    is nonzero exactly when the interpolant has degree 2: the per-sample
+    test is exact and needs no inverse.  Samples are drawn and answered in
+    chunks of _TAU_CHUNK, one oracle call and one array step each, so
+    memory stays bounded whatever the sample count.
     """
     _require_coordinates(oracle, n)
     if samples < 1:
@@ -448,13 +450,10 @@ def tau_estimate(oracle: Oracle, n: int, samples: int, rng=0,
         # reads, answered in one oracle call
         values, pts = draws[:, n + 1:], np.repeat(draws[:, :n].T, 3, axis=1)
         pts[np.repeat(draws[:, n], 3), np.arange(3 * size)] = values.ravel()
-        answers = iter(oracle.query_many(pts.T))
-        for x0, x1, x2 in values.tolist():
-            f0, f1, f2 = next(answers), next(answers), next(answers)
-            d01 = (f1 - f0) * ctx.inv_raw(x1 - x0) % p
-            d12 = (f2 - f1) * ctx.inv_raw(x2 - x1) % p
-            if (d12 - d01) * ctx.inv_raw(x2 - x0) % p:
-                hits += 1
+        # each sample's second difference, up to a nonzero factor
+        second = _difference_tables(p, values)[:, 2]
+        answers = oracle._query_array(pts.T).reshape(size, 3).astype(second.dtype)
+        hits += int(np.count_nonzero((second * answers).sum(axis=1) % p))
     frac = hits / samples
     stderr = math.sqrt(frac * (1.0 - frac) / samples)
     return TauEstimate(frac, stderr, samples)

@@ -364,10 +364,10 @@ def test_characterize_exact_at_arity_11_and_12():
 
 
 def test_characterize_builds_one_table_per_attempt(monkeypatch):
-    # the witness probes evaluate P's Taylor plan once, at the x and y
-    # points of both probe pairs as one K = 4 array; a certified first
-    # attempt then evaluates it once at its assignment, and both the
-    # certificate check and the triple scan read that table
+    # the witness probes evaluate P's Taylor plan once, at both probe
+    # points as one K = 2 array; a certified first attempt then evaluates
+    # it once at its assignment, and both the certificate check and the
+    # triple scan read that table
     table = decomp._TaylorPlan.table
     calls = []
 
@@ -379,7 +379,7 @@ def test_characterize_builds_one_table_per_attempt(monkeypatch):
     rep = characterize(q_n(6, GF1009), 3)
     assert rep.attempts == 1 and rep.verdict == READ_MANY
     assert len(calls) == 2
-    assert [len(column) for column in calls[0]] == [4] * 6
+    assert [len(column) for column in calls[0]] == [2] * 6
     assert calls[-1] == list(rep.assignment)
 
 

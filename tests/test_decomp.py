@@ -223,20 +223,34 @@ def test_witness_is_zero_small_field_path():
             assert witness_is_zero(P, i, j, J) == want
 
 
-def _probe_pairs(n, p):
-    """The two witness probe pairs (x, y) for J = {}: pair t's x reads
-    _PROBES[t] from entry 0, its y from entry n, cyclically, reduced mod p."""
-    return [([probe[k % len(probe)] % p for k in range(n)],
-             [probe[(n + k) % len(probe)] % p for k in range(n)]) for probe in _PROBES]
+def _probe_points(n, p):
+    """The two witness probe points: point t reads _PROBES[t] from entry 0,
+    cyclically, reduced mod p."""
+    return [[probe[k % len(probe)] % p for k in range(n)] for probe in _PROBES]
 
 
-def _probe_values(P, i, j, m):
-    """W at the two probe pairs for the pair (i, j), i < j, and J = {}
-    (m None) or J = rest - {m}, read from the probe evaluation."""
+def _probe_readings(P):
+    """Whether each split column's witness vanishes in its free variable at
+    each probe point (decomp._witness_vanishes), as a (splits, 2) array,
+    once _probe_witnesses is checked to read a column live iff it does not
+    vanish at both points."""
     lay = decomp._pair_layout(P.arity)
-    base, slots = decomp._probe_witnesses(P, decomp._taylor_plan(P), lay)
-    row = base[lay.index[i, j]] if m is None else slots[lay.columns[i, j, m]]
-    return tuple(row.tolist())
+    plan = decomp._taylor_plan(P)
+    table = plan.table([list(column) for column in zip(*_probe_points(P.arity, P.ctx.p))])
+    vanishes = decomp._witness_vanishes(table, lay.left, lay.right, P.ctx.p)
+    assert vanishes.shape == (len(lay.columns), 2)
+    assert (decomp._probe_witnesses(P, plan, lay) == ~vanishes.all(axis=-1)).all()
+    return vanishes
+
+
+def _free_witness(P, i, j, m, x):
+    """The materialized witness of (i, j) glued on rest - {m} with x set into
+    its x-block: a polynomial in y_m (slot n + m) alone."""
+    n = P.arity
+    W = decomp_witness(P, i, j, frozenset(range(n)) - {i, j, m}).value
+    free = W.restrict_many(range(n), list(x) + [0] * n)
+    assert free.variables() <= {n + m}
+    return free
 
 
 def _certificate_glue_sets(n):
@@ -250,22 +264,26 @@ def _certificate_glue_sets(n):
 
 @pytest.mark.parametrize("p", [3, 5, 101])
 def test_probe_value_from_tables_matches_materialized_witness(p):
-    # the probes read P's Taylor tables at both pairs' x and y; the
-    # materialized witness on 2n slots is evaluated directly at x in the
-    # x-block, y in the y-block
+    # the probes read P's Taylor tables at both fixed points; the
+    # materialized witness on 2n slots, with the point set into its x-block,
+    # is a polynomial in y_m, which vanishes exactly where the probe reads so
     ctx = FieldCtx(p)
     rng = random.Random(p + 41)
     zero_coordinates = 0
+    outcomes = set()
     for n in range(3, 7):
-        pairs = _probe_pairs(n, p)
-        zero_coordinates += sum((x + y).count(0) for x, y in pairs)
+        points = _probe_points(n, p)
+        zero_coordinates += sum(x.count(0) for x in points)
+        columns = decomp._pair_layout(n).columns
         polys = [q_n(n, ctx), random_rof(ctx, n, rng).expand(),
                  random_rof(ctx, n, rng).expand(), random_multilinear(ctx, n, rng)]
         for P in polys:
-            for i, j, J, m in _certificate_glue_sets(n):
-                W = decomp_witness(P, i, j, J).value
-                want = tuple(W.eval_raw(x + y) for x, y in pairs)
-                assert _probe_values(P, i, j, m) == want, (n, i, j, J)
+            vanishes = _probe_readings(P)
+            for (i, j, m), column in columns.items():
+                want = [_free_witness(P, i, j, m, x).is_zero() for x in points]
+                assert vanishes[column].tolist() == want, (n, i, j, m)
+                outcomes.update(want)
+    assert outcomes == {True, False}
     if p == 3:
         # probe coordinates that are 0 take the tables' zero-slot branch
         assert zero_coordinates > 0
@@ -275,15 +293,17 @@ def test_probe_memo_belongs_to_its_polynomial():
     rng = random.Random(13)
     n = 5
     for ctx in (GF3, GF101):
-        pairs = _probe_pairs(n, ctx.p)
+        points = _probe_points(n, ctx.p)
+        columns = decomp._pair_layout(n).columns
         P = random_rof(ctx, n, rng).expand()
         Q = random_multilinear(ctx, n, rng)
         cases = list(_certificate_glue_sets(n))
         tags = [witness_is_zero(P, i, j, J) for i, j, J, _ in cases]
         # Q has P's arity, so the same probe points, but tables of its own
-        for i, j, J, m in cases:
-            W = decomp_witness(Q, i, j, J).value
-            assert _probe_values(Q, i, j, m) == tuple(W.eval_raw(x + y) for x, y in pairs)
+        vanishes = _probe_readings(Q)
+        for (i, j, m), column in columns.items():
+            assert vanishes[column].tolist() == [_free_witness(Q, i, j, m, x).is_zero()
+                                                 for x in points]
         assert Q._probe is not P._probe
         copy = MPoly(ctx, n, dict(P.terms))
         assert copy._probe is None
@@ -298,15 +318,22 @@ def test_probe_memo_belongs_to_its_polynomial():
 
 
 def test_probe_misses_on_q10_are_decided_exactly():
-    # the first probe pair reads 0 on two certificate glue sets of q_10 over
-    # GF(1009); the second refutes both, and the exact slot test, called
-    # directly, must find W != 0 as well
+    # a probe that read the witness's value at a second point, y_m read
+    # from entry n + m of _PROBES[0], read 0 on two certificate glue sets of
+    # q_10 over GF(1009).  Read as polynomials in y_m, both witnesses are
+    # live at the first probe point already, and the exact slot test,
+    # called directly, must find W != 0 as well
     P = q_n(10, FieldCtx(1009))
+    columns = decomp._pair_layout(10).columns
+    vanishes = _probe_readings(P)
+    x = _probe_points(10, 1009)[0]
     rng = random.Random(10)
     for i, j, m in ((4, 6, 0), (5, 7, 4)):
         J = frozenset(range(10)) - {i, j, m}
-        first, second = _probe_values(P, i, j, m)
-        assert first == 0 and second != 0
+        free = _free_witness(P, i, j, m, x)
+        y = [0] * 10 + [0] * m + [_PROBES[0][10 + m] % 1009] + [0] * (9 - m)
+        assert free.eval_raw(y) == 0 and not free.is_zero()
+        assert not vanishes[columns[i, j, m], 0]
         assert not witness_is_zero(P, i, j, J)
         assert not _slot_vanishes(_coded_cofactors(P, (i, j, m)), 1 << i, 1 << j, 1 << m, 1009)
         # W != 0 at a second point pair, through D = P*S - d_iP*d_jP
@@ -315,10 +342,10 @@ def test_probe_misses_on_q10_are_decided_exactly():
         def D(pt):
             return P.eval_raw(pt) * S.eval_raw(pt) - Pi.eval_raw(pt) * Pj.eval_raw(pt)
 
-        x = [rng.randrange(1009) for _ in range(10)]
-        y = list(x)
-        y[m] = rng.randrange(1009)
-        assert (D(x) * S.eval_raw(y) - S.eval_raw(x) * D(y)) % 1009
+        x2 = [rng.randrange(1009) for _ in range(10)]
+        y2 = list(x2)
+        y2[m] = rng.randrange(1009)
+        assert (D(x2) * S.eval_raw(y2) - S.eval_raw(x2) * D(y2)) % 1009
 
 
 def _taylor_input(ctx, kind, n):
@@ -593,7 +620,7 @@ def test_hard_family_reaches_no_rank_one_check(monkeypatch):
 
 def _force_exact_tests(monkeypatch):
     """Leave every tag of a pair that shares a monomial to the exact tests:
-    the probes read every witness zero and the structural proof proves
+    the probes read no witness live and the structural proof proves
     nothing.  Returns the list of (pair, slot) that each slot test appends
     to."""
     probe = decomp._probe_witnesses
@@ -605,7 +632,7 @@ def _force_exact_tests(monkeypatch):
         return slot_vanishes(c, x, y, z, p)
 
     monkeypatch.setattr(decomp, "_probe_witnesses",
-                        lambda *args: tuple(map(np.zeros_like, probe(*args))))
+                        lambda *args: np.zeros_like(probe(*args)))
     monkeypatch.setattr(decomp, "_Structure", lambda *args: None)
     monkeypatch.setattr(decomp, "_slot_vanishes", counted)
     return tested
@@ -647,8 +674,9 @@ def test_unglued_witness_is_decided_over_every_slot(p, monkeypatch):
 def test_live_slot_probe_settles_the_unglued_witness(monkeypatch):
     # for the pair (x1, x2) of x1*x2 + x3 + x4, D/S = x3 + x4 depends on x3
     # and x4, and the probes read both slots' witnesses live: J = {} is
-    # settled with no exact test.  With the probes forced to read zero, the
-    # build tests each slot once, and J = {} is read from those outcomes
+    # settled with no exact test.  With the probes forced to read nothing
+    # live, the build tests each slot once, and J = {} is read from those
+    # outcomes
     P = parse_terms(GF1009, 4, "x1*x2 + x3 + x4")
     calls = []
     slot_vanishes = decomp._slot_vanishes

@@ -90,8 +90,9 @@ def _refuse(name):
 
 
 def _probe_miss_and_gf3_inputs():
-    """q_10 over GF(1009), whose first probe pair misses two certificate
-    glue sets, and random GF(3) multilinear inputs, where the probes miss
+    """q_10 over GF(1009), where a probe that read the witness's value at a
+    second point missed two certificate glue sets that both probe points now
+    read live, and random GF(3) multilinear inputs, where the probes miss
     often enough that tags reach the exact slot test."""
     rng = random.Random(31)
     polys = [q_n(10, FieldCtx(1009))]
@@ -125,4 +126,24 @@ def test_characterize_runs_with_every_reference_function_refusing(monkeypatch):
     got = [characterize(P, 7) for P in _probe_miss_and_gf3_inputs()]
     assert got == want
     assert slot_tests, "no input reached the exact fallback"
+
+
+def test_probe_miss_and_gf3_inputs_reach_87_exact_slot_tests(monkeypatch):
+    # the probes read each witness as a polynomial in its free variable at
+    # two points: q_10 leaves no tag to the exact slot test, and the 24
+    # GF(3) inputs leave 87
+    slot_tests = []
+    slot_vanishes = decomp._slot_vanishes
+
+    def counted(*args):
+        slot_tests.append(args)
+        return slot_vanishes(*args)
+
+    monkeypatch.setattr(decomp, "_slot_vanishes", counted)
+    q10, *gf3 = _probe_miss_and_gf3_inputs()
+    decomp._witness_tags(q10)
+    assert not slot_tests
+    for P in gf3:
+        decomp._witness_tags(P)
+    assert len(gf3) == 24 and len(slot_tests) == 87
 
